@@ -149,7 +149,7 @@ class IntersectionArray:
     def is_antipodal(self) -> bool:
         # distance-D fibres: b_i = c_{D-i} for all i except possibly i = floor(D/2)
         return all(self.bi(i) == self.ci(self.D - i)
-                   for i in range(self.D) if i != self.D - i)
+                   for i in range(self.D) if i != self.D // 2)
 
     def __str__(self):
         return "{%s;%s}" % (",".join(map(str, self.b)), ",".join(map(str, self.c)))
@@ -181,16 +181,6 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
     if seen != g.n:
         raise Unreachable(f"only {seen}/{g.n} vertices reachable from {v}")
     return dist
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    try:
-        bfs_distances(g, 0)
-        return True
-    except Unreachable:
-        return False
 
 
 def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:

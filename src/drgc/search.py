@@ -4,6 +4,16 @@ spectral sweep plus local refinement for larger ones.
 The exact enumerator walks all subsets in Gray-code order with O(1) boundary
 updates, so cube- and dodecahedron-sized graphs finish in seconds.  Search
 results are deterministic under fixed seeds.
+
+Local refinement scores all candidate moves of a step at once as numpy int64
+arrays: single-vertex moves as one length-n array, and (u out, w in) swaps as
+one |S| x |S^c| array whose adjacency correction comes from the cut edges.
+Comparisons against the current ratio are exact cross-multiplications.  The
+best strictly improving move is the first minimum of float64 ratios b/d, and
+that is exact too: every ratio lies in [0, 1] with 0 < d <= total, so two
+distinct ratios differ by at least 1/total**2, which is 2**-52 or more when
+total <= 2**26 and so more than the rounding error of either; equal ratios
+round to the same double.  ``local_refine`` refuses larger graphs.
 """
 
 from __future__ import annotations
@@ -11,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -19,6 +30,7 @@ from .graph import Graph, eigensystem
 from .witness import CutCertificate, make_certificate
 
 EXACT_CAP_HARD = 30
+REFINE_TOTAL_CAP = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -83,132 +95,125 @@ def exact_cheeger(g: Graph, exact_cap: int = 24):
 def sweep_cut(g: Graph, lambda1=None) -> CutCertificate:
     """Best prefix cut in the ordering of the second adjacency eigenvector."""
     vals, vecs = eigensystem(g)
-    fiedler = vecs[:, -2]     # eigenvector of the second-largest eigenvalue
-    order = sorted(range(g.n), key=lambda v: (-fiedler[v], v))
-    degs = [g.degree(v) for v in range(g.n)]
-    total = 2 * g.num_edges
-    in_S = [False] * g.n
-    vol = 0
-    boundary = 0
-    best = None
-    best_i = -1
-    for i, v in enumerate(order[:-1]):
-        in_S[v] = True
-        vol += degs[v]
-        for w in g.adj[v]:
-            boundary += -1 if in_S[w] else 1
-        ratio = Fraction(boundary, min(vol, total - vol))
-        if best is None or ratio < best:
-            best, best_i = ratio, i
-    S = frozenset(order[:best_i + 1])
-    return make_certificate(g, S, "sweep", lambda1)
+    return make_certificate(g, _sweep_order(g, vecs[:, -2]), "sweep", lambda1)
 
 
 def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
                  lambda1=None, tabu_len: int = 50, plateau_patience: int = 200,
-                 target=None, swap_cap: int = 40_000) -> CutCertificate:
+                 swap_cap: int = 40_000) -> CutCertificate:
     """Kernighan-Lin style descent: single-vertex moves and (u out, w in)
     swaps, ratio monotonically non-increasing.  Equal-ratio moves pass through
-    a short tabu list to cross plateaus; deterministic for a fixed seed."""
-    rng = random.Random(seed)
+    a short tabu list to cross plateaus; deterministic for a fixed seed.
+
+    Every step scores all single moves, and when none improves, all swaps,
+    as numpy arrays of keys (boundary, min(vol, total - vol)).  "Strictly
+    better" and "equal" are exact int64 cross-multiplications against the
+    current key; the chosen strict move is the first index of the least
+    float64 ratio, which is exact for total <= REFINE_TOTAL_CAP (module
+    docstring).  Plateau moves are listed in the order singles by vertex,
+    then swaps row-major over (sorted S, sorted S^c), so the seeded pick is
+    reproducible."""
     n = g.n
-    degs = [g.degree(v) for v in range(n)]
     total = 2 * g.num_edges
+    if total > REFINE_TOTAL_CAP:
+        raise TooLarge(f"local_refine: total degree {total} exceeds "
+                       f"{REFINE_TOTAL_CAP}, the limit for exact float ratios")
+    rng = random.Random(seed)
     half = n // 2
-    inS = [False] * n
-    din = [0] * n            # neighbors inside S
-    S = set(S)
-    for v in S:
-        inS[v] = True
-    for v in S:
-        for w in g.adj[v]:
-            din[w] += 1
-    vol = sum(degs[v] for v in S)
-    boundary = sum(degs[v] - din[v] for v in S)
+    degs = np.fromiter(map(len, g.adj), dtype=np.int64, count=n)
+    # the ordered edges (src, dst); v's neighbours are dst[first[v]:first[v+1]]
+    src = np.repeat(np.arange(n), degs)
+    dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=total)
+    first = [0, *accumulate(map(len, g.adj))]
+    inS = np.zeros(n, dtype=bool)
+    inS[list(S)] = True
+    din = np.bincount(dst[inS[src]], minlength=n)    # neighbours inside S
+    size = int(inS.sum())
+    vol = int(degs[inS].sum())
+    boundary = int((degs - din)[inS].sum())
+    sign = np.where(inS, -1, 1)             # a move takes v out of S or into it
 
-    def rkey(b, vl):
-        return (b, min(vl, total - vl))
+    def side(vl):
+        return np.minimum(vl, total - vl)
 
-    def rless(x, y):
-        return x[0] * y[1] < y[0] * x[1]
+    def first_min(b, d, strict):
+        ratio = np.divide(b, d, out=np.full(b.shape, np.inf), where=strict)
+        return np.unravel_index(np.argmin(ratio), b.shape)
 
-    def requal(x, y):
-        return x[0] * y[1] == y[0] * x[1]
-
-    def apply_move(vs_out, vs_in):
-        nonlocal vol, boundary
-        for u in vs_out:
-            inS[u] = False
-            S.discard(u)
-            vol -= degs[u]
-            boundary += 2 * din[u] - degs[u]
-            for w in g.adj[u]:
-                din[w] -= 1
-        for u in vs_in:
-            inS[u] = True
-            S.add(u)
-            vol += degs[u]
-            boundary += degs[u] - 2 * din[u]
-            for w in g.adj[u]:
-                din[w] += 1
-
-    cur = rkey(boundary, vol)
+    cur = (boundary, min(vol, total - vol))
     best, best_S = cur, frozenset(S)
     tabu: list[int] = []
     stale = 0
     moves = 0
     while moves < budget and stale <= plateau_patience:
-        if target is not None and Fraction(best[0], best[1]) <= target:
-            break
-        strict = None          # (key, kind, moved tuple)
-        plateau = []
-        size = len(S)
-        for v in range(n):
-            if inS[v]:
-                if size == 1:
-                    continue
-                key = rkey(boundary + 2 * din[v] - degs[v], vol - degs[v])
-                moved = (v,)
-            else:
-                if size >= half:
-                    continue
-                key = rkey(boundary + degs[v] - 2 * din[v], vol + degs[v])
-                moved = (v,)
-            if rless(key, cur) and (strict is None or rless(key, strict[0])):
-                strict = (key, moved)
-            elif requal(key, cur):
-                plateau.append((key, moved))
+        cb, cd = cur
+        b1 = boundary + sign * (degs - 2 * din)
+        v1 = vol + sign * degs
+        d1 = side(v1)
+        allowed = np.ones(n, dtype=bool)
+        if size == 1:
+            allowed &= ~inS
+        if size >= half:
+            allowed &= inS
+        strict1 = allowed & (b1 * cd < cb * d1)
+        moved = None
+        swapped = False
+        if strict1.any():
+            moved = first_min(b1, d1, strict1)
         # swaps only when single moves stall and the pair scan is affordable
-        if strict is None and len(S) * (n - len(S)) <= swap_cap:
-            Sl = sorted(S)
-            out = [v for v in range(n) if not inS[v]]
-            for u in Sl:
-                b_u = boundary + 2 * din[u] - degs[u]
-                v_u = vol - degs[u]
-                adj_u = set(g.adj[u])
-                for w in out:
-                    dw = din[w] - (1 if w in adj_u else 0)
-                    key = rkey(b_u + degs[w] - 2 * dw, v_u + degs[w])
-                    if rless(key, cur) and (strict is None or rless(key, strict[0])):
-                        strict = (key, (u, w))
-                    elif requal(key, cur):
-                        plateau.append((key, (u, w)))
-        if strict is not None:
-            _, moved = strict
+        elif size * (n - size) <= swap_cap:
+            ins, outs = np.flatnonzero(inS), np.flatnonzero(~inS)
+            b2 = (boundary + 2 * din[ins] - degs[ins])[:, None] \
+                + (degs[outs] - 2 * din[outs])[None, :]
+            # din[w] still counts u, which has left S: +2 per cut edge u-w
+            pos = np.empty(n, dtype=np.intp)
+            pos[ins], pos[outs] = np.arange(size), np.arange(n - size)
+            cut = inS[src] & ~inS[dst]
+            b2[pos[src[cut]], pos[dst[cut]]] += 2
+            v2 = (vol - degs[ins])[:, None] + degs[outs][None, :]
+            d2 = side(v2)
+            strict2 = b2 * cd < cb * d2
+            swapped = True
+            if strict2.any():
+                moved = first_min(b2, d2, strict2)
+        if moved is not None:
             stale = 0
         else:
-            usable = [pm for pm in plateau if not any(m in tabu for m in pm[1])]
-            if not usable:
+            # plateau moves in scan order, without tabu vertices
+            free = np.ones(n, dtype=bool)
+            free[tabu] = False
+            singles = np.flatnonzero(allowed & free & (b1 * cd == cb * d1))
+            pairs = []
+            if swapped:
+                pairs = np.flatnonzero((b2 * cd == cb * d2)
+                                       & free[ins][:, None] & free[outs][None, :])
+            count = len(singles) + len(pairs)
+            if not count:
                 break
-            _, moved = usable[rng.randrange(len(usable))]
+            pick = rng.randrange(count)
+            if pick < len(singles):
+                moved = (singles[pick],)
+            else:
+                moved = np.unravel_index(pairs[pick - len(singles)], b2.shape)
             stale += 1
-        apply_move([m for m in moved if inS[m]], [m for m in moved if not inS[m]])
-        cur = rkey(boundary, vol)
+        if len(moved) == 1:
+            boundary, vol = int(b1[moved]), int(v1[moved])
+            moved = (int(moved[0]),)
+        else:
+            boundary, vol = int(b2[moved]), int(v2[moved])
+            moved = (int(ins[moved[0]]), int(outs[moved[1]]))
+        for m in moved:
+            step = -1 if inS[m] else 1
+            inS[m] = step > 0
+            sign[m] = -step
+            din[dst[first[m]:first[m + 1]]] += step
+            size += step
+        cur = (boundary, min(vol, total - vol))
         tabu.extend(moved)
         del tabu[:-tabu_len]
         moves += 1
-        if rless(cur, best):
-            best, best_S = cur, frozenset(S)
+        if cur[0] * best[1] < best[0] * cur[1]:
+            best, best_S = cur, frozenset(np.flatnonzero(inS).tolist())
     return make_certificate(g, best_S, "refine", lambda1)
 
 

@@ -202,13 +202,6 @@ def exact_theta1(ia: IntersectionArray) -> SqrtVal | None:
     return None
 
 
-def exact_lambda1(ia: IntersectionArray) -> SqrtVal | None:
-    t1 = exact_theta1(ia)
-    if t1 is None:
-        return None
-    return (SqrtVal(ia.k) - t1) / ia.k
-
-
 def srg_eigenvalues(k: int, a1: int, c2: int) -> tuple[SqrtVal, SqrtVal]:
     """(theta_1, theta_2) of a strongly regular graph, exact."""
     disc = (a1 - c2) ** 2 + 4 * (k - c2)

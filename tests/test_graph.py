@@ -1,15 +1,16 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from drgc.catalog import catalog_load
+from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import (Acyclic, EmptySet, FullSet, MalformedGraph6,
                          NotBipartite, NotDistanceRegular, Unreachable)
-from drgc.families import FamilySpec, construct
+from drgc.families import FamilySpec, construct, default_grid, theory_values
 from drgc.graph import (Graph, IntersectionArray, bfs_distances,
-                        bipartite_double, cut_stats, g6_decode, g6_encode,
-                        girth, halved_graph, induced_subgraph,
+                        bipartite_double, cut_stats, distance_matrix, g6_decode,
+                        g6_encode, girth, halved_graph, induced_subgraph,
                         intersection_array, line_graph, two_coloring)
 
 
@@ -114,9 +115,24 @@ def test_array_validation_rejects_bad_monotonicity():
 
 def test_array_antipodal_predicate():
     for name, expect in (("icosahedron", True), ("k55-minus-matching", True),
-                         ("heawood", False), ("dodecahedron", True)):
+                         ("heawood", False), ("dodecahedron", True),
+                         ("line-petersen", True)):    # 3-cover of K5, D odd
         _, entry = catalog_load(name)
         assert entry.array.is_antipodal() == expect, name
+
+
+def test_antipodal_predicate_matches_distance_d_fibres():
+    """The array predicate agrees with the graph: 'equal or at distance D'
+    is an equivalence relation, for every catalog and grid graph, n <= 256."""
+    graphs = [catalog_load(e.name)[0] for e in catalog_list()
+              if e.source != "parameters-only" and e.array.v <= 256]
+    graphs += [construct(spec) for spec in default_grid()
+               if theory_values(spec).v <= 256]
+    for g in graphs:
+        dm = distance_matrix(g)
+        fibre = (dm == dm.max()) | np.eye(g.n, dtype=bool)
+        antipodal = all((fibre[fibre[x]] == fibre[x]).all() for x in range(g.n))
+        assert intersection_array(g).is_antipodal() == antipodal, g.name
 
 
 # -- girth --------------------------------------------------------------------------
