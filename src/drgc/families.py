@@ -13,20 +13,20 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
+import numpy as np
+
 from .algebra import (SUPPORTED_Q, enumerate_subspaces, field, form_eval,
                       matrix_rank, nullspace, subspace_elements)
 from .constructions import shrikhande
 from .errors import NoDescendant, ParamDomain, TooLarge
 from .exact import SqrtVal
-from .graph import Graph, bipartite_double
+from .graph import MAX_VERTICES, Graph, adjacency_matrix
 
 FAMILIES = ("johnson", "hamming", "doob", "halvedcube", "foldedcube",
             "foldedhalvedcube", "odd", "doubledodd", "grassmann",
             "bilinearforms", "alternatingforms", "hermitianforms",
             "quadraticforms", "dualpolarc", "halfdualpolar",
             "doubledgrassmann")
-
-MAX_VERTICES = 20000
 
 
 @dataclass(frozen=True)
@@ -206,15 +206,67 @@ def theory_values(spec: FamilySpec) -> TheoryValues:
 
 
 # -- constructors ---------------------------------------------------------------
+#
+# Every family computes its adjacency as one boolean n x n numpy expression and
+# hands it to _graph_from_adjacency.  Most are a test on the Gram matrix
+# X @ X.T of a 0/1 incidence matrix X, computed in float32 by _inner, which is
+# exact for these counts (all below 2**24): set-membership rows count common
+# elements, one-hot digit rows count agreeing digits, and subspace-element
+# indicator rows count common vectors (q^dim of the intersection).  The forms
+# families are Cayley graphs: b ~ a when a - b lies in a connection set C,
+# found once with the rank predicate against the zero key.
 
-def _graph_from_keys(keys, adjacent, name: str) -> Graph:
-    rows = [[] for _ in keys]
-    for i, a in enumerate(keys):
-        for j in range(i + 1, len(keys)):
-            if adjacent(a, keys[j]):
-                rows[i].append(j)
-                rows[j].append(i)
-    return Graph(len(keys), rows, name)
+
+def _graph_from_adjacency(adj: np.ndarray, name: str) -> Graph:
+    return Graph(len(adj), [np.flatnonzero(row).tolist() for row in adj], name)
+
+
+def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-by-row inner products of two 0/1 matrices."""
+    return X.astype(np.float32) @ Y.T.astype(np.float32)
+
+
+def _set_rows(ground: int, size: int) -> np.ndarray:
+    """Indicator rows of the size-subsets of range(ground), in lexicographic
+    order (the order of combinations(range(1, ground + 1), size))."""
+    members = np.array(list(combinations(range(ground), size)), dtype=np.intp)
+    X = np.zeros((len(members), ground), dtype=bool)
+    X[np.arange(len(members))[:, None], members] = True
+    return X
+
+
+def _hamming_distances(keys, q: int) -> np.ndarray:
+    """Hamming distances between digit strings: length minus the agreements
+    counted by the Gram matrix of one-hot digit rows."""
+    K = np.array(keys, dtype=np.intp)
+    onehot = (K[:, :, None] == np.arange(q)).reshape(len(K), -1)
+    return K.shape[1] - _inner(onehot, onehot)
+
+
+def _element_rows(F, subspaces, dim: int) -> np.ndarray:
+    """Indicator rows over the q^dim vectors of each subspace's elements."""
+    weights = F.q ** np.arange(dim - 1, -1, -1)
+    X = np.zeros((len(subspaces), F.q ** dim), dtype=bool)
+    for row, U in zip(X, subspaces):
+        row[np.array(list(subspace_elements(F, U))) @ weights] = True
+    return X
+
+
+def _difference_adjacency(F, keys, in_C) -> np.ndarray:
+    """a ~ b when the coordinatewise difference a - b lies in C, the keys
+    accepted by in_C.  Every forms family has C = -C, so this is symmetric."""
+    q = F.q
+    K = np.array(keys, dtype=np.intp).reshape(len(keys), -1)
+    length = K.shape[1]
+    sub = np.array([[F.sub(x, y) for y in range(q)] for x in range(q)],
+                   dtype=np.uint8)
+    member = np.zeros(q ** length, dtype=bool)
+    member[K @ (q ** np.arange(length - 1, -1, -1))] = [in_C(key) for key in keys]
+    code = np.zeros((len(K), len(K)), dtype=np.min_scalar_type(q ** length - 1))
+    for col in K.T:
+        code *= q
+        code += sub[col[:, None], col[None, :]]
+    return member[code]
 
 
 def _hamming_keys(d, q):
@@ -223,26 +275,6 @@ def _hamming_keys(d, q):
 
 def _even_strings(length):
     return [s for s in product((0, 1), repeat=length) if sum(s) % 2 == 0]
-
-
-def _hdist(a, b):
-    return sum(x != y for x, y in zip(a, b))
-
-
-def _cartesian_product_graph(factors, name):
-    """Cartesian product: move in exactly one factor along one of its edges."""
-    adjs = []
-    sizes = []
-    for f in factors:
-        adjs.append([set(r) for r in f.adj])
-        sizes.append(f.n)
-    keys = list(product(*[range(s) for s in sizes]))
-
-    def adjacent(a, b):
-        diff = [i for i in range(len(a)) if a[i] != b[i]]
-        return len(diff) == 1 and b[diff[0]] in adjs[diff[0]][a[diff[0]]]
-
-    return _graph_from_keys(keys, adjacent, name), keys
 
 
 def _upper_pairs(n):
@@ -289,76 +321,61 @@ def construct(spec: FamilySpec, max_vertices: int = MAX_VERTICES) -> Graph:
 
     if fam == "johnson":
         n, e = p
-        keys = [frozenset(c) for c in combinations(range(1, n + 1), e)]
-        g = _graph_from_keys(keys, lambda a, b: len(a & b) == e - 1, name)
+        X = _set_rows(n, e)
+        adj = _inner(X, X) == e - 1
     elif fam == "hamming":
         d, q = p
-        g = _graph_from_keys(_hamming_keys(d, q), lambda a, b: _hdist(a, b) == 1, name)
+        adj = _hamming_distances(_hamming_keys(d, q), q) == 1
     elif fam == "doob":
         d1, d2 = p
-        factors = [shrikhande()] * d1
-        if d2:
-            k4 = _graph_from_keys(list(range(4)), lambda a, b: True, "K4")
-            factors += [k4] * d2
-        g, _ = _cartesian_product_graph(factors, name)
+        factors = [adjacency_matrix(shrikhande(), bool)] * d1
+        factors += [~np.eye(4, dtype=bool)] * d2
+        adj = np.zeros((1, 1), dtype=bool)
+        for f in factors:   # Kronecker sum: move in exactly one factor
+            adj = np.kron(adj, np.eye(len(f), dtype=bool)) \
+                | np.kron(np.eye(len(adj), dtype=bool), f)
     elif fam == "halvedcube":
         (n,) = p
-        g = _graph_from_keys(_even_strings(n), lambda a, b: _hdist(a, b) == 2, name)
+        adj = _hamming_distances(_even_strings(n), 2) == 2
     elif fam == "foldedcube":
         (n,) = p
-        keys = list(product((0, 1), repeat=n - 1))
-        g = _graph_from_keys(keys, lambda a, b: _hdist(a, b) in (1, n - 1), name)
+        dist = _hamming_distances(list(product((0, 1), repeat=n - 1)), 2)
+        adj = (dist == 1) | (dist == n - 1)
     elif fam == "foldedhalvedcube":
         (n,) = p
-        keys = _even_strings(2 * n - 1)
-        g = _graph_from_keys(keys, lambda a, b: _hdist(a, b) in (2, 2 * n - 2), name)
+        dist = _hamming_distances(_even_strings(2 * n - 1), 2)
+        adj = (dist == 2) | (dist == 2 * n - 2)
     elif fam == "odd":
         (k,) = p
-        keys = [frozenset(c) for c in combinations(range(1, 2 * k), k - 1)]
-        g = _graph_from_keys(keys, lambda a, b: not a & b, name)
+        X = _set_rows(2 * k - 1, k - 1)
+        adj = _inner(X, X) == 0
     elif fam == "doubledodd":
         (m,) = p
-        keys = [frozenset(c) for c in combinations(range(1, 2 * m), m - 1)]
-        base = _graph_from_keys(keys, lambda a, b: not a & b, "")
-        g = bipartite_double(base).renamed(name)
+        X = _set_rows(2 * m - 1, m - 1)
+        disjoint = _inner(X, X) == 0
+        zero = np.zeros_like(disjoint)
+        adj = np.block([[zero, disjoint], [disjoint, zero]])
     elif fam == "grassmann":
         q, n, e = p
         F = field(q)
-        keys = enumerate_subspaces(n, e, F)
-        elems = [subspace_elements(F, U) for U in keys]
-        low = q ** (e - 1)
-
-        def adjacent_idx(i, j):
-            return len(elems[i] & elems[j]) == low
-
-        rows = [[] for _ in keys]
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                if adjacent_idx(i, j):
-                    rows[i].append(j)
-                    rows[j].append(i)
-        g = Graph(len(keys), rows, name)
+        X = _element_rows(F, enumerate_subspaces(n, e, F), n)
+        adj = _inner(X, X) == q ** (e - 1)
     elif fam == "bilinearforms":
         q, D, e = p
         F = field(q)
         keys = list(product(product(range(q), repeat=e), repeat=D))
-
-        def adjacent(a, b):
-            diff = [tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
-            return matrix_rank(F, diff) == 1
-
-        g = _graph_from_keys(keys, adjacent, name)
+        adj = _difference_adjacency(F, keys, lambda M: matrix_rank(F, M) == 1)
     elif fam == "alternatingforms":
         q, n = p
         F = field(q)
         pairs = _upper_pairs(n)
         keys = list(product(range(q), repeat=len(pairs)))
 
-        def adjacent(a, b):
-            upper = {pr: F.sub(x, y) for pr, x, y in zip(pairs, a, b)}
-            return matrix_rank(F, [tuple(r) for r in _alt_full(F, n, upper)]) == 2
+        def rank2(key):
+            M = _alt_full(F, n, dict(zip(pairs, key)))
+            return matrix_rank(F, [tuple(r) for r in M]) == 2
 
-        g = _graph_from_keys(keys, adjacent, name)
+        adj = _difference_adjacency(F, keys, rank2)
     elif fam == "hermitianforms":
         r, D = p
         q = r * r
@@ -367,65 +384,46 @@ def construct(spec: FamilySpec, max_vertices: int = MAX_VERTICES) -> Graph:
         pairs = _upper_pairs(D)
         keys = sorted(product(*([fixed] * D + [list(range(q))] * len(pairs))))
 
-        def full(key):
+        def rank1(key):
             M = [[0] * D for _ in range(D)]
             for i in range(D):
                 M[i][i] = key[i]
             for t, (i, j) in enumerate(pairs):
                 M[i][j] = key[D + t]
                 M[j][i] = F.conj(key[D + t])
-            return M
+            return matrix_rank(F, [tuple(row) for row in M]) == 1
 
-        def adjacent(a, b):
-            Ma, Mb = full(a), full(b)
-            diff = [tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(Ma, Mb)]
-            return matrix_rank(F, diff) == 1
-
-        g = _graph_from_keys(keys, adjacent, name)
+        adj = _difference_adjacency(F, keys, rank1)
     elif fam == "quadraticforms":
         q, n = p
         F = field(q)
         monos = [(i, j) for i in range(n) for j in range(i, n)]
         keys = list(product(range(q), repeat=len(monos)))
-
-        def adjacent(a, b):
-            coeffs = {mo: F.sub(x, y) for mo, x, y in zip(monos, a, b)}
-            return _quad_rank(F, coeffs, n) in (1, 2)
-
-        g = _graph_from_keys(keys, adjacent, name)
+        adj = _difference_adjacency(
+            F, keys, lambda key: _quad_rank(F, dict(zip(monos, key)), n) in (1, 2))
     elif fam == "dualpolarc":
         q, D = p
         F = field(q)
         keys = [U for U in enumerate_subspaces(2 * D, D, F)
                 if all(form_eval("symplectic", F, u, v) == 0 for u, v in combinations(U, 2))]
-        elems = [subspace_elements(F, U) for U in keys]
-        low = q ** (D - 1)
-        rows = [[] for _ in keys]
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                if len(elems[i] & elems[j]) == low:
-                    rows[i].append(j)
-                    rows[j].append(i)
-        g = Graph(len(keys), rows, name)
+        X = _element_rows(F, keys, 2 * D)
+        adj = _inner(X, X) == q ** (D - 1)
     elif fam == "doubledgrassmann":
         q, t = p
         F = field(q)
-        small = enumerate_subspaces(2 * t + 1, t, F)
-        big = enumerate_subspaces(2 * t + 1, t + 1, F)
-        big_sets = [subspace_elements(F, W) for W in big]
-        ns = len(small)
-        edges = []
-        for i, U in enumerate(small):
-            for j, ws in enumerate(big_sets):
-                if all(u in ws for u in U):
-                    edges.append((i, ns + j))
-        g = Graph.from_edges(ns + len(big), edges, name)
+        small = _element_rows(F, enumerate_subspaces(2 * t + 1, t, F), 2 * t + 1)
+        big = _element_rows(F, enumerate_subspaces(2 * t + 1, t + 1, F), 2 * t + 1)
+        # U <= W exactly when all q^t vectors of U lie in W
+        inside = _inner(small, big) == q ** t
+        adj = np.block([[np.zeros((len(small),) * 2, dtype=bool), inside],
+                        [inside.T, np.zeros((len(big),) * 2, dtype=bool)]])
     elif fam == "halfdualpolar":
         raise ParamDomain(f"{fam} is parameters-only (no constructor); "
                           "use theory_values / half_dual_polar_descendant_check")
     else:  # pragma: no cover
         raise ParamDomain(f"no constructor for {fam}")
 
+    g = _graph_from_adjacency(adj, name)
     k = g.regular_degree()
     if k != tv.k or g.n != tv.v:
         raise ParamDomain(

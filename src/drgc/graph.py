@@ -3,26 +3,37 @@
 Graphs are simple, undirected, with vertices 0..n-1 and sorted adjacency
 lists; they are immutable after construction and safe to share.  Vertex
 subsets are plain frozensets; all cut statistics are exact integer counts.
+
+Every stage that allocates an n x n array (adjacency and distance matrices,
+the intersection-array check, the dense eigensystem) refuses graphs with more
+than MAX_VERTICES vertices before it allocates, raising TooLarge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import (Acyclic, EmptySet, FullSet, GraphError, MalformedGraph6,
-                     NotBipartite, NotDistanceRegular, NotRegular, Unreachable)
+                     NotBipartite, NotDistanceRegular, NotRegular, TooLarge,
+                     Unreachable)
 
 VertexSet = frozenset
 
+# the largest graph any n x n stage (and families.construct) accepts; the
+# int16 distance and count matrices also rely on n < 2**15
+MAX_VERTICES = 20000
+
 
 class Graph:
-    __slots__ = ("n", "adj", "name", "_dm", "_eig")
+    __slots__ = ("n", "adj", "name", "_dm", "_eig", "_edges")
 
     def __init__(self, n: int, adj: Iterable[Iterable[int]], name: str = ""):
-        adj = tuple(tuple(sorted(set(row))) for row in adj)
+        rows = [set(row) for row in adj]
+        adj = tuple(tuple(sorted(row)) for row in rows)
         if len(adj) != n:
             raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
         for u, row in enumerate(adj):
@@ -31,13 +42,14 @@ class Graph:
                     raise GraphError(f"self-loop at {u}")
                 if not 0 <= v < n:
                     raise GraphError(f"vertex {v} out of range")
-                if u not in adj[v]:
+                if u not in rows[v]:
                     raise GraphError(f"asymmetric adjacency {u}->{v}")
         self.n = n
         self.adj = adj
         self.name = name
         self._dm = None
         self._eig = None
+        self._edges = None
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> "Graph":
@@ -67,12 +79,32 @@ class Graph:
     def renamed(self, name: str) -> "Graph":
         g = Graph.__new__(Graph)
         g.n, g.adj, g.name = self.n, self.adj, name
-        g._dm, g._eig = self._dm, self._eig
+        g._dm, g._eig, g._edges = self._dm, self._eig, self._edges
         return g
 
     def __repr__(self):
         label = self.name or "graph"
         return f"<{label}: n={self.n}, m={self.num_edges}>"
+
+
+class EdgeArrays(NamedTuple):
+    src: np.ndarray     # ordered edges (src[i], dst[i]), grouped by src
+    dst: np.ndarray
+    first: np.ndarray   # v's neighbours are dst[first[v]:first[v + 1]]
+
+
+def edge_arrays(g: Graph) -> EdgeArrays:
+    """The ordered edge list as read-only numpy arrays (cached)."""
+    if g._edges is None:
+        degs = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
+        first = np.concatenate(([0], np.cumsum(degs)))
+        src = np.repeat(np.arange(g.n), degs)
+        dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp,
+                          count=int(first[-1]))
+        for a in (src, dst, first):
+            a.flags.writeable = False
+        g._edges = EdgeArrays(src, dst, first)
+    return g._edges
 
 
 class CutStats(NamedTuple):
@@ -183,26 +215,37 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
     return dist
 
 
+def _check_dense(g: Graph, stage: str) -> None:
+    if g.n > MAX_VERTICES:
+        raise TooLarge(f"{stage}: n = {g.n} exceeds MAX_VERTICES = {MAX_VERTICES}, "
+                       "the limit for n x n arrays")
+
+
 def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
+    _check_dense(g, "adjacency_matrix")
+    src, dst, _ = edge_arrays(g)
     A = np.zeros((g.n, g.n), dtype=dtype)
-    for u, row in enumerate(g.adj):
-        A[u, list(row)] = 1
+    A[src, dst] = 1
     return A
 
 
 def eigensystem(g: Graph):
     """Cached (eigenvalues, eigenvectors) of the adjacency matrix."""
     if g._eig is None:
+        _check_dense(g, "eigensystem")
         g._eig = np.linalg.eigh(adjacency_matrix(g))
     return g._eig
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs distance matrix via layered boolean matmuls (cached)."""
+def distance_matrix(g: Graph, A: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs distance matrix via layered boolean matmuls (cached); A is
+    the float32 adjacency matrix when the caller already holds it."""
     if g._dm is not None:
         return g._dm
+    _check_dense(g, "distance_matrix")
     n = g.n
-    A = adjacency_matrix(g, np.float32)
+    if A is None:
+        A = adjacency_matrix(g, np.float32)
     dm = np.full((n, n), -1, dtype=np.int16)
     np.fill_diagonal(dm, 0)
     reached = np.eye(n, dtype=bool)
@@ -226,36 +269,33 @@ def distance_matrix(g: Graph) -> np.ndarray:
 def intersection_array(g: Graph) -> IntersectionArray:
     """Extract the intersection array, checking distance-regularity over all
     ordered vertex pairs; this load-time check is what lets embedded catalog
-    data be trusted."""
+    data be trusted.
+
+    Every neighbour z of y has d(x,z) in {d-1, d, d+1} with d = d(x,y), and
+    these three have distinct residues mod 3.  So with
+    cnt[j][x,y] = #{z ~ y : d(x,z) = j mod 3}, three matmuls give
+    c(x,y) = cnt[(d-1) % 3] and b(x,y) = cnt[(d+1) % 3] for every pair at
+    once, whatever the diameter.  The float32 sums of at most n ones are
+    exact.  The checks then run by ascending i, c before b, and report the
+    first pair in row-major order that breaks a constant."""
+    _check_dense(g, "intersection_array")
     k = g.regular_degree()
     if k is None:
         raise NotRegular("graph is not regular")
     if g.n == 1 or k == 0:
         raise NotRegular("trivial graph")
-    dm = distance_matrix(g)
-    diam = int(dm.max())
     A = adjacency_matrix(g, np.float32)
+    dm = distance_matrix(g, A)
+    diam = int(dm.max())
+    residue = dm % 3
+    cnt = [((residue == j).astype(np.float32) @ A).astype(np.int16)
+           for j in range(3)]
     b = []
     c = []
     for i in range(1, diam + 1):
         pairs = dm == i
-        cnt_prev = (dm == i - 1).astype(np.float32) @ A
-        cvals = cnt_prev[pairs]
-        c_i = int(cvals[0])
-        bad = np.nonzero(pairs & (np.rint(cnt_prev).astype(np.int64) != c_i))
-        if bad[0].size:
-            x, y = int(bad[0][0]), int(bad[1][0])
-            raise NotDistanceRegular(
-                f"c_{i} differs at pair ({x},{y})", witness=(x, y, i))
-        cnt_next = (dm == i + 1).astype(np.float32) @ A
-        bvals = cnt_next[pairs]
-        b_i = int(bvals[0])
-        bad = np.nonzero(pairs & (np.rint(cnt_next).astype(np.int64) != b_i))
-        if bad[0].size:
-            x, y = int(bad[0][0]), int(bad[1][0])
-            raise NotDistanceRegular(
-                f"b_{i} differs at pair ({x},{y})", witness=(x, y, i))
-        c.append(c_i)
+        c.append(_constant_on(pairs, cnt[(i - 1) % 3], "c", i))
+        b_i = _constant_on(pairs, cnt[(i + 1) % 3], "b", i)
         if i < diam:
             b.append(b_i)
         elif b_i != 0:
@@ -264,6 +304,19 @@ def intersection_array(g: Graph) -> IntersectionArray:
     if ia.v != g.n:
         raise NotDistanceRegular(f"sphere sizes sum to {ia.v} != n = {g.n}")
     return ia
+
+
+def _constant_on(pairs: np.ndarray, counts: np.ndarray, label: str, i: int) -> int:
+    """The value counts takes on every pair; NotDistanceRegular names the
+    first pair, in row-major order, whose count differs from the first one."""
+    x, y = np.unravel_index(np.argmax(pairs), pairs.shape)
+    value = int(counts[x, y])
+    bad = np.nonzero(pairs & (counts != value))
+    if bad[0].size:
+        x, y = int(bad[0][0]), int(bad[1][0])
+        raise NotDistanceRegular(
+            f"{label}_{i} differs at pair ({x},{y})", witness=(x, y, i))
+    return value
 
 
 def girth(g: Graph, with_cycle: bool = False):
@@ -363,19 +416,19 @@ def _recover_cycle(g, root, length):
 
 
 def cut_stats(g: Graph, S) -> CutStats:
+    """Exact counts from the adjacency lists: the ordered edges leaving
+    vertices of S, split by whether they end inside S."""
     S = frozenset(S)
     if not S:
         raise EmptySet("S is empty")
     if len(S) >= g.n:
         raise FullSet("S is the whole vertex set")
-    inside = 0
-    boundary = 0
-    for u in S:
-        for w in g.adj[u]:
-            if w in S:
-                inside += 1
-            else:
-                boundary += 1
+    if min(S) < 0 or max(S) >= g.n:
+        raise IndexError(f"S has a vertex outside range({g.n})")
+    src, dst, _ = edge_arrays(g)
+    inS = np.zeros(g.n, dtype=bool)
+    inS[list(S)] = True
+    boundary, inside = np.bincount(inS[dst[inS[src]]], minlength=2).tolist()
     return CutStats(len(S), inside, boundary, inside + boundary)
 
 

@@ -31,7 +31,7 @@ from .witness import (AnalyticBound, CutCertificate, GQ33_ARRAY,
                       bipartite_diameter3_verdict, bipartite_half_cut,
                       doubled_grassmann_verdict, girth_cycle_cut,
                       gq33_incidence_witness, gq_gh_incidence_verdict,
-                      is_antipodal_d3, shilla_cut, srg_certify,
+                      shilla_cut, srg_certify,
                       triangle_chain_cut, triangle_octagon_cut,
                       twelve_cage_witness)
 
@@ -135,7 +135,7 @@ def gather_bounds(g: Graph, ia: IntersectionArray, lam1, spec: FamilySpec | None
             certs.append(bipartite_half_cut(g, lam1))
         if D == 3 and k >= 4:
             bounds.append(bipartite_diameter3_verdict(ia))
-    if D == 3 and is_antipodal_d3(g, ia):
+    if D == 3 and ia.is_antipodal():
         t1 = exact_theta1(ia)
         if t1 is not None:
             certs.append(antipodal_fibre_cut(g, ia, t1, lam1))

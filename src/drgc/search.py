@@ -21,12 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import TooLarge
-from .graph import Graph, eigensystem
+from .graph import Graph, edge_arrays, eigensystem
 from .witness import CutCertificate, make_certificate
 
 EXACT_CAP_HARD = 30
@@ -120,11 +119,8 @@ def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
                        f"{REFINE_TOTAL_CAP}, the limit for exact float ratios")
     rng = random.Random(seed)
     half = n // 2
-    degs = np.fromiter(map(len, g.adj), dtype=np.int64, count=n)
-    # the ordered edges (src, dst); v's neighbours are dst[first[v]:first[v+1]]
-    src = np.repeat(np.arange(n), degs)
-    dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp, count=total)
-    first = [0, *accumulate(map(len, g.adj))]
+    src, dst, first = edge_arrays(g)
+    degs = np.diff(first)
     inS = np.zeros(n, dtype=bool)
     inS[list(S)] = True
     din = np.bincount(dst[inS[src]], minlength=n)    # neighbours inside S

@@ -361,23 +361,6 @@ def bipartite_diameter3_verdict(ia: IntersectionArray) -> AnalyticBound:
 
 # -- antipodal diameter 3 ----------------------------------------------------------
 
-def is_antipodal_d3(g: Graph, ia: IntersectionArray) -> bool:
-    """Check the fibre property directly: every Gamma_3(x) u {x} is a set of
-    mutually distance-3 vertices."""
-    if ia.D != 3:
-        return False
-    import numpy as np
-    from .graph import distance_matrix
-    far = distance_matrix(g) == 3
-    for x in range(g.n):
-        fibre = np.nonzero(far[x])[0]
-        sub = far[np.ix_(fibre, fibre)]
-        np.fill_diagonal(sub, True)
-        if not sub.all():
-            return False
-    return True
-
-
 def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1,
                         lambda1=None) -> CutCertificate:
     """Certificate for antipodal diameter-3 graphs.

@@ -1,12 +1,147 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
+from drgc.algebra import (enumerate_subspaces, field, form_eval, matrix_rank,
+                          subspace_elements)
+from drgc.constructions import shrikhande
 from drgc.errors import NoDescendant, ParamDomain, TooLarge
-from drgc.families import (FamilySpec, construct, default_grid, descendant,
-                           half_dual_polar_descendant_check, theory_values)
-from drgc.graph import cut_stats, intersection_array
+from drgc.families import (FamilySpec, _alt_full, _even_strings, _hamming_keys,
+                           _quad_rank, _upper_pairs, construct, default_grid,
+                           descendant, half_dual_polar_descendant_check,
+                           theory_values)
+from drgc.graph import Graph, bipartite_double, cut_stats, intersection_array
 from drgc.spectral import dense_spectrum, distinct_values, drg_spectrum
+
+
+# -- reference constructions: the earlier pair-predicate builds, kept as oracles
+
+def reference_graph(keys, adjacent, name=""):
+    """Test adjacent(a, b) on every unordered pair of keys."""
+    rows = [[] for _ in keys]
+    for i, a in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            if adjacent(a, keys[j]):
+                rows[i].append(j)
+                rows[j].append(i)
+    return Graph(len(keys), rows, name)
+
+
+def hdist(a, b):
+    return sum(x != y for x, y in zip(a, b))
+
+
+def reference_construct(spec):
+    fam, p = spec.family, spec.params
+    if fam == "johnson":
+        n, e = p
+        keys = [frozenset(c) for c in combinations(range(1, n + 1), e)]
+        return reference_graph(keys, lambda a, b: len(a & b) == e - 1)
+    if fam == "hamming":
+        d, q = p
+        return reference_graph(_hamming_keys(d, q), lambda a, b: hdist(a, b) == 1)
+    if fam == "doob":
+        d1, d2 = p
+        factors = [shrikhande()] * d1 + [reference_graph(range(4), lambda a, b: True)] * d2
+        adjs = [[set(r) for r in f.adj] for f in factors]
+        keys = list(product(*[range(f.n) for f in factors]))
+
+        def adjacent(a, b):
+            diff = [i for i in range(len(a)) if a[i] != b[i]]
+            return len(diff) == 1 and b[diff[0]] in adjs[diff[0]][a[diff[0]]]
+
+        return reference_graph(keys, adjacent)
+    if fam == "halvedcube":
+        (n,) = p
+        return reference_graph(_even_strings(n), lambda a, b: hdist(a, b) == 2)
+    if fam == "foldedcube":
+        (n,) = p
+        keys = list(product((0, 1), repeat=n - 1))
+        return reference_graph(keys, lambda a, b: hdist(a, b) in (1, n - 1))
+    if fam == "foldedhalvedcube":
+        (n,) = p
+        return reference_graph(_even_strings(2 * n - 1),
+                               lambda a, b: hdist(a, b) in (2, 2 * n - 2))
+    if fam in ("odd", "doubledodd"):
+        (k,) = p
+        keys = [frozenset(c) for c in combinations(range(1, 2 * k), k - 1)]
+        g = reference_graph(keys, lambda a, b: not a & b)
+        return g if fam == "odd" else bipartite_double(g)
+    if fam in ("grassmann", "dualpolarc"):
+        if fam == "grassmann":
+            q, n, e = p
+            keys = enumerate_subspaces(n, e, field(q))
+        else:
+            q, e = p
+            keys = [U for U in enumerate_subspaces(2 * e, e, field(q))
+                    if all(form_eval("symplectic", field(q), u, v) == 0
+                           for u, v in combinations(U, 2))]
+        elems = [subspace_elements(field(q), U) for U in keys]
+        return reference_graph(range(len(keys)),
+                               lambda i, j: len(elems[i] & elems[j]) == q ** (e - 1))
+    if fam == "doubledgrassmann":
+        q, t = p
+        F = field(q)
+        small = enumerate_subspaces(2 * t + 1, t, F)
+        big = [subspace_elements(F, W) for W in enumerate_subspaces(2 * t + 1, t + 1, F)]
+        edges = [(i, len(small) + j) for i, U in enumerate(small)
+                 for j, ws in enumerate(big) if all(u in ws for u in U)]
+        return Graph.from_edges(len(small) + len(big), edges)
+    F = field(p[0] if fam != "hermitianforms" else p[0] ** 2)
+    if fam == "bilinearforms":
+        q, D, e = p
+        keys = list(product(product(range(q), repeat=e), repeat=D))
+
+        def adjacent(a, b):
+            diff = [tuple(F.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)]
+            return matrix_rank(F, diff) == 1
+    elif fam == "alternatingforms":
+        q, n = p
+        pairs = _upper_pairs(n)
+        keys = list(product(range(q), repeat=len(pairs)))
+
+        def adjacent(a, b):
+            upper = {pr: F.sub(x, y) for pr, x, y in zip(pairs, a, b)}
+            return matrix_rank(F, [tuple(r) for r in _alt_full(F, n, upper)]) == 2
+    elif fam == "hermitianforms":
+        r, D = p
+        fixed = [a for a in range(F.q) if F.conj(a) == a]
+        pairs = _upper_pairs(D)
+        keys = sorted(product(*([fixed] * D + [list(range(F.q))] * len(pairs))))
+
+        def full(key):
+            M = [[0] * D for _ in range(D)]
+            for i in range(D):
+                M[i][i] = key[i]
+            for t, (i, j) in enumerate(pairs):
+                M[i][j] = key[D + t]
+                M[j][i] = F.conj(key[D + t])
+            return M
+
+        def adjacent(a, b):
+            diff = [tuple(F.sub(x, y) for x, y in zip(ra, rb))
+                    for ra, rb in zip(full(a), full(b))]
+            return matrix_rank(F, diff) == 1
+    elif fam == "quadraticforms":
+        q, n = p
+        monos = [(i, j) for i in range(n) for j in range(i, n)]
+        keys = list(product(range(q), repeat=len(monos)))
+
+        def adjacent(a, b):
+            coeffs = {mo: F.sub(x, y) for mo, x, y in zip(monos, a, b)}
+            return _quad_rank(F, coeffs, n) in (1, 2)
+    return reference_graph(keys, adjacent)
+
+
+CONSTRUCT_SPECS = default_grid() + [FamilySpec.parse(s) for s in (
+    "johnson:13,6", "doob:2,1", "odd:6", "doubledodd:5", "hermitianforms:2,3",
+    "bilinearforms:3,2,2", "doubledgrassmann:2,2", "doubledgrassmann:3,1")]
+
+
+@pytest.mark.parametrize("spec", CONSTRUCT_SPECS, ids=str)
+def test_construct_matches_pair_predicate_reference(spec):
+    assert construct(spec).adj == reference_construct(spec).adj
 
 
 def test_spec_parsing_and_domain():

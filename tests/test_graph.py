@@ -4,14 +4,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import drgc.families
+import drgc.graph
 from drgc.catalog import catalog_list, catalog_load
-from drgc.errors import (Acyclic, EmptySet, FullSet, MalformedGraph6,
-                         NotBipartite, NotDistanceRegular, Unreachable)
+from drgc.errors import (Acyclic, EmptySet, FullSet, GraphError,
+                         MalformedGraph6, NotBipartite, NotDistanceRegular,
+                         NotRegular, TooLarge, Unreachable)
 from drgc.families import FamilySpec, construct, default_grid, theory_values
-from drgc.graph import (Graph, IntersectionArray, bfs_distances,
-                        bipartite_double, cut_stats, distance_matrix, g6_decode,
+from drgc.graph import (Graph, IntersectionArray, adjacency_matrix,
+                        bfs_distances, bipartite_double, cut_stats,
+                        distance_matrix, edge_arrays, eigensystem, g6_decode,
                         g6_encode, girth, halved_graph, induced_subgraph,
                         intersection_array, line_graph, two_coloring)
+from drgc.report import verify_one
 
 
 def cycle(n):
@@ -20,6 +25,62 @@ def cycle(n):
 
 def complete(n):
     return Graph.from_edges(n, list(combinations(range(n), 2)))
+
+
+def generalized_petersen(n, k):
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph.from_edges(2 * n, edges, f"GP({n},{k})")
+
+
+def reference_intersection_array(g):
+    """The earlier check, kept as an oracle: two float32 matmuls per distance
+    i, one against the pairs at distance i - 1 and one against i + 1."""
+    k = g.regular_degree()
+    if k is None:
+        raise NotRegular("graph is not regular")
+    if g.n == 1 or k == 0:
+        raise NotRegular("trivial graph")
+    dm = distance_matrix(g)
+    diam = int(dm.max())
+    A = adjacency_matrix(g, np.float32)
+    b = []
+    c = []
+    for i in range(1, diam + 1):
+        pairs = dm == i
+        cnt_prev = (dm == i - 1).astype(np.float32) @ A
+        cvals = cnt_prev[pairs]
+        c_i = int(cvals[0])
+        bad = np.nonzero(pairs & (np.rint(cnt_prev).astype(np.int64) != c_i))
+        if bad[0].size:
+            x, y = int(bad[0][0]), int(bad[1][0])
+            raise NotDistanceRegular(
+                f"c_{i} differs at pair ({x},{y})", witness=(x, y, i))
+        cnt_next = (dm == i + 1).astype(np.float32) @ A
+        bvals = cnt_next[pairs]
+        b_i = int(bvals[0])
+        bad = np.nonzero(pairs & (np.rint(cnt_next).astype(np.int64) != b_i))
+        if bad[0].size:
+            x, y = int(bad[0][0]), int(bad[1][0])
+            raise NotDistanceRegular(
+                f"b_{i} differs at pair ({x},{y})", witness=(x, y, i))
+        c.append(c_i)
+        if i < diam:
+            b.append(b_i)
+        elif b_i != 0:
+            raise NotDistanceRegular(f"b_D = {b_i} != 0")
+    ia = IntersectionArray((k, *b), tuple(c))
+    if ia.v != g.n:
+        raise NotDistanceRegular(f"sphere sizes sum to {ia.v} != n = {g.n}")
+    return ia
+
+
+def array_or_failure(check, g):
+    """check(g), or the (class, message, witness) of the error it raises."""
+    try:
+        return check(g)
+    except NotDistanceRegular as err:
+        return type(err), str(err), err.witness
 
 
 def girth_oracle(g):
@@ -95,6 +156,51 @@ def test_intersection_array_rejects_prism_with_witness():
     with pytest.raises(NotDistanceRegular) as err:
         intersection_array(prism)
     assert err.value.witness is not None
+
+
+def test_intersection_array_first_bad_pair_at_distance_3():
+    # Moebius-Kantor graph: girth 6, so c_1, b_1, c_2, b_2 are constant
+    g = generalized_petersen(8, 3)
+    got = array_or_failure(intersection_array, g)
+    assert got == array_or_failure(reference_intersection_array, g)
+    assert got == (NotDistanceRegular, "c_3 differs at pair (0,10)", (0, 10, 3))
+
+
+def test_intersection_array_constant_c_varying_b():
+    # GP(9,2): every c_i is constant over its distance class, b_2 is not;
+    # GP(13,5): c_3 is constant and b_3, read from residue 4 % 3 = 1, is not
+    for (n, k), expect in (((9, 2), ("b_2 differs at pair (9,13)", (9, 13, 2))),
+                           ((13, 5), ("b_3 differs at pair (0,5)", (0, 5, 3)))):
+        g = generalized_petersen(n, k)
+        got = array_or_failure(intersection_array, g)
+        assert got == array_or_failure(reference_intersection_array, g)
+        assert got == (NotDistanceRegular, *expect)
+    prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                 (3, 5), (0, 3), (1, 4), (2, 5)])
+    assert array_or_failure(intersection_array, prism) == \
+        array_or_failure(reference_intersection_array, prism)
+
+
+def test_intersection_array_matches_reference_on_catalog_and_grid():
+    graphs = [catalog_load(e.name)[0] for e in catalog_list()
+              if e.source != "parameters-only"]
+    graphs += [construct(spec) for spec in default_grid()]
+    graphs += [cycle(7), cycle(8), complete(5), line_graph(cycle(9))]
+    for g in graphs:
+        assert intersection_array(g) == reference_intersection_array(g), g.name
+
+
+def test_dense_stages_refuse_graphs_over_the_vertex_limit(monkeypatch):
+    assert drgc.families.MAX_VERTICES == drgc.graph.MAX_VERTICES
+    monkeypatch.setattr(drgc.graph, "MAX_VERTICES", 11)
+    for stage in (adjacency_matrix, distance_matrix, intersection_array,
+                  eigensystem):
+        with pytest.raises(TooLarge, match=f"{stage.__name__}: n = 12"):
+            stage(cycle(12))
+    assert intersection_array(cycle(11)).D == 5
+    # a graph6 input reaches the dense stages without passing construct's cap
+    with pytest.raises(TooLarge, match="intersection_array: n = 12"):
+        verify_one(g6_encode(cycle(12)))
 
 
 def test_sphere_sizes_all_base_vertices():
@@ -202,6 +308,42 @@ def test_cut_stats_k55_minus_matching_side():
     sideA, _ = two_coloring(g)
     st = cut_stats(g, sideA)
     assert st.boundary == 20 and st.inside == 0 and st.vol == 20
+
+
+def test_cut_stats_matches_adjacency_list_recount():
+    rng = random.Random(3)
+    for name in ("petersen", "coxeter", "tutte-12-cage"):
+        g, _ = catalog_load(name)
+        for _ in range(20):
+            S = set(rng.sample(range(g.n), rng.randrange(1, g.n)))
+            inside = sum(w in S for u in S for w in g.adj[u])
+            vol = sum(len(g.adj[u]) for u in S)
+            st = cut_stats(g, S)
+            assert st == (len(S), inside, vol - inside, vol)
+            assert all(type(x) is int for x in st)
+    with pytest.raises(IndexError):
+        cut_stats(g, {0, g.n})
+    with pytest.raises(IndexError):
+        cut_stats(g, {-1})
+
+
+def test_edge_arrays_cached_and_shared_by_renamed():
+    g, _ = catalog_load("heawood")
+    src, dst, first = edge_arrays(g)
+    assert list(zip(src.tolist(), dst.tolist())) == \
+        [(u, v) for u in range(g.n) for v in g.adj[u]]
+    assert all(tuple(dst[first[v]:first[v + 1]]) == g.adj[v] for v in range(g.n))
+    assert not dst.flags.writeable
+    assert edge_arrays(g) is edge_arrays(g) is edge_arrays(g.renamed("h"))
+
+
+def test_graph_rejects_bad_adjacency_naming_first_pair():
+    with pytest.raises(GraphError, match=r"asymmetric adjacency 0->2"):
+        Graph(3, [[1, 2], [0], []])
+    with pytest.raises(GraphError, match="self-loop at 1"):
+        Graph(3, [[1], [0, 1], []])
+    with pytest.raises(GraphError, match="vertex 3 out of range"):
+        Graph(3, [[1], [0, 3], []])
 
 
 def test_cut_stats_errors_and_symmetry():

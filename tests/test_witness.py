@@ -15,9 +15,9 @@ from drgc.witness import (antipodal_fibre_cut, avg_valency_certificate,
                           cross_edges, doubled_grassmann_verdict,
                           girth_cycle_cut, gq33_incidence_witness,
                           gq_gh_incidence_verdict, greedy_dense_subset,
-                          is_antipodal_d3, make_certificate, shilla_cut,
-                          srg_certify, triangle_chain_cut,
-                          triangle_octagon_cut, twelve_cage_witness)
+                          make_certificate, shilla_cut, srg_certify,
+                          triangle_chain_cut, triangle_octagon_cut,
+                          twelve_cage_witness)
 
 
 # -- certificates recompute their own arithmetic -------------------------------------
@@ -286,7 +286,7 @@ def test_bip3_verdicts():
 def test_icosahedron_ball_branch():
     g, e = catalog_load("icosahedron")
     ia = intersection_array(g)
-    assert is_antipodal_d3(g, ia)
+    assert ia.D == 3 and ia.is_antipodal()
     cert = antipodal_fibre_cut(g, ia, e.theta1, e.lambda1)
     assert cert.method == "antipodal-ball"
     # measured average valency 10/3 beats sqrt(5) exactly: (10/3)^2 > 5
@@ -299,7 +299,7 @@ def test_icosahedron_ball_branch():
 def test_k55_fibre_branch():
     g, e = catalog_load("k55-minus-matching")
     ia = intersection_array(g)
-    assert is_antipodal_d3(g, ia)
+    assert ia.D == 3 and ia.is_antipodal()
     cert = antipodal_fibre_cut(g, ia, e.theta1, e.lambda1)
     assert cert.method == "antipodal-fibre"
     assert cert.ratio <= Fraction(3, 4) and cert.verdict == "ok"
@@ -320,7 +320,8 @@ def test_crown12_fibre_degenerate():
 
 def test_not_antipodal():
     g, _ = catalog_load("heawood")
-    assert not is_antipodal_d3(g, intersection_array(g))
+    ia = intersection_array(g)
+    assert not (ia.D == 3 and ia.is_antipodal())
 
 
 # -- girth cycle cut -----------------------------------------------------------------------
