@@ -109,9 +109,6 @@ class FiniteField:
             r = self._mul[r][a]
         return r
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     @property
     def r(self):
         """Square root of q for fields of square order (Hermitian use)."""
@@ -126,17 +123,8 @@ class FiniteField:
     def vec_add(self, x, y):
         return tuple(self._add[a][b] for a, b in zip(x, y))
 
-    def vec_sub(self, x, y):
-        return tuple(self._add[a][self._neg[b]] for a, b in zip(x, y))
-
     def vec_scale(self, c, x):
         return tuple(self._mul[c][a] for a in x)
-
-    def dot(self, x, y):
-        acc = 0
-        for a, b in zip(x, y):
-            acc = self._add[acc][self._mul[a][b]]
-        return acc
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -197,17 +185,6 @@ def matrix_rank(F: FiniteField, rows) -> int:
     return len(rref(F, rows)[0])
 
 
-def subspace_span(F: FiniteField, vectors) -> tuple[tuple[int, ...], ...]:
-    """Canonical (RREF) representative of the span."""
-    return rref(F, vectors)[0]
-
-
-def intersect_dim(F: FiniteField, U, V) -> int:
-    if U and V and len(U[0]) != len(V[0]):
-        raise AmbientMismatch("subspaces live in different ambient spaces")
-    return len(U) + len(V) - matrix_rank(F, list(U) + list(V))
-
-
 def subspace_elements(F: FiniteField, U) -> frozenset[tuple[int, ...]]:
     """All q^dim vectors of the subspace (including 0)."""
     if not U:
@@ -258,9 +235,6 @@ def form_eval(kind: str, F: FiniteField, x, y):
     """Evaluate the standard form of the given kind at (x, y).
 
     symplectic: sum over coordinate pairs (2i, 2i+1) of x_i y_j - x_j y_i.
-    hermitian:  sum x_i * conj(y_i); requires q = r^2.
-    quadratic-polar: parabolic quadric on odd dimension; returns Q(x) when the
-    two arguments are the same vector, else the polarization B(x,y).
     """
     if len(x) != len(y):
         raise AmbientMismatch("vectors of unequal length")
@@ -273,28 +247,14 @@ def form_eval(kind: str, F: FiniteField, x, y):
             t2 = F.mul(x[i + 1], y[i])
             acc = F.add(acc, F.sub(t1, t2))
         return acc
-    if kind == "hermitian":
-        if F.m % 2:
-            raise BadField("hermitian form needs square field order")
-        acc = 0
-        for a, b in zip(x, y):
-            acc = F.add(acc, F.mul(a, F.conj(b)))
-        return acc
-    if kind == "quadratic-polar":
-        if len(x) % 2 == 0:
-            raise BadField("parabolic quadric needs odd dimension")
-
-        def quad(v):
-            acc = F.mul(v[0], v[0])
-            for i in range(1, len(v), 2):
-                acc = F.add(acc, F.mul(v[i], v[i + 1]))
-            return acc
-
-        if tuple(x) == tuple(y):
-            return quad(x)
-        s = F.vec_add(tuple(x), tuple(y))
-        return F.sub(F.sub(quad(s), quad(x)), quad(y))
     raise BadField(f"unknown form kind {kind!r}")
+
+
+def isotropic_subspaces(F: FiniteField, n: int, e: int):
+    """The e-subspaces of F^n totally isotropic for the symplectic form, in
+    the sorted order of enumerate_subspaces."""
+    return [U for U in enumerate_subspaces(n, e, F)
+            if all(form_eval("symplectic", F, u, v) == 0 for u, v in combinations(U, 2))]
 
 
 def nullspace(F: FiniteField, rows, ncols: int):

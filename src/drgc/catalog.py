@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constructions as cons
+from .algebra import enumerate_subspaces, field, isotropic_subspaces
 from .errors import DataCorrupt, UnknownName
 from .exact import SqrtVal
-from .families import FamilySpec, construct
+from .families import FamilySpec, bipartite_graph, construct, incidence_block
 from .graph import (Graph, IntersectionArray, bipartite_double, g6_decode,
                     intersection_array, line_graph)
 from .spectral import drg_spectrum, exact_theta1
@@ -44,14 +45,36 @@ class CatalogEntry:
         return (SqrtVal(k) - self.theta1) / k
 
 
+def _family(spec: str, name: str):
+    return lambda: construct(FamilySpec.parse(spec)).renamed(name)
+
+
+def _points_against(q: int, lines):
+    """Incidence block between the points of PG(n-1,q) and subspaces of F^n."""
+    F = field(q)
+    return incidence_block(F, enumerate_subspaces(len(lines[0][0]), 1, F), lines)
+
+
+def _symplectic_gq(q: int, name: str) -> Graph:
+    """Incidence graph of the generalized quadrangle W(3,q): the points of
+    PG(3,q) against the totally isotropic lines."""
+    return bipartite_graph(_points_against(q, isotropic_subspaces(field(q), 4, 2)), name)
+
+
+def _pg22_nonincidence() -> Graph:
+    """Points against lines of the Fano plane, adjacent when not incident."""
+    lines = enumerate_subspaces(3, 2, field(2))
+    return bipartite_graph(~_points_against(2, lines), "nonincidence-pg22")
+
+
 _BUILDERS = {
-    "pg2-incidence-2": lambda: cons.pg2_incidence(2, "heawood"),
-    "pg2-incidence-3": lambda: cons.pg2_incidence(3, "incidence-pg23"),
-    "nonincidence-pg22": cons.pg2_nonincidence,
-    "gq-incidence-2": lambda: cons.symplectic_gq_incidence(2, "tutte-coxeter"),
-    "gq-incidence-3": lambda: cons.symplectic_gq_incidence(3, "incidence-gq33"),
+    "pg2-incidence-2": _family("doubledgrassmann:2,1", "heawood"),
+    "pg2-incidence-3": _family("doubledgrassmann:3,1", "incidence-pg23"),
+    "nonincidence-pg22": _pg22_nonincidence,
+    "gq-incidence-2": lambda: _symplectic_gq(2, "tutte-coxeter"),
+    "gq-incidence-3": lambda: _symplectic_gq(3, "incidence-gq33"),
     "ag24-minus-class": lambda: cons.ag2_minus_parallel_class(4, "incidence-ag24"),
-    "petersen": cons.petersen,
+    "petersen": _family("odd:3", "petersen"),
     "shrikhande": cons.shrikhande,
     "k55-minus-matching": cons.k55_minus_matching,
 }

@@ -2,31 +2,23 @@
 
 Every builder returns a Graph with a deterministic vertex labeling (vertices
 sorted by their natural keys); callers verify intersection arrays, so nothing
-here is trusted on provenance alone.
+here is trusted on provenance alone.  The projective-plane and
+symplectic-quadrangle incidence graphs are not here: the catalog builds them
+with the family code's subspace-incidence test (families.incidence_block).
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from .algebra import enumerate_subspaces, field, form_eval, subspace_elements
+from .algebra import field
 from .graph import Graph
 
 __all__ = [
-    "petersen", "shrikhande", "icosahedron", "dodecahedron", "coxeter",
-    "k55_minus_matching", "pg2_incidence", "pg2_nonincidence",
-    "ag2_minus_parallel_class", "symplectic_gq_incidence", "lcf_graph",
+    "shrikhande", "icosahedron", "dodecahedron", "coxeter",
+    "k55_minus_matching", "ag2_minus_parallel_class", "lcf_graph",
     "foster", "tutte_12_cage",
 ]
-
-
-def petersen() -> Graph:
-    """Kneser graph on the 2-subsets of a 5-set (disjointness adjacency)."""
-    keys = list(combinations(range(5), 2))
-    idx = {k: i for i, k in enumerate(keys)}
-    edges = [(idx[a], idx[b]) for a, b in combinations(keys, 2)
-             if not set(a) & set(b)]
-    return Graph.from_edges(10, edges, "petersen")
 
 
 def shrikhande() -> Graph:
@@ -79,39 +71,6 @@ def k55_minus_matching() -> Graph:
     return Graph.from_edges(10, edges, "k55-minus-matching")
 
 
-def _pg2_points_lines(q: int):
-    F = field(q)
-    points = enumerate_subspaces(3, 1, F)
-    lines = enumerate_subspaces(3, 2, F)
-    line_sets = [subspace_elements(F, L) for L in lines]
-    return points, lines, line_sets
-
-
-def pg2_incidence(q: int, name: str = "") -> Graph:
-    """Point-line incidence graph of the projective plane PG(2,q)."""
-    points, lines, line_sets = _pg2_points_lines(q)
-    np_ = len(points)
-    edges = []
-    for i, P in enumerate(points):
-        vec = P[0]
-        for j, ls in enumerate(line_sets):
-            if vec in ls:
-                edges.append((i, np_ + j))
-    return Graph.from_edges(np_ + len(lines), edges, name or f"incidence-pg2-{q}")
-
-
-def pg2_nonincidence(q: int = 2) -> Graph:
-    points, lines, line_sets = _pg2_points_lines(q)
-    np_ = len(points)
-    edges = []
-    for i, P in enumerate(points):
-        vec = P[0]
-        for j, ls in enumerate(line_sets):
-            if vec not in ls:
-                edges.append((i, np_ + j))
-    return Graph.from_edges(np_ + len(lines), edges, f"nonincidence-pg2-{q}")
-
-
 def ag2_minus_parallel_class(q: int, name: str = "") -> Graph:
     """Incidence graph of the affine plane AG(2,q) with the vertical parallel
     class removed: q^2 points, q^2 lines y = mx + b, each point on q lines."""
@@ -125,24 +84,6 @@ def ag2_minus_parallel_class(q: int, name: str = "") -> Graph:
             y = F.add(F.mul(m, x), b)
             edges.append((pidx[(x, y)], q * q + j))
     return Graph.from_edges(2 * q * q, edges, name or f"incidence-ag2-{q}-minus-class")
-
-
-def symplectic_gq_incidence(q: int, name: str = "") -> Graph:
-    """Incidence graph of the generalized quadrangle W(3,q): all projective
-    points of F^4 versus totally isotropic lines of the symplectic form."""
-    F = field(q)
-    points = enumerate_subspaces(4, 1, F)
-    lines = [L for L in enumerate_subspaces(4, 2, F)
-             if all(form_eval("symplectic", F, u, v) == 0 for u in L for v in L)]
-    line_sets = [subspace_elements(F, L) for L in lines]
-    np_ = len(points)
-    edges = []
-    for i, P in enumerate(points):
-        vec = P[0]
-        for j, ls in enumerate(line_sets):
-            if vec in ls:
-                edges.append((i, np_ + j))
-    return Graph.from_edges(np_ + len(lines), edges, name or f"incidence-gq-{q}{q}")
 
 
 def lcf_graph(jumps, reps: int, name: str = "") -> Graph:

@@ -91,7 +91,3 @@ class WrongGraph(DrgcError):
 
 class SearchFailed(DrgcError):
     """A construction search the source material guarantees to succeed did not."""
-
-
-class ConfigError(DrgcError):
-    pass

@@ -190,11 +190,11 @@ class SqrtVal:
         return self.u, self.w, self.s
 
 
-def exact_le(a, b, tol: float = 1e-9) -> tuple[bool, bool]:
+def exact_le(a, b) -> tuple[bool, bool]:
     """Decide a <= b; returns (holds, exact).
 
     Exact when both sides are rational/SqrtVal over the same radical; otherwise
-    falls back to floats with tolerance, reporting exact=False.
+    falls back to floats with tolerance 1e-9, reporting exact=False.
     """
     try:
         av = a if isinstance(a, SqrtVal) else SqrtVal.of(a)
@@ -202,6 +202,6 @@ def exact_le(a, b, tol: float = 1e-9) -> tuple[bool, bool]:
         return av._cmp(bv) <= 0, True
     except (TypeError, ValueError):
         fa, fb = float(a), float(b)
-        if fa <= fb + tol:
+        if fa <= fb + 1e-9:
             return True, False
         return False, False

@@ -1,22 +1,26 @@
 """The infinite families at concrete parameters: constructors, descendant
 subgraphs, and closed-form eigenvalue data.
 
-Vertex labelings are deterministic: each family sorts its natural vertex keys
-(subsets, strings, RREF matrices, coefficient tuples) and numbers them in
-order, so descendant sets are reproducible across runs.
+Each family's vertex labeling has one owner, _vertex_keys: the natural vertex
+keys (subsets, strings, RREF matrices, coefficient tuples; (side, key) for the
+bipartite doubles) in sorted order, and vertex i of construct(spec) is key i.
+descendant selects its vertex set from the same keys, so the two cannot drift
+apart, and descendant sets are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
-from .algebra import (SUPPORTED_Q, enumerate_subspaces, field, form_eval,
-                      matrix_rank, nullspace, subspace_elements)
+from .algebra import (SUPPORTED_Q, enumerate_subspaces, field,
+                      isotropic_subspaces, matrix_rank, nullspace,
+                      subspace_elements)
 from .constructions import shrikhande
 from .errors import NoDescendant, ParamDomain, TooLarge
 from .exact import SqrtVal
@@ -205,16 +209,98 @@ def theory_values(spec: FamilySpec) -> TheoryValues:
     raise ParamDomain(f"no theory values for {fam}")
 
 
+# -- vertex keys ----------------------------------------------------------------
+
+
+def _hamming_keys(d, q):
+    return list(product(range(q), repeat=d))
+
+
+def _even_strings(length):
+    return [s for s in product((0, 1), repeat=length) if sum(s) % 2 == 0]
+
+
+def _upper_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _monomials(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
+@lru_cache(maxsize=1)
+def _vertex_keys(spec: FamilySpec) -> list:
+    """The sorted vertex keys of construct(spec); cached for the construct ->
+    descendant sequence of one target."""
+    fam, p = spec.family, spec.params
+    if fam == "johnson":
+        n, e = p
+        return list(combinations(range(n), e))
+    if fam == "hamming":
+        d, q = p
+        return _hamming_keys(d, q)
+    if fam == "doob":
+        d1, d2 = p     # Shrikhande vertex numbers, then K4 vertex numbers
+        return list(product(*([range(16)] * d1 + [range(4)] * d2)))
+    if fam == "halvedcube":
+        (n,) = p
+        return _even_strings(n)
+    if fam == "foldedcube":
+        (n,) = p
+        return list(product((0, 1), repeat=n - 1))
+    if fam == "foldedhalvedcube":
+        (n,) = p
+        return _even_strings(2 * n - 1)
+    if fam == "odd":
+        (k,) = p
+        return list(combinations(range(2 * k - 1), k - 1))
+    if fam == "doubledodd":
+        (m,) = p
+        sets = list(combinations(range(2 * m - 1), m - 1))
+        return [(side, s) for side in (0, 1) for s in sets]
+    if fam == "grassmann":
+        q, n, e = p
+        return enumerate_subspaces(n, e, field(q))
+    if fam == "bilinearforms":
+        q, D, e = p
+        return list(product(product(range(q), repeat=e), repeat=D))
+    if fam == "alternatingforms":
+        q, n = p
+        return list(product(range(q), repeat=len(_upper_pairs(n))))
+    if fam == "hermitianforms":
+        r, D = p
+        F = field(r * r)
+        fixed = [a for a in range(F.q) if F.conj(a) == a]
+        return sorted(product(*([fixed] * D + [range(F.q)] * len(_upper_pairs(D)))))
+    if fam == "quadraticforms":
+        q, n = p
+        return list(product(range(q), repeat=len(_monomials(n))))
+    if fam == "dualpolarc":
+        q, D = p
+        return isotropic_subspaces(field(q), 2 * D, D)
+    if fam == "doubledgrassmann":
+        q, t = p
+        F = field(q)
+        return [(0, U) for U in enumerate_subspaces(2 * t + 1, t, F)] + \
+            [(1, W) for W in enumerate_subspaces(2 * t + 1, t + 1, F)]
+    raise ParamDomain(f"{fam} has no vertex keys")
+
+
+def _side(keys, side: int) -> list:
+    return [key for s, key in keys if s == side]
+
+
 # -- constructors ---------------------------------------------------------------
 #
-# Every family computes its adjacency as one boolean n x n numpy expression and
-# hands it to _graph_from_adjacency.  Most are a test on the Gram matrix
-# X @ X.T of a 0/1 incidence matrix X, computed in float32 by _inner, which is
-# exact for these counts (all below 2**24): set-membership rows count common
-# elements, one-hot digit rows count agreeing digits, and subspace-element
-# indicator rows count common vectors (q^dim of the intersection).  The forms
-# families are Cayley graphs: b ~ a when a - b lies in a connection set C,
-# found once with the rank predicate against the zero key.
+# Every family computes its adjacency as one boolean n x n numpy expression
+# over its keys and hands it to _graph_from_adjacency.  Most are a test on the
+# Gram matrix X @ X.T of a 0/1 incidence matrix X, computed in float32 by
+# _inner, which is exact for these counts (all below 2**24): set-membership
+# rows count common elements, one-hot digit rows count agreeing digits, and
+# subspace-element indicator rows count common vectors (q^dim of the
+# intersection).  The forms families are Cayley graphs: b ~ a when a - b lies
+# in a connection set C, found once with the rank predicate against the zero
+# key.
 
 
 def _graph_from_adjacency(adj: np.ndarray, name: str) -> Graph:
@@ -226,10 +312,17 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X.astype(np.float32) @ Y.T.astype(np.float32)
 
 
-def _set_rows(ground: int, size: int) -> np.ndarray:
-    """Indicator rows of the size-subsets of range(ground), in lexicographic
-    order (the order of combinations(range(1, ground + 1), size))."""
-    members = np.array(list(combinations(range(ground), size)), dtype=np.intp)
+def _bipartite(block: np.ndarray) -> np.ndarray:
+    """Adjacency of the bipartite graph with biadjacency block: the block's
+    rows are the first vertices, its columns the rest."""
+    r, c = block.shape
+    return np.block([[np.zeros((r, r), dtype=bool), block],
+                     [block.T, np.zeros((c, c), dtype=bool)]])
+
+
+def _set_rows(ground: int, keys) -> np.ndarray:
+    """Indicator rows of subsets of range(ground), given as tuples."""
+    members = np.array(keys, dtype=np.intp)
     X = np.zeros((len(members), ground), dtype=bool)
     X[np.arange(len(members))[:, None], members] = True
     return X
@@ -243,13 +336,26 @@ def _hamming_distances(keys, q: int) -> np.ndarray:
     return K.shape[1] - _inner(onehot, onehot)
 
 
-def _element_rows(F, subspaces, dim: int) -> np.ndarray:
+def _element_rows(F, subspaces) -> np.ndarray:
     """Indicator rows over the q^dim vectors of each subspace's elements."""
+    dim = len(subspaces[0][0])
     weights = F.q ** np.arange(dim - 1, -1, -1)
     X = np.zeros((len(subspaces), F.q ** dim), dtype=bool)
     for row, U in zip(X, subspaces):
         row[np.array(list(subspace_elements(F, U))) @ weights] = True
     return X
+
+
+def incidence_block(F, small, big) -> np.ndarray:
+    """small[i] <= big[j], for subspaces of one F^n: exactly when all q^dim
+    vectors of small[i] lie in big[j]."""
+    inside = _inner(_element_rows(F, small), _element_rows(F, big))
+    return inside == F.q ** len(small[0])
+
+
+def bipartite_graph(block: np.ndarray, name: str) -> Graph:
+    """The bipartite graph with the given biadjacency block."""
+    return _graph_from_adjacency(_bipartite(block), name)
 
 
 def _difference_adjacency(F, keys, in_C) -> np.ndarray:
@@ -267,18 +373,6 @@ def _difference_adjacency(F, keys, in_C) -> np.ndarray:
         code *= q
         code += sub[col[:, None], col[None, :]]
     return member[code]
-
-
-def _hamming_keys(d, q):
-    return list(product(range(q), repeat=d))
-
-
-def _even_strings(length):
-    return [s for s in product((0, 1), repeat=length) if sum(s) % 2 == 0]
-
-
-def _upper_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def _alt_full(F, n, upper):
@@ -312,20 +406,23 @@ def _quad_rank(F, coeffs, n):
     return rankB + extra
 
 
-def construct(spec: FamilySpec, max_vertices: int = MAX_VERTICES) -> Graph:
+def construct(spec: FamilySpec) -> Graph:
     tv = theory_values(spec)
-    if tv.v > max_vertices:
-        raise TooLarge(f"{spec} has {tv.v} vertices (cap {max_vertices})")
+    if tv.v > MAX_VERTICES:
+        raise TooLarge(f"{spec} has {tv.v} vertices (cap {MAX_VERTICES})")
     fam, p = spec.family, spec.params
-    name = str(spec)
+    if fam == "halfdualpolar":
+        raise ParamDomain(f"{fam} is parameters-only (no constructor); "
+                          "use theory_values / half_dual_polar_descendant_check")
+    keys = _vertex_keys(spec)
 
     if fam == "johnson":
         n, e = p
-        X = _set_rows(n, e)
+        X = _set_rows(n, keys)
         adj = _inner(X, X) == e - 1
     elif fam == "hamming":
         d, q = p
-        adj = _hamming_distances(_hamming_keys(d, q), q) == 1
+        adj = _hamming_distances(keys, q) == 1
     elif fam == "doob":
         d1, d2 = p
         factors = [adjacency_matrix(shrikhande(), bool)] * d1
@@ -335,41 +432,35 @@ def construct(spec: FamilySpec, max_vertices: int = MAX_VERTICES) -> Graph:
             adj = np.kron(adj, np.eye(len(f), dtype=bool)) \
                 | np.kron(np.eye(len(adj), dtype=bool), f)
     elif fam == "halvedcube":
-        (n,) = p
-        adj = _hamming_distances(_even_strings(n), 2) == 2
+        adj = _hamming_distances(keys, 2) == 2
     elif fam == "foldedcube":
         (n,) = p
-        dist = _hamming_distances(list(product((0, 1), repeat=n - 1)), 2)
+        dist = _hamming_distances(keys, 2)
         adj = (dist == 1) | (dist == n - 1)
     elif fam == "foldedhalvedcube":
         (n,) = p
-        dist = _hamming_distances(_even_strings(2 * n - 1), 2)
+        dist = _hamming_distances(keys, 2)
         adj = (dist == 2) | (dist == 2 * n - 2)
     elif fam == "odd":
         (k,) = p
-        X = _set_rows(2 * k - 1, k - 1)
+        X = _set_rows(2 * k - 1, keys)
         adj = _inner(X, X) == 0
     elif fam == "doubledodd":
         (m,) = p
-        X = _set_rows(2 * m - 1, m - 1)
-        disjoint = _inner(X, X) == 0
-        zero = np.zeros_like(disjoint)
-        adj = np.block([[zero, disjoint], [disjoint, zero]])
+        X = _set_rows(2 * m - 1, _side(keys, 0))
+        adj = _bipartite(_inner(X, X) == 0)
     elif fam == "grassmann":
         q, n, e = p
-        F = field(q)
-        X = _element_rows(F, enumerate_subspaces(n, e, F), n)
+        X = _element_rows(field(q), keys)
         adj = _inner(X, X) == q ** (e - 1)
     elif fam == "bilinearforms":
         q, D, e = p
         F = field(q)
-        keys = list(product(product(range(q), repeat=e), repeat=D))
         adj = _difference_adjacency(F, keys, lambda M: matrix_rank(F, M) == 1)
     elif fam == "alternatingforms":
         q, n = p
         F = field(q)
         pairs = _upper_pairs(n)
-        keys = list(product(range(q), repeat=len(pairs)))
 
         def rank2(key):
             M = _alt_full(F, n, dict(zip(pairs, key)))
@@ -378,11 +469,8 @@ def construct(spec: FamilySpec, max_vertices: int = MAX_VERTICES) -> Graph:
         adj = _difference_adjacency(F, keys, rank2)
     elif fam == "hermitianforms":
         r, D = p
-        q = r * r
-        F = field(q)
-        fixed = [a for a in range(q) if F.conj(a) == a]
+        F = field(r * r)
         pairs = _upper_pairs(D)
-        keys = sorted(product(*([fixed] * D + [list(range(q))] * len(pairs))))
 
         def rank1(key):
             M = [[0] * D for _ in range(D)]
@@ -397,33 +485,20 @@ def construct(spec: FamilySpec, max_vertices: int = MAX_VERTICES) -> Graph:
     elif fam == "quadraticforms":
         q, n = p
         F = field(q)
-        monos = [(i, j) for i in range(n) for j in range(i, n)]
-        keys = list(product(range(q), repeat=len(monos)))
+        monos = _monomials(n)
         adj = _difference_adjacency(
             F, keys, lambda key: _quad_rank(F, dict(zip(monos, key)), n) in (1, 2))
     elif fam == "dualpolarc":
         q, D = p
-        F = field(q)
-        keys = [U for U in enumerate_subspaces(2 * D, D, F)
-                if all(form_eval("symplectic", F, u, v) == 0 for u, v in combinations(U, 2))]
-        X = _element_rows(F, keys, 2 * D)
+        X = _element_rows(field(q), keys)
         adj = _inner(X, X) == q ** (D - 1)
     elif fam == "doubledgrassmann":
         q, t = p
-        F = field(q)
-        small = _element_rows(F, enumerate_subspaces(2 * t + 1, t, F), 2 * t + 1)
-        big = _element_rows(F, enumerate_subspaces(2 * t + 1, t + 1, F), 2 * t + 1)
-        # U <= W exactly when all q^t vectors of U lie in W
-        inside = _inner(small, big) == q ** t
-        adj = np.block([[np.zeros((len(small),) * 2, dtype=bool), inside],
-                        [inside.T, np.zeros((len(big),) * 2, dtype=bool)]])
-    elif fam == "halfdualpolar":
-        raise ParamDomain(f"{fam} is parameters-only (no constructor); "
-                          "use theory_values / half_dual_polar_descendant_check")
+        adj = _bipartite(incidence_block(field(q), _side(keys, 0), _side(keys, 1)))
     else:  # pragma: no cover
         raise ParamDomain(f"no constructor for {fam}")
 
-    g = _graph_from_adjacency(adj, name)
+    g = _graph_from_adjacency(adj, str(spec))
     k = g.regular_degree()
     if k != tv.k or g.n != tv.v:
         raise ParamDomain(
@@ -435,103 +510,55 @@ def construct(spec: FamilySpec, max_vertices: int = MAX_VERTICES) -> Graph:
 
 def descendant(spec: FamilySpec) -> frozenset:
     """The half-size induced subgraph with average valency >= theta_1, as a
-    vertex set of construct(spec)'s labeling."""
+    vertex set of construct(spec)'s labeling: the indices of the keys that
+    pass the family's predicate."""
     fam, p = spec.family, spec.params
-
     if fam == "johnson":
-        n, e = p
-        keys = [frozenset(c) for c in combinations(range(1, n + 1), e)]
-        return frozenset(i for i, k in enumerate(keys) if 1 in k)
-    if fam == "hamming":
-        d, q = p
-        keys = _hamming_keys(d, q)
-        return frozenset(i for i, k in enumerate(keys) if k[0] == 0)
-    if fam == "doob":
+        keep = lambda key: 0 in key
+    elif fam in ("hamming", "halvedcube", "foldedcube"):
+        keep = lambda key: key[0] == 0
+    elif fam == "doob":
         d1, d2 = p
         if d2 > 0:
-            sizes = [16] * d1 + [4] * d2
-            keys = list(product(*[range(s) for s in sizes]))
-            return frozenset(i for i, k in enumerate(keys) if k[d1] == 0)
-        # 6-wheel in the first Shrikhande factor: a vertex and its hexagon
-        sh = shrikhande()
-        wheel = {0} | set(sh.adj[0])
-        sizes = [16] * d1
-        keys = list(product(*[range(s) for s in sizes]))
-        return frozenset(i for i, k in enumerate(keys) if k[0] in wheel)
-    if fam == "halvedcube":
-        (n,) = p
-        keys = _even_strings(n)
-        return frozenset(i for i, k in enumerate(keys) if k[0] == 0)
-    if fam == "foldedcube":
-        (n,) = p
-        keys = list(product((0, 1), repeat=n - 1))
-        return frozenset(i for i, k in enumerate(keys) if k[0] == 0)
-    if fam == "foldedhalvedcube":
-        (n,) = p
-        keys = _even_strings(2 * n - 1)
-        return frozenset(i for i, k in enumerate(keys) if k[0] == 0 and k[1] == 0)
-    if fam == "odd":
-        (k,) = p
-        keys = [frozenset(c) for c in combinations(range(1, 2 * k), k - 1)]
-        inA = [{1, 2} <= s and not s & {3, 4} for s in keys]
-        inB = [{3, 4} <= s and not s & {1, 2} for s in keys]
-        return frozenset(i for i in range(len(keys)) if inA[i] or inB[i])
-    if fam == "doubledodd":
-        (m,) = p
-        keys = [frozenset(c) for c in combinations(range(1, 2 * m), m - 1)]
-        n = len(keys)
-        out = set()
-        for i, s in enumerate(keys):
-            if 2 in s and 1 not in s:
-                out.add(i)              # copy 0
-            if 1 in s and 2 not in s:
-                out.add(n + i)          # copy 1
-        return frozenset(out)
-    if fam == "grassmann":
-        q, n, e = p
-        keys = enumerate_subspaces(n, e, field(q))
-        return frozenset(i for i, U in enumerate(keys)
-                         if all(row[0] == 0 for row in U))
-    if fam == "bilinearforms":
-        q, D, e = p
-        keys = list(product(product(range(q), repeat=e), repeat=D))
-        zero = tuple([0] * e)
-        return frozenset(i for i, M in enumerate(keys) if M[0] == zero)
-    if fam == "alternatingforms":
-        q, n = p
-        pairs = _upper_pairs(n)
-        keys = list(product(range(q), repeat=len(pairs)))
-        touch0 = [t for t, (i, j) in enumerate(pairs) if i == 0]
-        return frozenset(ix for ix, k in enumerate(keys)
-                         if all(k[t] == 0 for t in touch0))
-    if fam == "hermitianforms":
-        r, D = p
-        q = r * r
-        F = field(q)
-        fixed = [a for a in range(q) if F.conj(a) == a]
-        pairs = _upper_pairs(D)
-        keys = sorted(product(*([fixed] * D + [list(range(q))] * len(pairs))))
-        touch0 = [D + t for t, (i, j) in enumerate(pairs) if i == 0]
-        return frozenset(ix for ix, k in enumerate(keys)
-                         if k[0] == 0 and all(k[t] == 0 for t in touch0))
-    if fam == "quadraticforms":
-        q, n = p
-        monos = [(i, j) for i in range(n) for j in range(i, n)]
-        keys = list(product(range(q), repeat=len(monos)))
-        touch0 = [t for t, (i, j) in enumerate(monos) if i == 0]
-        return frozenset(ix for ix, k in enumerate(keys)
-                         if all(k[t] == 0 for t in touch0))
-    if fam == "dualpolarc":
+            keep = lambda key: key[d1] == 0
+        else:   # 6-wheel in the first Shrikhande factor: a vertex and its hexagon
+            wheel = {0} | set(shrikhande().adj[0])
+            keep = lambda key: key[0] in wheel
+    elif fam == "foldedhalvedcube":
+        keep = lambda key: key[0] == key[1] == 0
+    elif fam == "odd":
+        def keep(key):
+            s = set(key)
+            return ({0, 1} <= s and not s & {2, 3}) or ({2, 3} <= s and not s & {0, 1})
+    elif fam == "doubledodd":
+        # side 0 keeps the sets with 1 and without 0, side 1 the reverse
+        keep = lambda key: 1 - key[0] in key[1] and key[0] not in key[1]
+    elif fam == "grassmann":
+        keep = lambda U: all(row[0] == 0 for row in U)
+    elif fam == "bilinearforms":
+        keep = lambda M: not any(M[0])
+    elif fam == "alternatingforms":
+        # zero first row: _upper_pairs lists the n - 1 pairs (0, j) first
+        n = p[1]
+        keep = lambda key: not any(key[:n - 1])
+    elif fam == "hermitianforms":
+        # zero first row: the diagonal entry 0, then the pairs (0, j) at D..2D-2
+        D = p[1]
+        keep = lambda key: key[0] == 0 and not any(key[D:2 * D - 1])
+    elif fam == "quadraticforms":
+        # no monomial x_0 x_j: _monomials lists the n pairs (0, j) first
+        n = p[1]
+        keep = lambda key: not any(key[:n])
+    elif fam == "dualpolarc":
         q, D = p
         F = field(q)
-        keys = [U for U in enumerate_subspaces(2 * D, D, F)
-                if all(form_eval("symplectic", F, u, v) == 0 for u, v in combinations(U, 2))]
         e1 = tuple([1] + [0] * (2 * D - 1))
-        return frozenset(i for i, U in enumerate(keys)
-                         if e1 in subspace_elements(F, U))
-    if fam in ("doubledgrassmann", "halfdualpolar"):
+        keep = lambda U: e1 in subspace_elements(F, U)
+    elif fam in ("doubledgrassmann", "halfdualpolar"):
         raise NoDescendant(f"{fam}: handled analytically, no explicit descendant")
-    raise NoDescendant(f"no descendant for {fam}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise NoDescendant(f"no descendant for {fam}")
+    return frozenset(i for i, key in enumerate(_vertex_keys(spec)) if keep(key))
 
 
 def half_dual_polar_descendant_check(q: int, n: int) -> tuple[bool, str]:

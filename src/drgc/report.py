@@ -111,8 +111,10 @@ def _gq_gh_shape(ia: IntersectionArray):
     return None
 
 
-def gather_bounds(g: Graph, ia: IntersectionArray, lam1, spec: FamilySpec | None):
-    """All applicable witness certificates and analytic bounds."""
+def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact, lam1,
+                  spec: FamilySpec | None):
+    """All applicable witness certificates and analytic bounds; t1_exact is
+    exact_theta1(ia), computed once by the caller."""
     certs: list[CutCertificate] = []
     bounds: list[AnalyticBound] = []
     k, D = ia.k, ia.D
@@ -135,14 +137,10 @@ def gather_bounds(g: Graph, ia: IntersectionArray, lam1, spec: FamilySpec | None
             certs.append(bipartite_half_cut(g, lam1))
         if D == 3 and k >= 4:
             bounds.append(bipartite_diameter3_verdict(ia))
-    if D == 3 and ia.is_antipodal():
-        t1 = exact_theta1(ia)
-        if t1 is not None:
-            certs.append(antipodal_fibre_cut(g, ia, t1, lam1))
-    if D == 3:
-        t1 = exact_theta1(ia)
-        if t1 is not None and t1 == ia.a(3):   # Shilla: theta1 = a_3
-            certs.append(shilla_cut(g, ia, lam1))
+    if D == 3 and ia.is_antipodal() and t1_exact is not None:
+        certs.append(antipodal_fibre_cut(g, ia, t1_exact, lam1))
+    if D == 3 and t1_exact is not None and t1_exact == ia.a(3):   # Shilla: theta1 = a_3
+        certs.append(shilla_cut(g, ia, lam1))
     if k >= 3 and D >= 3:
         try:
             certs.append(girth_cycle_cut(g, lam1))
@@ -195,7 +193,7 @@ def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
         crosscheck = (len(dv) == ia.D + 1 and
                       all(abs(a - b) <= 1e-8 for a, b in zip(spectrum.thetas, dv)))
 
-    certs, bounds = gather_bounds(g, ia, lam1, spec)
+    certs, bounds = gather_bounds(g, ia, t1_exact, lam1, spec)
     best = best_upper_bound(g, config, lam1, extra_certs=certs)
     all_certs = list(certs)
     if best not in all_certs:

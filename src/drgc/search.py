@@ -98,11 +98,12 @@ def sweep_cut(g: Graph, lambda1=None) -> CutCertificate:
 
 
 def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
-                 lambda1=None, tabu_len: int = 50, plateau_patience: int = 200,
+                 lambda1=None, plateau_patience: int = 200,
                  swap_cap: int = 40_000) -> CutCertificate:
     """Kernighan-Lin style descent: single-vertex moves and (u out, w in)
     swaps, ratio monotonically non-increasing.  Equal-ratio moves pass through
-    a short tabu list to cross plateaus; deterministic for a fixed seed.
+    a tabu list of the last 50 moved vertices to cross plateaus;
+    deterministic for a fixed seed.
 
     Every step scores all single moves, and when none improves, all swaps,
     as numpy arrays of keys (boundary, min(vol, total - vol)).  "Strictly
@@ -206,7 +207,7 @@ def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
             size += step
         cur = (boundary, min(vol, total - vol))
         tabu.extend(moved)
-        del tabu[:-tabu_len]
+        del tabu[:-50]
         moves += 1
         if cur[0] * best[1] < best[0] * cur[1]:
             best, best_S = cur, frozenset(np.flatnonzero(inS).tolist())
@@ -249,10 +250,9 @@ def _eigenspace_starts(g: Graph, seeds) -> list[frozenset]:
 
 
 def _iterated_refine(g: Graph, start, seed: int, budget: int, lambda1,
-                     rounds: int = 12, kick: int = 4,
-                     patience: int = 400) -> CutCertificate:
+                     rounds: int = 12, patience: int = 400) -> CutCertificate:
     """Iterated local search: monotone descent, then a seeded perturbation of
-    the best set, repeated; stops after two stale rounds."""
+    the best set by four random swaps, repeated; stops after two stale rounds."""
     rng = random.Random(seed ^ 0x9E3779B9)
     best = None
     stale = 0
@@ -269,7 +269,7 @@ def _iterated_refine(g: Graph, start, seed: int, budget: int, lambda1,
         base = set(best.S)
         outs = sorted(base)
         ins = sorted(v for v in range(g.n) if v not in base)
-        for _ in range(kick):
+        for _ in range(4):
             u = outs[rng.randrange(len(outs))]
             w = ins[rng.randrange(len(ins))]
             if u in base and w not in base:

@@ -69,10 +69,11 @@ def dense_spectrum(g: Graph, cap: int = DENSE_CAP) -> np.ndarray:
     return eigensystem(g)[0]
 
 
-def distinct_values(values, tol: float = 1e-7) -> list[float]:
+def distinct_values(values) -> list[float]:
+    """The values in descending order, merging neighbours within 1e-7."""
     out: list[float] = []
     for v in sorted(values, reverse=True):
-        if not out or abs(out[-1] - v) > tol:
+        if not out or abs(out[-1] - v) > 1e-7:
             out.append(float(v))
     return out
 

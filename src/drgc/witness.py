@@ -19,8 +19,6 @@ from .graph import (CutStats, Graph, IntersectionArray, bfs_distances,
                     cut_stats, girth, intersection_array, two_coloring)
 from .spectral import srg_eigenvalues
 
-TOL = 1e-9
-
 
 class NotAntipodalError(DrgcError):
     def __init__(self, ia):
@@ -31,11 +29,11 @@ def verdict_against(value, lambda1) -> str:
     """Compare an upper bound against lambda_1: 'ok', 'open', or 'within-tolerance'."""
     if lambda1 is None:
         return "unknown"
-    holds, exact = exact_le(value, lambda1, TOL)
+    holds, exact = exact_le(value, lambda1)
     if exact:
         return "ok" if holds else "open"
     if holds:
-        lo, _ = exact_le(lambda1, value, TOL)
+        lo, _ = exact_le(lambda1, value)
         return "within-tolerance" if lo else "ok"
     return "open"
 

@@ -4,9 +4,9 @@ from itertools import combinations, product
 import pytest
 
 from drgc.algebra import (SUPPORTED_Q, enumerate_subspaces, field, form_eval,
-                          gb, intersect_dim, matrix_rank, nullspace, rref,
-                          subspace_elements, subspace_span)
-from drgc.errors import AmbientMismatch, BadField, TooLarge
+                          gb, isotropic_subspaces, matrix_rank, nullspace,
+                          rref, subspace_elements)
+from drgc.errors import BadField, TooLarge
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -97,22 +97,9 @@ def test_enumerate_cap():
 
 def test_subspace_elements_and_span():
     F = field(2)
-    U = subspace_span(F, [(1, 0, 1), (0, 1, 1)])
+    U, _ = rref(F, [(1, 0, 1), (0, 1, 1)])
     elems = subspace_elements(F, U)
     assert len(elems) == 4 and (0, 0, 0) in elems and (1, 1, 0) in elems
-
-
-def test_intersect_dim():
-    F = field(2)
-    U = subspace_span(F, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    assert intersect_dim(F, U, U) == 2
-    V = subspace_span(F, [(1, 0, 0, 0), (0, 0, 1, 0)])
-    assert intersect_dim(F, U, V) == 1
-    L1 = subspace_span(F, [(1, 0)])
-    L2 = subspace_span(F, [(0, 1)])
-    assert intersect_dim(F, L1, L2) == 0
-    with pytest.raises(AmbientMismatch):
-        intersect_dim(F, U, L1)
 
 
 # -- forms ------------------------------------------------------------------------------
@@ -130,27 +117,7 @@ def test_isotropic_line_count_w33():
     iso = [L for L in lines
            if all(form_eval("symplectic", F, u, v) == 0 for u in L for v in L)]
     assert len(iso) == 40            # (q^2+1)(q+1) at q = 3
-
-
-def test_hermitian_form():
-    F = field(4)
-    x = (1, 0)
-    assert form_eval("hermitian", F, x, x) == 1
-    for x in product(range(4), repeat=2):
-        for y in product(range(4), repeat=2):
-            assert form_eval("hermitian", F, x, y) == \
-                F.conj(form_eval("hermitian", F, y, x))
-    with pytest.raises(BadField):
-        form_eval("hermitian", field(3), (1,), (1,))
-
-
-def test_quadratic_polar_form():
-    F = field(2)
-    x = (1, 0, 0)
-    assert form_eval("quadratic-polar", F, x, x) == 1    # Q(e0) = 1
-    y = (0, 1, 0)
-    # polarization B(x,y) = Q(x+y) - Q(x) - Q(y)
-    assert form_eval("quadratic-polar", F, x, y) == 0
+    assert isotropic_subspaces(F, 4, 2) == iso
 
 
 def test_matrix_rank():

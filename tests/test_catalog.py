@@ -1,12 +1,88 @@
 import pathlib
 import shutil
+from itertools import combinations
 
 import pytest
 
 from drgc import catalog as cat
+from drgc.algebra import enumerate_subspaces, field, form_eval, subspace_elements
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import DataCorrupt, UnknownName
-from drgc.graph import intersection_array, line_graph
+from drgc.graph import Graph, intersection_array, line_graph
+
+
+# -- reference builders: the earlier pair-loop incidence constructions, kept as
+# oracles for the catalog entries now built by the family code
+
+def petersen():
+    keys = list(combinations(range(5), 2))
+    idx = {k: i for i, k in enumerate(keys)}
+    edges = [(idx[a], idx[b]) for a, b in combinations(keys, 2)
+             if not set(a) & set(b)]
+    return Graph.from_edges(10, edges, "petersen")
+
+
+def _pg2_points_lines(q):
+    F = field(q)
+    points = enumerate_subspaces(3, 1, F)
+    lines = enumerate_subspaces(3, 2, F)
+    line_sets = [subspace_elements(F, L) for L in lines]
+    return points, lines, line_sets
+
+
+def pg2_incidence(q):
+    points, lines, line_sets = _pg2_points_lines(q)
+    np_ = len(points)
+    edges = []
+    for i, P in enumerate(points):
+        vec = P[0]
+        for j, ls in enumerate(line_sets):
+            if vec in ls:
+                edges.append((i, np_ + j))
+    return Graph.from_edges(np_ + len(lines), edges)
+
+
+def pg2_nonincidence(q=2):
+    points, lines, line_sets = _pg2_points_lines(q)
+    np_ = len(points)
+    edges = []
+    for i, P in enumerate(points):
+        vec = P[0]
+        for j, ls in enumerate(line_sets):
+            if vec not in ls:
+                edges.append((i, np_ + j))
+    return Graph.from_edges(np_ + len(lines), edges)
+
+
+def symplectic_gq_incidence(q):
+    F = field(q)
+    points = enumerate_subspaces(4, 1, F)
+    lines = [L for L in enumerate_subspaces(4, 2, F)
+             if all(form_eval("symplectic", F, u, v) == 0 for u in L for v in L)]
+    line_sets = [subspace_elements(F, L) for L in lines]
+    np_ = len(points)
+    edges = []
+    for i, P in enumerate(points):
+        vec = P[0]
+        for j, ls in enumerate(line_sets):
+            if vec in ls:
+                edges.append((i, np_ + j))
+    return Graph.from_edges(np_ + len(lines), edges)
+
+
+REFERENCE_BUILDS = {
+    "petersen": petersen,
+    "heawood": lambda: pg2_incidence(2),
+    "incidence-pg23": lambda: pg2_incidence(3),
+    "nonincidence-pg22": pg2_nonincidence,
+    "tutte-coxeter": lambda: symplectic_gq_incidence(2),
+    "incidence-gq33": lambda: symplectic_gq_incidence(3),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_BUILDS)
+def test_builder_entries_match_reference(name):
+    assert catalog_load(name)[0].adj == REFERENCE_BUILDS[name]().adj
 
 
 def test_catalog_size_and_statuses():

@@ -3,8 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from drgc.algebra import (enumerate_subspaces, field, form_eval, matrix_rank,
-                          subspace_elements)
+from drgc.algebra import (enumerate_subspaces, field, form_eval,
+                          isotropic_subspaces, matrix_rank, subspace_elements)
 from drgc.constructions import shrikhande
 from drgc.errors import NoDescendant, ParamDomain, TooLarge
 from drgc.families import (FamilySpec, _alt_full, _even_strings, _hamming_keys,
@@ -144,6 +144,130 @@ def test_construct_matches_pair_predicate_reference(spec):
     assert construct(spec).adj == reference_construct(spec).adj
 
 
+# -- reference descendants: the earlier per-family key enumeration, kept as an
+# oracle for the shared labeling
+
+def reference_descendant(spec):
+    fam, p = spec.family, spec.params
+
+    if fam == "johnson":
+        n, e = p
+        keys = [frozenset(c) for c in combinations(range(1, n + 1), e)]
+        return frozenset(i for i, k in enumerate(keys) if 1 in k)
+    if fam == "hamming":
+        d, q = p
+        keys = _hamming_keys(d, q)
+        return frozenset(i for i, k in enumerate(keys) if k[0] == 0)
+    if fam == "doob":
+        d1, d2 = p
+        if d2 > 0:
+            sizes = [16] * d1 + [4] * d2
+            keys = list(product(*[range(s) for s in sizes]))
+            return frozenset(i for i, k in enumerate(keys) if k[d1] == 0)
+        # 6-wheel in the first Shrikhande factor: a vertex and its hexagon
+        sh = shrikhande()
+        wheel = {0} | set(sh.adj[0])
+        sizes = [16] * d1
+        keys = list(product(*[range(s) for s in sizes]))
+        return frozenset(i for i, k in enumerate(keys) if k[0] in wheel)
+    if fam == "halvedcube":
+        (n,) = p
+        keys = _even_strings(n)
+        return frozenset(i for i, k in enumerate(keys) if k[0] == 0)
+    if fam == "foldedcube":
+        (n,) = p
+        keys = list(product((0, 1), repeat=n - 1))
+        return frozenset(i for i, k in enumerate(keys) if k[0] == 0)
+    if fam == "foldedhalvedcube":
+        (n,) = p
+        keys = _even_strings(2 * n - 1)
+        return frozenset(i for i, k in enumerate(keys) if k[0] == 0 and k[1] == 0)
+    if fam == "odd":
+        (k,) = p
+        keys = [frozenset(c) for c in combinations(range(1, 2 * k), k - 1)]
+        inA = [{1, 2} <= s and not s & {3, 4} for s in keys]
+        inB = [{3, 4} <= s and not s & {1, 2} for s in keys]
+        return frozenset(i for i in range(len(keys)) if inA[i] or inB[i])
+    if fam == "doubledodd":
+        (m,) = p
+        keys = [frozenset(c) for c in combinations(range(1, 2 * m), m - 1)]
+        n = len(keys)
+        out = set()
+        for i, s in enumerate(keys):
+            if 2 in s and 1 not in s:
+                out.add(i)              # copy 0
+            if 1 in s and 2 not in s:
+                out.add(n + i)          # copy 1
+        return frozenset(out)
+    if fam == "grassmann":
+        q, n, e = p
+        keys = enumerate_subspaces(n, e, field(q))
+        return frozenset(i for i, U in enumerate(keys)
+                         if all(row[0] == 0 for row in U))
+    if fam == "bilinearforms":
+        q, D, e = p
+        keys = list(product(product(range(q), repeat=e), repeat=D))
+        zero = tuple([0] * e)
+        return frozenset(i for i, M in enumerate(keys) if M[0] == zero)
+    if fam == "alternatingforms":
+        q, n = p
+        pairs = _upper_pairs(n)
+        keys = list(product(range(q), repeat=len(pairs)))
+        touch0 = [t for t, (i, j) in enumerate(pairs) if i == 0]
+        return frozenset(ix for ix, k in enumerate(keys)
+                         if all(k[t] == 0 for t in touch0))
+    if fam == "hermitianforms":
+        r, D = p
+        q = r * r
+        F = field(q)
+        fixed = [a for a in range(q) if F.conj(a) == a]
+        pairs = _upper_pairs(D)
+        keys = sorted(product(*([fixed] * D + [list(range(q))] * len(pairs))))
+        touch0 = [D + t for t, (i, j) in enumerate(pairs) if i == 0]
+        return frozenset(ix for ix, k in enumerate(keys)
+                         if k[0] == 0 and all(k[t] == 0 for t in touch0))
+    if fam == "quadraticforms":
+        q, n = p
+        monos = [(i, j) for i in range(n) for j in range(i, n)]
+        keys = list(product(range(q), repeat=len(monos)))
+        touch0 = [t for t, (i, j) in enumerate(monos) if i == 0]
+        return frozenset(ix for ix, k in enumerate(keys)
+                         if all(k[t] == 0 for t in touch0))
+    if fam == "dualpolarc":
+        q, D = p
+        F = field(q)
+        keys = [U for U in enumerate_subspaces(2 * D, D, F)
+                if all(form_eval("symplectic", F, u, v) == 0 for u, v in combinations(U, 2))]
+        e1 = tuple([1] + [0] * (2 * D - 1))
+        return frozenset(i for i, U in enumerate(keys)
+                         if e1 in subspace_elements(F, U))
+    raise AssertionError(f"no reference descendant for {fam}")
+
+
+DESCENDANT_SPECS = default_grid() + [FamilySpec.parse(s) for s in (
+    "johnson:13,6", "foldedcube:12", "doob:2,1", "odd:6", "doubledodd:5",
+    "hermitianforms:2,3", "bilinearforms:3,2,2", "dualpolarc:3,3")]
+
+
+@pytest.mark.parametrize("spec", DESCENDANT_SPECS, ids=str)
+def test_descendant_matches_reference(spec):
+    assert descendant(spec) == reference_descendant(spec)
+
+
+def test_construct_and_descendant_share_one_key_enumeration(monkeypatch):
+    # verify_one runs construct then descendant on the same spec: the second
+    # reads the cached keys instead of enumerating the subspaces again
+    import drgc.families as fam
+    calls = []
+    monkeypatch.setattr(fam, "isotropic_subspaces",
+                        lambda *a: calls.append(a) or isotropic_subspaces(*a))
+    fam._vertex_keys.cache_clear()
+    spec = FamilySpec.parse("dualpolarc:2,2")
+    g = construct(spec)
+    S = descendant(spec)
+    assert len(calls) == 1 and 2 * len(S) <= g.n
+
+
 def test_spec_parsing_and_domain():
     spec = FamilySpec.parse("johnson:6,3")
     assert spec.family == "johnson" and spec.params == (6, 3)
@@ -181,8 +305,8 @@ def test_known_arrays():
 
 def test_gq33_companion_size():
     # incidence bipartite companion of the q=3 symplectic quadrangle
-    from drgc.constructions import symplectic_gq_incidence
-    g = symplectic_gq_incidence(3)
+    from drgc.catalog import catalog_load
+    g, _ = catalog_load("incidence-gq33")
     assert g.n == 2 * (3 ** 2 + 1) * (3 + 1) == 80
 
 
