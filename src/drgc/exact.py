@@ -35,11 +35,15 @@ def _squarefree_split(n: int) -> tuple[int, int]:
 
 
 class SqrtVal:
-    """u + w*sqrt(s) with u, w rational and s a square-free positive integer."""
+    """u + w*sqrt(s) with u, w rational and s a square-free positive integer.
+
+    A float u or w raises TypeError: a rounded value is never taken as exact."""
 
     __slots__ = ("u", "w", "s")
 
     def __init__(self, u, w=0, s=1):
+        if isinstance(u, float) or isinstance(w, float):
+            raise TypeError(f"SqrtVal needs exact rationals, got {u!r}, {w!r}")
         u = Fraction(u)
         w = Fraction(w)
         s = int(s)
@@ -61,7 +65,7 @@ class SqrtVal:
     def of(x) -> "SqrtVal":
         if isinstance(x, SqrtVal):
             return x
-        return SqrtVal(Fraction(x))
+        return SqrtVal(x)
 
     @staticmethod
     def sqrt(x) -> "SqrtVal":
@@ -103,11 +107,10 @@ class SqrtVal:
         return SqrtVal(-self.u, -self.w, self.s)
 
     def __sub__(self, other):
-        res = self.__add__(-other if isinstance(other, SqrtVal) else -Fraction(other))
-        return res
+        return self.__add__(-other)
 
     def __rsub__(self, other):
-        return (-self).__add__(Fraction(other))
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, Rational):
@@ -189,19 +192,3 @@ class SqrtVal:
     def triple(self) -> tuple[Fraction, Fraction, int]:
         return self.u, self.w, self.s
 
-
-def exact_le(a, b) -> tuple[bool, bool]:
-    """Decide a <= b; returns (holds, exact).
-
-    Exact when both sides are rational/SqrtVal over the same radical; otherwise
-    falls back to floats with tolerance 1e-9, reporting exact=False.
-    """
-    try:
-        av = a if isinstance(a, SqrtVal) else SqrtVal.of(a)
-        bv = b if isinstance(b, SqrtVal) else SqrtVal.of(b)
-        return av._cmp(bv) <= 0, True
-    except (TypeError, ValueError):
-        fa, fb = float(a), float(b)
-        if fa <= fb + 1e-9:
-            return True, False
-        return False, False

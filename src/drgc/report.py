@@ -11,20 +11,21 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
 from .catalog import catalog_entry, catalog_list, catalog_load
 from .errors import DrgcError, UnknownName
-from .exact import SqrtVal, exact_le
+from .exact import SqrtVal
 from .families import FamilySpec, construct, default_grid, descendant, theory_values
 from .graph import Graph, IntersectionArray, g6_decode, girth, intersection_array
 # exact_cheeger is not called here (best_upper_bound already returns the exact
 # certificate), but it stays bound in this module: the benchmark's tracer
 # (perfbench/tracer.py) wraps report.exact_cheeger by name.
 from .search import SearchConfig, best_upper_bound, exact_cheeger
-from .spectral import (DENSE_CAP, dense_spectrum, distinct_values, drg_spectrum,
-                       exact_theta1, cheeger_window)
+from .spectral import (DENSE_CAP, at_most_lambda1, dense_spectrum,
+                       distinct_values, drg_spectrum, exact_theta1, cheeger_window)
 from .witness import (AnalyticBound, CutCertificate, GQ33_ARRAY,
                       TWELVE_CAGE_ARRAY, antipodal_fibre_cut,
                       avg_valency_certificate, ball_cut,
@@ -51,7 +52,7 @@ def _val_json(x):
     return {"approx": float(f"{float(x):.15g}")}
 
 
-def _cert_json(graph_id: str, c: CutCertificate):
+def _cert_json(graph_id: str, c: CutCertificate, lam1):
     return {
         "graph": graph_id,
         "method": c.method,
@@ -60,7 +61,7 @@ def _cert_json(graph_id: str, c: CutCertificate):
         "volS": c.stats.vol,
         "ratio": {"num": c.ratio.numerator, "den": c.ratio.denominator,
                   "approx": float(f"{float(c.ratio):.15g}")},
-        "lambda1": _val_json(c.lambda1),
+        "lambda1": _val_json(lam1),
         "verdict": c.verdict,
         "notes": list(c.notes),
     }
@@ -111,10 +112,15 @@ def _gq_gh_shape(ia: IntersectionArray):
     return None
 
 
-def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact, lam1,
+def _judged(ia: IntersectionArray, c: CutCertificate) -> CutCertificate:
+    """The certificate with its verdict against lambda_1, decided exactly."""
+    return replace(c, verdict="ok" if at_most_lambda1(ia, c.ratio) else "open")
+
+
+def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
                   spec: FamilySpec | None):
-    """All applicable witness certificates and analytic bounds; t1_exact is
-    exact_theta1(ia), computed once by the caller."""
+    """All applicable witness certificates, judged, and analytic bounds;
+    t1_exact is exact_theta1(ia), computed once by the caller."""
     certs: list[CutCertificate] = []
     bounds: list[AnalyticBound] = []
     k, D = ia.k, ia.D
@@ -128,38 +134,38 @@ def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact, lam1,
             pass
     if D == 2:
         bounds.append(srg_certify(ia))
-        certs.append(ball_cut(g, 0, 1, "ball", lam1))
+        certs.append(ball_cut(g, 0, 1, "ball"))
     shape = _gq_gh_shape(ia)
     if shape is not None:
         bounds.append(gq_gh_incidence_verdict(*shape))
     if ia.is_bipartite():
         if ia.v % 2 == 0:
-            certs.append(bipartite_half_cut(g, lam1))
+            certs.append(bipartite_half_cut(g))
         if D == 3 and k >= 4:
             bounds.append(bipartite_diameter3_verdict(ia))
     if D == 3 and ia.is_antipodal() and t1_exact is not None:
-        certs.append(antipodal_fibre_cut(g, ia, t1_exact, lam1))
+        certs.append(antipodal_fibre_cut(g, ia, t1_exact))
     if D == 3 and t1_exact is not None and t1_exact == ia.a(3):   # Shilla: theta1 = a_3
-        certs.append(shilla_cut(g, ia, lam1))
+        certs.append(shilla_cut(g, ia))
     if k >= 3 and D >= 3:
         try:
-            certs.append(girth_cycle_cut(g, lam1))
+            certs.append(girth_cycle_cut(g))
         except DrgcError:
             pass
     if k == 4 and ia.a(1) == 1:
-        for builder in (lambda: triangle_chain_cut(g, 3, lam1),
-                        lambda: triangle_octagon_cut(g, lam1)):
+        for builder in (lambda: triangle_chain_cut(g, 3),
+                        lambda: triangle_octagon_cut(g)):
             try:
                 certs.append(builder())
             except DrgcError:
                 pass
     if ia == TWELVE_CAGE_ARRAY:
-        certs.append(twelve_cage_witness(g, lam1))
+        certs.append(twelve_cage_witness(g, ia))
     if ia == GQ33_ARRAY:
-        certs.append(gq33_incidence_witness(g, lam1))
+        certs.append(gq33_incidence_witness(g, ia))
     if spec is not None and spec.family == "doubledgrassmann":
         bounds.append(doubled_grassmann_verdict(*spec.params))
-    return certs, bounds
+    return [_judged(ia, c) for c in certs], bounds
 
 
 def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
@@ -193,23 +199,22 @@ def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
         crosscheck = (len(dv) == ia.D + 1 and
                       all(abs(a - b) <= 1e-8 for a, b in zip(spectrum.thetas, dv)))
 
-    certs, bounds = gather_bounds(g, ia, t1_exact, lam1, spec)
-    best = best_upper_bound(g, config, lam1, extra_certs=certs)
+    certs, bounds = gather_bounds(g, ia, t1_exact, spec)
+    best = _judged(ia, best_upper_bound(g, config, extra_certs=certs))
     all_certs = list(certs)
     if best not in all_certs:
         all_certs.append(best)
 
     exact_h = None
     status = "OPEN"
-    if any(c.verdict in ("ok", "within-tolerance") for c in all_certs) or \
-            any(b.verdict in ("ok", "within-tolerance") for b in bounds):
+    if any(c.verdict == "ok" for c in all_certs) or \
+            any(b.verdict == "ok" for b in bounds):
         status = "OK"
     if g.n <= config.exact_cap:
         # best_upper_bound ran exact_cheeger, whose certificate is the global
         # minimum, so no other certificate beats it and best.ratio is h
         exact_h = best.ratio
-        holds, _ = exact_le(exact_h, lam1)
-        if not holds:
+        if not at_most_lambda1(ia, exact_h):
             status = "VIOLATION"
 
     return {
@@ -219,9 +224,9 @@ def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
         "lambda1": _val_json(lam1),
         "window": _window_json(lam1),
         "spectrum_crosscheck": crosscheck,
-        "certificates": [_cert_json(graph_id, c) for c in all_certs],
+        "certificates": [_cert_json(graph_id, c, lam1) for c in all_certs],
         "bounds": [_bound_json(graph_id, b) for b in bounds],
-        "best": _cert_json(graph_id, best),
+        "best": _cert_json(graph_id, best, lam1),
         "exact_h": {"num": exact_h.numerator, "den": exact_h.denominator}
         if exact_h is not None else None,
         "status": status,

@@ -91,14 +91,14 @@ def exact_cheeger(g: Graph, exact_cap: int = 24):
     return Fraction(best_num, best_den), S
 
 
-def sweep_cut(g: Graph, lambda1=None) -> CutCertificate:
+def sweep_cut(g: Graph) -> CutCertificate:
     """Best prefix cut in the ordering of the second adjacency eigenvector."""
     vals, vecs = eigensystem(g)
-    return make_certificate(g, _sweep_order(g, vecs[:, -2]), "sweep", lambda1)
+    return make_certificate(g, _sweep_order(g, vecs[:, -2]), "sweep")
 
 
 def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
-                 lambda1=None, plateau_patience: int = 200,
+                 plateau_patience: int = 200,
                  swap_cap: int = 40_000) -> CutCertificate:
     """Kernighan-Lin style descent: single-vertex moves and (u out, w in)
     swaps, ratio monotonically non-increasing.  Equal-ratio moves pass through
@@ -211,7 +211,7 @@ def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
         moves += 1
         if cur[0] * best[1] < best[0] * cur[1]:
             best, best_S = cur, frozenset(np.flatnonzero(inS).tolist())
-    return make_certificate(g, best_S, "refine", lambda1)
+    return make_certificate(g, best_S, "refine")
 
 
 def _sweep_order(g: Graph, x) -> frozenset:
@@ -249,8 +249,8 @@ def _eigenspace_starts(g: Graph, seeds) -> list[frozenset]:
     return starts
 
 
-def _iterated_refine(g: Graph, start, seed: int, budget: int, lambda1,
-                     rounds: int = 12, patience: int = 400) -> CutCertificate:
+def _iterated_refine(g: Graph, start, seed: int, budget: int, rounds: int,
+                     patience: int) -> CutCertificate:
     """Iterated local search: monotone descent, then a seeded perturbation of
     the best set by four random swaps, repeated; stops after two stale rounds."""
     rng = random.Random(seed ^ 0x9E3779B9)
@@ -258,7 +258,7 @@ def _iterated_refine(g: Graph, start, seed: int, budget: int, lambda1,
     stale = 0
     S = start
     for _ in range(rounds):
-        cert = local_refine(g, S, budget, seed, lambda1, plateau_patience=patience)
+        cert = local_refine(g, S, budget, seed, plateau_patience=patience)
         if best is None or cert.ratio < best.ratio:
             best = cert
             stale = 0
@@ -280,17 +280,17 @@ def _iterated_refine(g: Graph, start, seed: int, budget: int, lambda1,
 
 
 def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig(),
-                     lambda1=None, extra_certs=()) -> CutCertificate:
+                     extra_certs=()) -> CutCertificate:
     """Minimum-ratio certificate over exact enumeration (when it fits), the
     spectral sweep, seeded refinements, and any supplied witness certificates."""
     certs = list(extra_certs)
     if g.n <= config.exact_cap:
         h, S = exact_cheeger(g, config.exact_cap)
-        cert = make_certificate(g, S, "exact", lambda1)
+        cert = make_certificate(g, S, "exact")
         assert cert.ratio == h
         certs.append(cert)
     else:
-        sw = sweep_cut(g, lambda1)
+        sw = sweep_cut(g)
         certs.append(sw)
         # effort scales down with size: big graphs are settled by witnesses,
         # the deep plateau walks matter only at Biggs-Smith/Foster scale
@@ -303,6 +303,5 @@ def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig(),
         starts = [sw.S] + _eigenspace_starts(g, config.seeds)
         for seed, start in zip((-1,) + tuple(config.seeds), starts):
             certs.append(_iterated_refine(g, start, max(seed, 0),
-                                          config.refine_budget, lambda1,
-                                          rounds=rounds, patience=patience))
+                                          config.refine_budget, rounds, patience))
     return min(certs, key=lambda c: (c.ratio, c.method, c.S))

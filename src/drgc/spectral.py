@@ -4,6 +4,8 @@ The D+1 distinct eigenvalues come from the tridiagonal intersection matrix,
 symmetrized by the sphere sizes; Laplacian eigenvalues are (k - theta)/k.
 An exact-quadratic extractor recovers theta_1 as a SqrtVal whenever it is
 rational or a quadratic irrational, which covers every graph in this package.
+Verdicts against lambda_1 need no closed form: at_most_lambda1 counts
+eigenvalues exactly for any intersection array.
 """
 
 from __future__ import annotations
@@ -153,6 +155,26 @@ def charpoly(ia: IntersectionArray) -> list[int]:
             nxt[j] -= scale * c
         prev, cur = cur, nxt
     return cur
+
+
+def at_most_lambda1(ia: IntersectionArray, r) -> bool:
+    """Decide r <= lambda_1 = (k - theta_1)/k exactly, for a rational r.
+
+    That holds iff theta_1 <= x = k(1 - r), i.e. iff at most one eigenvalue of
+    the intersection matrix lies above x (theta_0 = k is simple and largest).
+    The charpoly recursion at x gives the leading principal minors of xI - L,
+    a Sturm sequence: with its zeros dropped, the sign changes count the
+    eigenvalues strictly above x (Wilkinson, The Algebraic Eigenvalue
+    Problem, 1965), so r == lambda_1 is decided exactly too."""
+    if not isinstance(r, (int, Fraction)):
+        raise TypeError(f"at_most_lambda1 needs a rational, got {r!r}")
+    x = ia.k * (1 - Fraction(r))
+    minors = [Fraction(1), x - ia.a(0)]
+    for i in range(1, ia.D + 1):
+        minors.append((x - ia.a(i)) * minors[-1]
+                      - ia.b[i - 1] * ia.c[i - 1] * minors[-2])
+    signs = [m > 0 for m in minors if m]
+    return sum(s != t for s, t in zip(signs, signs[1:])) <= 1
 
 
 def _poly_eval(poly, x: Fraction) -> Fraction:

@@ -3,39 +3,27 @@
 Each construction returns a CutCertificate whose ratio is recomputed from the
 graph by cut_stats (no construction trusts its own arithmetic), or an
 AnalyticBound whose derivation is re-checkable from the intersection array
-alone.  Verdicts against lambda_1 prefer exact arithmetic; a float fallback
-within 1e-9 is reported as "within-tolerance", never as a silent pass.
+alone.  Builders only build: a certificate's verdict against lambda_1 is
+decided once, by the report, with the exact eigenvalue count
+spectral.at_most_lambda1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (DrgcError, GraphError, NotBipartite, ParamDomain,
                      RangeError, SearchFailed, WrongGraph)
-from .exact import SqrtVal, exact_le
+from .exact import SqrtVal
 from .graph import (CutStats, Graph, IntersectionArray, bfs_distances,
-                    cut_stats, girth, intersection_array, two_coloring)
+                    cut_stats, girth, two_coloring)
 from .spectral import srg_eigenvalues
 
 
 class NotAntipodalError(DrgcError):
     def __init__(self, ia):
         super().__init__(f"array {ia} does not describe an antipodal fibre")
-
-
-def verdict_against(value, lambda1) -> str:
-    """Compare an upper bound against lambda_1: 'ok', 'open', or 'within-tolerance'."""
-    if lambda1 is None:
-        return "unknown"
-    holds, exact = exact_le(value, lambda1)
-    if exact:
-        return "ok" if holds else "open"
-    if holds:
-        lo, _ = exact_le(lambda1, value)
-        return "within-tolerance" if lo else "ok"
-    return "open"
 
 
 @dataclass(frozen=True)
@@ -45,7 +33,6 @@ class CutCertificate:
     ratio: Fraction
     method: str
     verdict: str = "unknown"
-    lambda1: object = None
     notes: tuple[str, ...] = ()
 
     @property
@@ -70,8 +57,7 @@ class AnalyticBound:
                 f"verdict={self.verdict}>")
 
 
-def make_certificate(g: Graph, S, method: str, lambda1=None,
-                     notes=()) -> CutCertificate:
+def make_certificate(g: Graph, S, method: str, notes=()) -> CutCertificate:
     """Normalize S to the side of smaller volume and recompute everything."""
     S = frozenset(S)
     st = cut_stats(g, S)
@@ -81,7 +67,7 @@ def make_certificate(g: Graph, S, method: str, lambda1=None,
         st = cut_stats(g, S)
     ratio = Fraction(st.boundary, st.vol)
     return CutCertificate(tuple(sorted(S)), st, ratio, method,
-                          verdict_against(ratio, lambda1), lambda1, tuple(notes))
+                          notes=tuple(notes))
 
 
 # -- generic subgraph certificate (average-valency lemma) -----------------------
@@ -89,23 +75,20 @@ def make_certificate(g: Graph, S, method: str, lambda1=None,
 def avg_valency_certificate(g: Graph, S, theta1, method="descendant") -> CutCertificate:
     """Certificate from an induced subgraph on at most half the vertices:
     ratio = (k - k')/k with k' the average valency of the subgraph; the bound
-    is at most lambda_1 exactly when k' >= theta_1."""
+    is at most lambda_1 exactly when k' >= theta_1 (theta1 feeds the note)."""
     S = frozenset(S)
     if 2 * len(S) > g.n:
         raise DrgcError(f"|S| = {len(S)} exceeds half of {g.n}")
-    k = g.regular_degree()
     st = cut_stats(g, S)
     kprime = Fraction(st.inside, st.size)
-    lam1 = (SqrtVal(k) - SqrtVal.of(theta1)) / k if theta1 is not None else None
-    hyp_ok, _ = exact_le(SqrtVal.of(theta1), kprime) if theta1 is not None else (False, False)
+    hyp_ok = theta1 is not None and SqrtVal.of(theta1) <= kprime
     notes = (f"avg valency k' = {kprime} {'>=' if hyp_ok else '<'} theta1",)
-    return make_certificate(g, S, method, lam1, notes)
+    return make_certificate(g, S, method, notes)
 
 
 # -- ball / sphere cuts ----------------------------------------------------------
 
-def ball_cut(g: Graph, x: int, radius: int, mode: str = "ball",
-             lambda1=None) -> CutCertificate:
+def ball_cut(g: Graph, x: int, radius: int, mode: str = "ball") -> CutCertificate:
     dist = bfs_distances(g, x)
     diam = max(dist)
     if not 0 <= radius <= diam or (mode == "ball" and radius >= diam):
@@ -116,21 +99,20 @@ def ball_cut(g: Graph, x: int, radius: int, mode: str = "ball",
         S = [v for v in range(g.n) if dist[v] == radius]
     else:
         raise DrgcError(f"unknown mode {mode!r}")
-    return make_certificate(g, S, f"{mode}-{radius}", lambda1)
+    return make_certificate(g, S, f"{mode}-{radius}")
 
 
-def shilla_cut(g: Graph, ia: IntersectionArray, lambda1=None) -> CutCertificate:
+def shilla_cut(g: Graph, ia: IntersectionArray) -> CutCertificate:
     """S = Gamma_3(x) for diameter-3 graphs with theta_1 = a_3; then the ratio
     is c_3/k = lambda_1 provided the sphere is at most half the graph."""
     if ia.D != 3:
         raise ParamDomain("shilla cut needs diameter 3")
-    cert = ball_cut(g, 0, 3, "sphere", lambda1)
+    cert = ball_cut(g, 0, 3, "sphere")
     expected = Fraction(ia.c[2], ia.k)
     notes = (f"c3/k = {expected}",)
     if 2 * ia.sphere_sizes()[3] > ia.v:
         notes += ("sphere exceeds half the graph; ratio is the complement's",)
-    return CutCertificate(cert.S, cert.stats, cert.ratio, "shilla-sphere",
-                          cert.verdict, cert.lambda1, notes)
+    return replace(cert, method="shilla-sphere", notes=notes)
 
 
 # -- strongly regular graphs -----------------------------------------------------
@@ -227,7 +209,7 @@ def cross_edges(g: Graph, A, B) -> int:
 
 # -- bipartite half-half cut -------------------------------------------------------
 
-def bipartite_half_cut(g: Graph, lambda1=None) -> CutCertificate:
+def bipartite_half_cut(g: Graph) -> CutCertificate:
     """Half of each side, the second half chosen greedily: ratio <= 1/2 for
     even side size r, and <= 1/2 + 1/(2 r^2) for odd r."""
     sideA, sideB = two_coloring(g)
@@ -237,17 +219,11 @@ def bipartite_half_cut(g: Graph, lambda1=None) -> CutCertificate:
     k = g.regular_degree()
     if k is None:
         raise GraphError("bipartite half cut needs a regular graph")
-    if r % 2 == 0:
-        m = r // 2
-        A1 = frozenset(sideA[:m])
-        B1 = greedy_dense_subset(g, A1, sideB, m)
-        guarantee = Fraction(1, 2)
-    else:
-        m = (r - 1) // 2
-        A1 = frozenset(sideA[:m])
-        B1 = greedy_dense_subset(g, A1, sideB, m + 1)
-        guarantee = Fraction(1, 2) + Fraction(1, 2 * r * r)
-    cert = make_certificate(g, A1 | B1, "bipartite-half", lambda1,
+    m = r // 2
+    A1 = frozenset(sideA[:m])
+    B1 = greedy_dense_subset(g, A1, sideB, r - m)
+    guarantee = bipartite_half_guarantee(r)
+    cert = make_certificate(g, A1 | B1, "bipartite-half",
                             notes=(f"guarantee <= {guarantee}",))
     if cert.ratio > guarantee:
         raise DrgcError(f"half cut ratio {cert.ratio} exceeds guarantee {guarantee}")
@@ -286,8 +262,7 @@ def doubled_grassmann_verdict(q: int, t: int) -> AnalyticBound:
     else:
         trace.append(f"q = {q} <= 3 and t > 1: lambda1 < 1/2, no half-cut verdict")
         return AnalyticBound(bound, "doubled-grassmann", "open", lam1, tuple(trace))
-    verdict = verdict_against(bound, lam1)
-    if verdict != "ok":
+    if not bound <= lam1:
         raise DrgcError(f"half-cut bound unexpectedly fails for q={q}, t={t}")
     return AnalyticBound(bound, "doubled-grassmann", "ok", lam1, tuple(trace))
 
@@ -330,8 +305,7 @@ def gq_gh_incidence_verdict(kind: str, q: int) -> AnalyticBound:
         trace.append(f"odd q >= {min_ok}: v divisible by 4, half cut gives 1/2 < lambda1")
     else:
         trace.append(f"even q >= {min_ok}: r odd, bound 1/2 + 1/(2r^2) < lambda1")
-    verdict = verdict_against(bound, lam1)
-    if verdict != "ok":
+    if not bound <= lam1:
         raise DrgcError(f"{kind}({q}): expected OK but bound {bound} vs {float(lam1)}")
     return AnalyticBound(bound, f"{kind.lower()}-incidence", "ok", lam1, tuple(trace))
 
@@ -351,16 +325,14 @@ def bipartite_diameter3_verdict(ia: IntersectionArray) -> AnalyticBound:
     trace = (f"theta1 = sqrt(k-c2) = sqrt({k - c2})",
              f"v = {ia.v}, half-cut bound = {bound}",
              "lambda1 >= (k - sqrt(k-1))/k >= 28/50 for k >= 4")
-    verdict = verdict_against(bound, lam1)
-    if verdict != "ok":
+    if not bound <= lam1:
         raise DrgcError(f"bip3 bound {bound} vs lambda1 {float(lam1)} failed")
     return AnalyticBound(bound, "bipartite-diam3", "ok", lam1, tuple(trace))
 
 
 # -- antipodal diameter 3 ----------------------------------------------------------
 
-def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1,
-                        lambda1=None) -> CutCertificate:
+def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1) -> CutCertificate:
     """Certificate for antipodal diameter-3 graphs.
 
     Either grows t-subsets of the neighborhoods across a whole antipodal fibre
@@ -372,10 +344,8 @@ def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1,
     a1 = ia.a(1)
     t = (k + 1) // 2
     theta1 = SqrtVal.of(theta1)
-    fibre_ok, _ = exact_le(theta1, Fraction(t * b1, k))
-    ball_ok, _ = exact_le(theta1, a1 + 1)
 
-    if fibre_ok:
+    if theta1 <= Fraction(t * b1, k):
         x0 = 0
         dist = bfs_distances(g, x0)
         fibre = [x0] + [v for v in range(g.n) if dist[v] == 3]
@@ -394,28 +364,23 @@ def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1,
                 f"fibre loop invariant failed at step {j}"
         notes = (f"fibre branch: |S|=(r+1)t={(r + 1) * t}, "
                  f"avg valency >= (t/k) b1 = {Fraction(t * b1, k)}",)
-        return make_certificate(g, B, "antipodal-fibre", lambda1, notes)
+        return make_certificate(g, B, "antipodal-fibre", notes)
 
-    if ball_ok:
-        cert = ball_cut(g, 0, 1, "ball", lambda1)
+    if theta1 <= a1 + 1:
         notes = (f"ball branch: theta1 <= a1+1 = {a1 + 1}; "
                  f"avg valency k(a1+2)/(k+1) = {Fraction(k * (a1 + 2), k + 1)}",)
-        return CutCertificate(cert.S, cert.stats, cert.ratio, "antipodal-ball",
-                              cert.verdict, cert.lambda1, notes)
-
-    # theta_1 > max((t/k) b1, a1+1) forces theta_1 = sqrt(k), k <= 6 (else
-    # contradictory); the closed ball still has average valency 3k/(k+1) > sqrt(k).
-    if k <= 6:
-        cert = ball_cut(g, 0, 1, "ball", lambda1)
+    elif k <= 6:
+        # theta_1 > max((t/k) b1, a1+1) forces theta_1 = sqrt(k), k <= 6 (else
+        # contradictory); the closed ball still has average valency 3k/(k+1) > sqrt(k).
         notes = ("small-valency branch: avg valency 3k/(k+1) > sqrt(k) = theta1",)
-        return CutCertificate(cert.S, cert.stats, cert.ratio, "antipodal-ball",
-                              cert.verdict, cert.lambda1, notes)
-    raise DrgcError(f"antipodal branches exhausted for {ia}")  # pragma: no cover
+    else:  # pragma: no cover
+        raise DrgcError(f"antipodal branches exhausted for {ia}")
+    return replace(ball_cut(g, 0, 1, "ball"), method="antipodal-ball", notes=notes)
 
 
 # -- girth cycle cut ----------------------------------------------------------------
 
-def girth_cycle_cut(g: Graph, lambda1=None) -> CutCertificate:
+def girth_cycle_cut(g: Graph) -> CutCertificate:
     """A shortest cycle as the cut set: for k >= 3 and D >= 3 the cycle has at
     most n/2 vertices and ratio exactly (k-2)/k."""
     k = g.regular_degree()
@@ -424,7 +389,7 @@ def girth_cycle_cut(g: Graph, lambda1=None) -> CutCertificate:
     glen, cyc = girth(g, with_cycle=True)
     if 2 * glen > g.n:
         raise ParamDomain(f"girth {glen} exceeds n/2 = {g.n / 2}")
-    cert = make_certificate(g, cyc, "girth-cycle", lambda1,
+    cert = make_certificate(g, cyc, "girth-cycle",
                             notes=(f"girth {glen}; ratio (k-2)/k = {Fraction(k - 2, k)}",))
     if cert.ratio != Fraction(k - 2, k):
         raise DrgcError(f"cycle cut ratio {cert.ratio} != (k-2)/k")
@@ -441,7 +406,7 @@ def _triangle_of_edge(g: Graph, u: int, v: int) -> int:
     return common[0]
 
 
-def triangle_chain_cut(g: Graph, triangles: int = 3, lambda1=None) -> CutCertificate:
+def triangle_chain_cut(g: Graph, triangles: int = 3) -> CutCertificate:
     """A chain of edge-disjoint triangles sharing single vertices; on the flag
     graph of a projective plane of order 2 this is the 7-vertex, boundary-10 set."""
     k = g.regular_degree()
@@ -457,10 +422,10 @@ def triangle_chain_cut(g: Graph, triangles: int = 3, lambda1=None) -> CutCertifi
         w = _triangle_of_edge(g, x, u)
         S.update((x, u, w))
         x = min(v for v in (u, w))
-    return make_certificate(g, S, "triangle-chain", lambda1)
+    return make_certificate(g, S, "triangle-chain")
 
 
-def triangle_octagon_cut(g: Graph, lambda1=None) -> CutCertificate:
+def triangle_octagon_cut(g: Graph) -> CutCertificate:
     """Two internally disjoint 4-paths between vertices at distance 4, plus the
     triangle apex of every path edge: an octagon of triangles with |S| = 16 and
     boundary 16 on the flag graph of the generalized quadrangle of order 2."""
@@ -481,7 +446,7 @@ def triangle_octagon_cut(g: Graph, lambda1=None) -> CutCertificate:
                 S = set(cycle)
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     S.add(_triangle_of_edge(g, a, b))
-                cert = make_certificate(g, S, "triangle-octagon", lambda1)
+                cert = make_certificate(g, S, "triangle-octagon")
                 if len(cert.S) == 16 and cert.stats.boundary == 16:
                     return cert
     raise SearchFailed("no disjoint 4-path pair produced an octagon of triangles")
@@ -513,11 +478,10 @@ TWELVE_CAGE_ARRAY = IntersectionArray((3, 2, 2, 2, 2, 2), (1, 1, 1, 1, 1, 3))
 GQ33_ARRAY = IntersectionArray((4, 3, 3, 3), (1, 1, 1, 4))
 
 
-def twelve_cage_witness(g: Graph, lambda1=None) -> CutCertificate:
+def twelve_cage_witness(g: Graph, ia: IntersectionArray) -> CutCertificate:
     """The incidence-graph witness for the girth-12 cage: a tree of 8 vertices
     in the distance-2 graph on Gamma_6(x), pulled back through Gamma_5, Gamma_4,
-    and glued to the radius-3 ball."""
-    ia = intersection_array(g)
+    and glued to the radius-3 ball.  ia is g's intersection array."""
     if ia != TWELVE_CAGE_ARRAY:
         raise WrongGraph(f"array {ia} is not the 12-cage's")
     x = 0
@@ -544,7 +508,7 @@ def twelve_cage_witness(g: Graph, lambda1=None) -> CutCertificate:
     S = {v for v in range(g.n) if dist[v] <= 3} | S4 | S5 | S6
     notes = (f"|S5| = {len(S5)}, measured a = |S4| = {a}",
              f"|S| = 47 + a = {len(S)}, boundary a + 17 = {a + 17}")
-    cert = make_certificate(g, S, "twelve-cage", lambda1, notes)
+    cert = make_certificate(g, S, "twelve-cage", notes)
     if len(S5) != 17 or len(S) != 47 + a or cert.stats.boundary != a + 17:
         raise DrgcError(f"witness counts off: {notes}")
     return cert
@@ -568,11 +532,10 @@ def _find_path_in(adj: dict, nverts: int):
     return None
 
 
-def gq33_incidence_witness(g: Graph, lambda1=None) -> CutCertificate:
+def gq33_incidence_witness(g: Graph, ia: IntersectionArray) -> CutCertificate:
     """Witness for the incidence graph of the generalized quadrangle of order 3:
     the radius-2 ball around x plus three mutually distant closed neighborhoods
-    in Gamma_4(x); |S| = 32, boundary 48."""
-    ia = intersection_array(g)
+    in Gamma_4(x); |S| = 32, boundary 48.  ia is g's intersection array."""
     if ia != GQ33_ARRAY:
         raise WrongGraph(f"array {ia} is not the GQ(3,3) incidence array")
     x = 0
@@ -585,7 +548,7 @@ def gq33_incidence_witness(g: Graph, lambda1=None) -> CutCertificate:
     for y in ys:
         S.add(y)
         S.update(g.adj[y])
-    cert = make_certificate(g, S, "gq33-incidence", lambda1,
+    cert = make_certificate(g, S, "gq33-incidence",
                             notes=(f"y = {ys}", "|S| = 32, boundary = 48"))
     if len(cert.S) != 32 or cert.stats.boundary != 48:
         raise DrgcError(f"witness counts off: |S|={len(cert.S)}, b={cert.stats.boundary}")

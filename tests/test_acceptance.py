@@ -19,7 +19,8 @@ from drgc.families import FamilySpec, construct, default_grid, descendant, theor
 from drgc.graph import IntersectionArray, cut_stats, intersection_array
 from drgc.report import emit, verify_all
 from drgc.search import SearchConfig, best_upper_bound, exact_cheeger
-from drgc.spectral import dense_spectrum, distinct_values, drg_spectrum
+from drgc.spectral import (at_most_lambda1, dense_spectrum, distinct_values,
+                           drg_spectrum)
 from drgc.witness import (cross_edges, gq33_incidence_witness,
                           greedy_dense_subset, srg_certify, triangle_chain_cut,
                           triangle_octagon_cut, twelve_cage_witness)
@@ -118,29 +119,29 @@ def test_criterion_4_descendants():
 def test_criterion_5_witness_count_reproduction():
     with criterion(5, "named witnesses hit their exact expected counts"):
         g, e = catalog_load("tutte-12-cage")
-        cert = twelve_cage_witness(g, e.lambda1)
+        cert = twelve_cage_witness(g, e.array)
         if len(cert.S) <= g.n // 2 and len(cert.S) >= 47:
             a = len(cert.S) - 47
             assert cert.stats.boundary == a + 17
             assert cert.ratio <= Fraction(33, 189)
         else:            # a = 17, the complement was reported
             assert cert.ratio == Fraction(34, 3 * 62)
-        assert cert.verdict == "ok"
+        assert at_most_lambda1(e.array, cert.ratio)
 
         g, e = catalog_load("incidence-gq33")
-        cert = gq33_incidence_witness(g, e.lambda1)
+        cert = gq33_incidence_witness(g, e.array)
         assert len(cert.S) == 32 and cert.stats.boundary == 48
         assert cert.ratio == Fraction(3, 8)
         assert e.lambda1 > Fraction(3, 8)     # exact: 3/8 < (4-sqrt 6)/4
 
         g, e = catalog_load("flag-gq22")
-        cert = triangle_octagon_cut(g, e.lambda1)
+        cert = triangle_octagon_cut(g)
         assert len(cert.S) == 16 and cert.stats.boundary == 16
         assert cert.ratio == Fraction(1, 4) == e.lambda1.as_fraction()
 
         g, e = catalog_load("flag-pg22")
-        cert = triangle_chain_cut(g, 3, e.lambda1)
-        assert cert.ratio <= Fraction(10, 28) and cert.verdict == "ok"
+        cert = triangle_chain_cut(g, 3)
+        assert cert.ratio <= Fraction(10, 28) and at_most_lambda1(e.array, cert.ratio)
 
 
 def test_criterion_6_search_targets():
@@ -148,13 +149,13 @@ def test_criterion_6_search_targets():
         cfg = SearchConfig()
         t0 = time.time()
         g, e = catalog_load("biggs-smith")
-        cert = best_upper_bound(g, cfg, e.lambda1)
+        cert = best_upper_bound(g, cfg)
         assert cert.ratio <= Fraction(1, 9)
         assert time.time() - t0 < 60
         t0 = time.time()
         g, e = catalog_load("foster")
-        cert = best_upper_bound(g, cfg, e.lambda1)
-        assert cert.verdict == "ok"           # ratio <= (3-sqrt6)/3, exact
+        cert = best_upper_bound(g, cfg)
+        assert at_most_lambda1(e.array, cert.ratio)   # ratio <= (3-sqrt6)/3, exact
         k = 3
         kprime = k * (1 - cert.ratio)
         assert kprime * kprime >= 6           # average valency beats sqrt(6)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from drgc.exact import SqrtVal, exact_le
+from drgc.exact import SqrtVal
 
 
 def test_squarefree_reduction():
@@ -42,6 +42,8 @@ def test_exact_comparisons():
     assert SqrtVal(1, -1, 2) < 0
     assert SqrtVal(0, 1, 2) == SqrtVal(0, 1, 2)
     assert SqrtVal(2) == 2
+    # a Fraction on the left is decided by SqrtVal's reflected comparison
+    assert Fraction(1, 3) <= SqrtVal(0, 1, 2)
 
 
 def test_cross_radical_comparison_raises():
@@ -49,8 +51,18 @@ def test_cross_radical_comparison_raises():
         SqrtVal(0, 1, 2) < SqrtVal(0, 1, 3)
 
 
-def test_exact_le_fallback():
-    holds, exact = exact_le(Fraction(1, 3), SqrtVal(0, 1, 2))
-    assert holds and exact
-    holds, exact = exact_le(SqrtVal(0, 1, 2), SqrtVal(0, 1, 3))
-    assert holds and not exact
+def test_float_rejected():
+    # a rounded value must never pass as exact
+    with pytest.raises(TypeError):
+        SqrtVal(0.5)
+    with pytest.raises(TypeError):
+        SqrtVal(1, 0.5, 2)
+    with pytest.raises(TypeError):
+        SqrtVal.of(0.1)
+    with pytest.raises(TypeError):
+        SqrtVal(1) <= 0.5
+    with pytest.raises(TypeError):
+        SqrtVal(1) - 0.5
+    with pytest.raises(TypeError):
+        0.5 - SqrtVal(1)
+    assert SqrtVal.of(Fraction(1, 10)) == Fraction(1, 10)

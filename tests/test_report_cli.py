@@ -35,6 +35,17 @@ def test_verify_one_g6_target():
     assert r["status"] == "OK" and r["k"] == 3 and r["n"] == 10
 
 
+def test_verify_one_cubic_theta1_g6():
+    # C7 has a cubic theta_1, so lambda_1 is only known as a float; the
+    # verdicts still come from the exact eigenvalue count
+    from drgc.graph import Graph, g6_encode
+    c7 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+    r = verify_one(g6_encode(c7), FAST)
+    assert r["theta1"].keys() == {"approx"}
+    assert r["status"] == "OK" and r["exact_h"] == {"num": 1, "den": 3}
+    assert r["best"]["verdict"] == "ok"
+
+
 def test_verify_one_parameters_only():
     r = verify_one("gh33-incidence", FAST)
     assert r["parameters_only"] is True

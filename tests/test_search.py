@@ -68,31 +68,31 @@ def test_sweep_within_theorem_window():
     for name in ("cube", "petersen", "heawood", "dodecahedron", "foster",
                  "biggs-smith", "desargues"):
         g, e = catalog_load(name)
-        cert = sweep_cut(g, e.lambda1)
+        cert = sweep_cut(g)
         lam = float(e.lambda1)
         assert float(cert.ratio) <= math.sqrt(lam * (2 - lam)) + 1e-9, name
 
 
 def test_sweep_even_bipartite_half():
-    g, e = catalog_load("desargues")      # sides of 10
-    cert = sweep_cut(g, e.lambda1)
+    g, _ = catalog_load("desargues")      # sides of 10
+    cert = sweep_cut(g)
     assert float(cert.ratio) <= 0.5 + 1e-12
 
 
 def test_refine_never_increases_and_deterministic():
-    g, e = catalog_load("dodecahedron")
+    g, _ = catalog_load("dodecahedron")
     start = frozenset(range(10))
     r0 = Fraction(cut_stats(g, start).boundary, cut_stats(g, start).vol)
-    a = local_refine(g, start, budget=5000, seed=3, lambda1=e.lambda1)
-    b = local_refine(g, start, budget=5000, seed=3, lambda1=e.lambda1)
+    a = local_refine(g, start, budget=5000, seed=3)
+    b = local_refine(g, start, budget=5000, seed=3)
     assert a.ratio <= r0
     assert a.S == b.S and a.ratio == b.ratio
 
 
 def test_refine_reaches_optimum_on_dodecahedron():
-    g, e = catalog_load("dodecahedron")
-    sw = sweep_cut(g, e.lambda1)
-    cert = local_refine(g, sw.S, budget=20000, seed=0, lambda1=e.lambda1)
+    g, _ = catalog_load("dodecahedron")
+    sw = sweep_cut(g)
+    cert = local_refine(g, sw.S, budget=20000, seed=0)
     assert cert.ratio == Fraction(1, 5)
 
 
@@ -105,31 +105,31 @@ def test_refine_fixed_point():
 
 def test_exact_beats_all_other_certificates():
     from drgc.witness import girth_cycle_cut, bipartite_half_cut
-    g, e = catalog_load("heawood")
+    g, _ = catalog_load("heawood")
     h, _ = exact_cheeger(g)
-    assert h <= girth_cycle_cut(g, e.lambda1).ratio
-    assert h <= bipartite_half_cut(g, e.lambda1).ratio
-    assert h <= sweep_cut(g, e.lambda1).ratio
+    assert h <= girth_cycle_cut(g).ratio
+    assert h <= bipartite_half_cut(g).ratio
+    assert h <= sweep_cut(g).ratio
 
 
 def test_best_upper_bound_uses_exact_when_small():
-    g, e = catalog_load("cube")
-    cert = best_upper_bound(g, SearchConfig(), e.lambda1)
+    g, _ = catalog_load("cube")
+    cert = best_upper_bound(g, SearchConfig())
     assert cert.method in ("exact",) and cert.ratio == Fraction(1, 3)
 
 
 def test_best_upper_bound_deterministic_on_large():
-    g, e = catalog_load("foster")
+    g, _ = catalog_load("foster")
     cfg = SearchConfig()
-    a = best_upper_bound(g, cfg, e.lambda1)
-    b = best_upper_bound(g, cfg, e.lambda1)
+    a = best_upper_bound(g, cfg)
+    b = best_upper_bound(g, cfg)
     assert a.S == b.S and a.ratio == b.ratio
 
 
 # -- numpy local refinement against the pure-Python loop ----------------------
 
 def reference_local_refine(g, S, budget: int = 100_000, seed: int = 0,
-                           lambda1=None, tabu_len: int = 50,
+                           tabu_len: int = 50,
                            plateau_patience: int = 200, swap_cap: int = 40_000):
     """Pure-Python local refinement, one candidate move at a time: the
     reference the numpy move scan of ``local_refine`` must reproduce exactly
@@ -231,7 +231,7 @@ def reference_local_refine(g, S, budget: int = 100_000, seed: int = 0,
         moves += 1
         if rless(cur, best):
             best, best_S = cur, frozenset(S)
-    return make_certificate(g, best_S, "refine", lambda1)
+    return make_certificate(g, best_S, "refine")
 
 
 def _graph(name):
@@ -255,11 +255,11 @@ def test_refine_matches_reference(name):
     rng = random.Random(2024)
     for i, start in enumerate(_starts(g.n, rng)):
         for seed in (0, 5):
-            args = (g, start, 2000, seed, None)
+            args = (g, start, 2000, seed)
             assert local_refine(*args, plateau_patience=60) == \
                 reference_local_refine(*args, plateau_patience=60), (name, i, seed)
     # pair scan over the cap: plateau walks of single moves only
-    args = (g, _starts(g.n, rng)[2], 500, 1, None)
+    args = (g, _starts(g.n, rng)[2], 500, 1)
     assert local_refine(*args, swap_cap=0) == reference_local_refine(*args, swap_cap=0)
 
 

@@ -8,12 +8,13 @@ import pytest
 
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import RangeError, TooLarge
-from drgc.families import FamilySpec, construct
-from drgc.graph import Graph, IntersectionArray
-from drgc.spectral import (classical_k, classical_theta1, dense_spectrum,
-                           distinct_values, drg_spectrum, exact_theta1,
-                           interlace_check, quotient_matrix, srg_eigenvalues,
-                           cheeger_window)
+from drgc.exact import SqrtVal
+from drgc.families import FamilySpec, construct, default_grid
+from drgc.graph import Graph, IntersectionArray, intersection_array
+from drgc.spectral import (at_most_lambda1, classical_k, classical_theta1,
+                           dense_spectrum, distinct_values, drg_spectrum,
+                           exact_theta1, interlace_check, quotient_matrix,
+                           srg_eigenvalues, cheeger_window)
 
 
 def test_drg_spectrum_heawood():
@@ -160,3 +161,42 @@ def test_srg_eigenvalues():
     t1, t2 = srg_eigenvalues(6, 2, 3)      # conference srg(13,...)
     assert not t1.is_rational
     assert float(t1) == pytest.approx((math.sqrt(13) - 1) / 2)
+
+
+# -- exact verdicts: the Sturm count against lambda_1 ----------------------------
+
+def test_at_most_lambda1_matches_exact_comparison():
+    """Every catalog and grid array, at every p/d in [0, 2] with d <= 24,
+    against the SqrtVal comparison with (k - theta_1)/k."""
+    arrays = {e.array for e in catalog_list()}
+    arrays |= {intersection_array(construct(spec)) for spec in default_grid()}
+    ratios = {Fraction(p, d) for d in range(1, 25) for p in range(2 * d + 1)}
+    for ia in arrays:
+        t1 = exact_theta1(ia)
+        assert t1 is not None, ia
+        lam1 = (SqrtVal(ia.k) - t1) / ia.k
+        for r in ratios:
+            assert at_most_lambda1(ia, r) == (r <= lam1), (str(ia), r)
+
+
+def test_at_most_lambda1_equality_cases():
+    # Shilla sphere on hamming:3,3 and the triangle octagon on flag-gq22 both
+    # meet lambda_1 exactly; anything above it must fail
+    gq22 = next(e.array for e in catalog_list() if e.name == "flag-gq22")
+    for ia, lam1 in ((IntersectionArray((6, 4, 2), (1, 2, 3)), Fraction(1, 2)),
+                     (gq22, Fraction(1, 4))):
+        assert (SqrtVal(ia.k) - exact_theta1(ia)) / ia.k == lam1
+        assert at_most_lambda1(ia, lam1)
+        assert not at_most_lambda1(ia, lam1 + Fraction(1, 10 ** 12))
+
+
+def test_at_most_lambda1_cubic_theta1():
+    # C7: theta_1 = 2cos(2pi/7) is cubic, so exact_theta1 has no value; the
+    # float lambda_1 lies about 1.6e-16 above the true one and must fail
+    c7 = IntersectionArray((2, 1, 1), (1, 1, 1))
+    assert exact_theta1(c7) is None
+    f = Fraction(drg_spectrum(c7).lambda1)
+    assert not at_most_lambda1(c7, f)
+    assert at_most_lambda1(c7, f - Fraction(1, 10 ** 15))
+    with pytest.raises(TypeError):
+        at_most_lambda1(c7, drg_spectrum(c7).lambda1)

@@ -9,6 +9,7 @@ from drgc.errors import DrgcError, InfeasibleParams, ParamDomain
 from drgc.exact import SqrtVal
 from drgc.families import FamilySpec, construct, descendant, theory_values
 from drgc.graph import Graph, IntersectionArray, cut_stats, intersection_array
+from drgc.spectral import at_most_lambda1
 from drgc.witness import (antipodal_fibre_cut, avg_valency_certificate,
                           balanced_partition_bound, ball_cut,
                           bipartite_diameter3_verdict, bipartite_half_cut,
@@ -23,10 +24,11 @@ from drgc.witness import (antipodal_fibre_cut, avg_valency_certificate,
 # -- certificates recompute their own arithmetic -------------------------------------
 
 def test_certificate_recomputed_from_scratch():
-    g, e = catalog_load("petersen")
-    cert = make_certificate(g, {0, 1, 2, 3}, "test", e.lambda1)
+    g, _ = catalog_load("petersen")
+    cert = make_certificate(g, {0, 1, 2, 3}, "test")
     st = cut_stats(g, set(cert.S))
     assert cert.stats == st and cert.ratio == Fraction(st.boundary, st.vol)
+    assert cert.verdict == "unknown"        # only the report judges certificates
 
 
 def test_certificate_normalizes_large_sets():
@@ -44,7 +46,7 @@ def test_avg_valency_johnson_descendant():
     g = construct(spec)
     cert = avg_valency_certificate(g, descendant(spec), theory_values(spec).theta1)
     assert cert.ratio == Fraction(9 - 6, 9)      # (k - k')/k with k' = 6
-    assert cert.verdict == "ok"
+    assert at_most_lambda1(intersection_array(g), cert.ratio)
 
 
 def test_avg_valency_single_vertex():
@@ -65,8 +67,8 @@ def test_avg_valency_foster_target_numbers():
 # -- ball and sphere cuts ---------------------------------------------------------------
 
 def test_ball_cut_petersen_reproduces_srg_bound():
-    g, e = catalog_load("petersen")
-    cert = ball_cut(g, 0, 1, "ball", e.lambda1)
+    g, _ = catalog_load("petersen")
+    cert = ball_cut(g, 0, 1, "ball")
     k, b1, c2 = 3, 2, 1
     assert cert.ratio == max(Fraction(b1, k + 1), Fraction(c2, k)) == Fraction(1, 2)
 
@@ -92,19 +94,19 @@ def test_shilla_hamming33():
     ia = intersection_array(g)
     assert ia.a(3) == 3
     lam1 = theory_values(FamilySpec.parse("hamming:3,3")).lambda1
-    cert = shilla_cut(g, ia, lam1)
-    assert cert.ratio == Fraction(ia.c[2], ia.k) == Fraction(1, 2)
-    assert cert.verdict == "ok"                  # c_3/k = lambda_1 exactly
+    cert = shilla_cut(g, ia)
+    assert cert.ratio == Fraction(ia.c[2], ia.k) == Fraction(1, 2) == lam1
+    assert at_most_lambda1(ia, cert.ratio)       # c_3/k = lambda_1 exactly
 
 
 def test_shilla_odd4_exception():
     # O_4 is Shilla but Gamma_3 exceeds half the graph; the cut is honest
-    g, e = catalog_load("odd-4")
+    g, _ = catalog_load("odd-4")
     ia = intersection_array(g)
     sphere = ia.sphere_sizes()[3]
     assert 2 * sphere > ia.v
-    cert = shilla_cut(g, ia, e.lambda1)
-    assert cert.verdict == "open"               # this method fails here, as it must
+    cert = shilla_cut(g, ia)
+    assert not at_most_lambda1(ia, cert.ratio)  # this method fails here, as it must
 
 
 # -- strongly regular certification ------------------------------------------------------
@@ -196,19 +198,19 @@ def test_half_cut_c4():
 
 def test_half_cut_heawood_odd_sides():
     g, e = catalog_load("heawood")
-    cert = bipartite_half_cut(g, e.lambda1)
+    cert = bipartite_half_cut(g)
     assert cert.ratio <= Fraction(1, 2) + Fraction(1, 2 * 49)
-    assert cert.verdict == "ok"
+    assert at_most_lambda1(e.array, cert.ratio)
 
 
 def test_half_cut_gq33_even_sides():
     # sides of 40 are even, so the guarantee is 1/2; that alone exceeds
     # lambda_1 = (4-sqrt(6))/4 here, but the realized cut lands below it
     g, e = catalog_load("incidence-gq33")
-    cert = bipartite_half_cut(g, e.lambda1)
+    cert = bipartite_half_cut(g)
     assert cert.ratio <= Fraction(1, 2)
     assert e.lambda1 < Fraction(1, 2)
-    assert cert.ratio < e.lambda1 and cert.verdict == "ok"
+    assert cert.ratio < e.lambda1 and at_most_lambda1(e.array, cert.ratio)
 
 
 def test_half_cut_respects_guarantee_on_catalog_bipartite():
@@ -217,9 +219,9 @@ def test_half_cut_respects_guarantee_on_catalog_bipartite():
     for entry in catalog_list():
         if entry.source == "parameters-only" or not entry.array.is_bipartite():
             continue
-        g, e = catalog_load(entry.name)
+        g, _ = catalog_load(entry.name)
         r = g.n // 2
-        cert = bipartite_half_cut(g, e.lambda1)
+        cert = bipartite_half_cut(g)
         guarantee = Fraction(1, 2) if r % 2 == 0 \
             else Fraction(1, 2) + Fraction(1, 2 * r * r)
         assert cert.ratio <= guarantee, entry.name
@@ -287,22 +289,22 @@ def test_icosahedron_ball_branch():
     g, e = catalog_load("icosahedron")
     ia = intersection_array(g)
     assert ia.D == 3 and ia.is_antipodal()
-    cert = antipodal_fibre_cut(g, ia, e.theta1, e.lambda1)
+    cert = antipodal_fibre_cut(g, ia, e.theta1)
     assert cert.method == "antipodal-ball"
     # measured average valency 10/3 beats sqrt(5) exactly: (10/3)^2 > 5
     st = cut_stats(g, set(cert.S))
     kprime = Fraction(st.inside, st.size)
     assert kprime == Fraction(10, 3) and kprime * kprime > 5
-    assert cert.verdict == "ok"
+    assert at_most_lambda1(ia, cert.ratio)
 
 
 def test_k55_fibre_branch():
     g, e = catalog_load("k55-minus-matching")
     ia = intersection_array(g)
     assert ia.D == 3 and ia.is_antipodal()
-    cert = antipodal_fibre_cut(g, ia, e.theta1, e.lambda1)
+    cert = antipodal_fibre_cut(g, ia, e.theta1)
     assert cert.method == "antipodal-fibre"
-    assert cert.ratio <= Fraction(3, 4) and cert.verdict == "ok"
+    assert cert.ratio <= Fraction(3, 4) and at_most_lambda1(ia, cert.ratio)
 
 
 def test_crown12_fibre_degenerate():
@@ -328,27 +330,27 @@ def test_not_antipodal():
 
 def test_girth_cut_heawood():
     g, e = catalog_load("heawood")
-    cert = girth_cycle_cut(g, e.lambda1)
+    cert = girth_cycle_cut(g)
     assert cert.ratio == Fraction(1, 3) and len(cert.S) == 6
-    assert cert.verdict == "ok"
+    assert at_most_lambda1(e.array, cert.ratio)
 
 
 def test_girth_cut_equality_cases():
     for name in ("coxeter", "tutte-coxeter"):
         g, e = catalog_load(name)
-        cert = girth_cycle_cut(g, e.lambda1)
+        cert = girth_cycle_cut(g)
         assert cert.ratio == Fraction(1, 3) == e.lambda1.as_fraction()
-        assert cert.verdict == "ok"
+        assert at_most_lambda1(e.array, cert.ratio)
     g, e = catalog_load("4-cube")
-    cert = girth_cycle_cut(g, e.lambda1)
+    cert = girth_cycle_cut(g)
     assert cert.ratio == Fraction(1, 2) == e.lambda1.as_fraction()
 
 
 def test_girth_cut_insufficient_for_dodecahedron():
     g, e = catalog_load("dodecahedron")
-    cert = girth_cycle_cut(g, e.lambda1)
+    cert = girth_cycle_cut(g)
     assert cert.ratio == Fraction(1, 3)
-    assert cert.verdict == "open"          # 1/3 > (3-sqrt(5))/3
+    assert not at_most_lambda1(e.array, cert.ratio)   # 1/3 > (3-sqrt(5))/3
 
 
 # -- explicit witnesses ----------------------------------------------------------------------
@@ -356,9 +358,9 @@ def test_girth_cut_insufficient_for_dodecahedron():
 def test_twelve_cage_witness_expected_counts():
     g, e = catalog_load("tutte-12-cage")
     assert intersection_array(g).sphere_sizes()[1:4] == (3, 6, 12)
-    cert = twelve_cage_witness(g, e.lambda1)
+    cert = twelve_cage_witness(g, e.array)
     a = len(cert.S) - 47 if len(cert.S) <= 63 else None
-    assert cert.verdict == "ok"
+    assert at_most_lambda1(e.array, cert.ratio)
     if a is not None:                        # measured a < 17
         assert cert.stats.boundary == a + 17
         assert cert.ratio <= Fraction(16 + 17, 3 * (16 + 47))
@@ -369,24 +371,33 @@ def test_twelve_cage_witness_expected_counts():
 
 def test_gq33_witness_expected_counts():
     g, e = catalog_load("incidence-gq33")
-    cert = gq33_incidence_witness(g, e.lambda1)
+    cert = gq33_incidence_witness(g, e.array)
     assert len(cert.S) == 32
     assert cert.stats.boundary == 48
     assert cert.ratio == Fraction(3, 8)
-    assert cert.verdict == "ok"              # 3/8 < (4-sqrt(6))/4 exactly
+    assert at_most_lambda1(e.array, cert.ratio)   # 3/8 < (4-sqrt(6))/4 exactly
+
+
+def test_explicit_witnesses_refuse_other_arrays():
+    from drgc.errors import WrongGraph
+    g, e = catalog_load("heawood")
+    with pytest.raises(WrongGraph):
+        twelve_cage_witness(g, e.array)
+    with pytest.raises(WrongGraph):
+        gq33_incidence_witness(g, e.array)
 
 
 def test_flag_pg22_triangle_chain():
     g, e = catalog_load("flag-pg22")
-    cert = triangle_chain_cut(g, 3, e.lambda1)
+    cert = triangle_chain_cut(g, 3)
     assert len(cert.S) == 7 and cert.stats.boundary == 10
     assert cert.ratio == Fraction(10, 28)
-    assert cert.verdict == "ok"
+    assert at_most_lambda1(e.array, cert.ratio)
 
 
 def test_flag_gq22_triangle_octagon():
     g, e = catalog_load("flag-gq22")
-    cert = triangle_octagon_cut(g, e.lambda1)
+    cert = triangle_octagon_cut(g)
     assert len(cert.S) == 16 and cert.stats.boundary == 16
     assert cert.ratio == Fraction(1, 4) == e.lambda1.as_fraction()
-    assert cert.verdict == "ok"
+    assert at_most_lambda1(e.array, cert.ratio)
