@@ -42,13 +42,22 @@ def test_exact_comparisons():
     assert SqrtVal(1, -1, 2) < 0
     assert SqrtVal(0, 1, 2) == SqrtVal(0, 1, 2)
     assert SqrtVal(2) == 2
-    # a Fraction on the left is decided by SqrtVal's reflected comparison
-    assert Fraction(1, 3) <= SqrtVal(0, 1, 2)
 
 
 def test_cross_radical_comparison_raises():
     with pytest.raises(TypeError):
         SqrtVal(0, 1, 2) < SqrtVal(0, 1, 3)
+
+
+def test_exact_le_fallback():
+    # the exact case: a Fraction on the left is decided by SqrtVal's
+    # reflected comparison
+    assert Fraction(1, 3) <= SqrtVal(0, 1, 2)
+    assert not (SqrtVal(0, 1, 2) <= Fraction(1, 3))
+    # there is no float fallback: two radicals cannot be compared exactly,
+    # so the comparison raises instead of returning a rounded answer
+    with pytest.raises(TypeError):
+        SqrtVal(0, 1, 2) <= SqrtVal(0, 1, 3)
 
 
 def test_float_rejected():
