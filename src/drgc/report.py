@@ -19,7 +19,7 @@ from .catalog import catalog_entry, catalog_list, catalog_load
 from .errors import DrgcError, UnknownName
 from .exact import SqrtVal
 from .families import FamilySpec, construct, default_grid, descendant, theory_values
-from .graph import Graph, IntersectionArray, g6_decode, girth, intersection_array
+from .graph import Graph, IntersectionArray, g6_decode, intersection_array
 # exact_cheeger is not called here (best_upper_bound already returns the exact
 # certificate), but it stays bound in this module: the benchmark's tracer
 # (perfbench/tracer.py) wraps report.exact_cheeger by name.

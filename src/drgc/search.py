@@ -1,9 +1,33 @@
 """Independent Cheeger oracles: exact subset enumeration for small graphs,
-spectral sweep plus local refinement for larger ones.
+spectral sweep plus local refinement for larger ones.  Search results are
+deterministic under fixed seeds.
 
-The exact enumerator walks all subsets in Gray-code order with O(1) boundary
-updates, so cube- and dodecahedron-sized graphs finish in seconds.  Search
-results are deterministic under fixed seeds.
+The exact enumerator is a meet-in-the-middle split (Horowitz and Sahni,
+1974).  L is the vertices 0..n//2 - 1 and H the rest, so a set S is the
+bitmask lo | hi << |L|.  Each half lists its subsets in reflected Gray-code
+order as the rows of a 0/1 bit matrix, which gives each subset's size,
+volume and boundary (volume minus twice the edges inside).  For S = lo + hi,
+boundary(S) = bnd(lo) + bnd(hi) - 2 cross(lo, hi), and the cross-edge counts
+of a block of hi rows against every lo are one float32 matrix product.  Two
+more terms of that product add a penalty of 2m + 2 to every set that may not
+be chosen: |S| outside 1..n/2, the side without vertex 0 at |S| = n/2, and
+volume 0 (whose denominator is then taken as 1).  Blocks hold at most
+EXACT_BLOCK (lo, hi) pairs, so memory stays at a few MiB.
+
+The least float32 ratio of a block is exact.  Every entry is an integer
+below 2**24, so the products are exact.  A chosen set has ratio at most 1
+and a penalised one more than 1 + 1/(2m).  Two distinct ratios
+boundary/vol differ by at least 1/(2m)**2, which is 1/870**2 > 2**-20 for
+n <= 30 (and more than 2**-22 while n <= 45), far above the float32 rounding
+of a value in [0, 1]; equal ratios round to the same float32.  The Fraction
+is then built from the integer entries.
+
+Ties go to the set that comes first in the reflected Gray code of all n
+bits, which lists hi in Gray order and, for each hi, every lo in Gray order,
+backwards when hi is at an odd position.  The rows of a block are
+consecutive hi and its columns lo in Gray order; reversing the odd rows puts
+the block in that order, so its first least entry, kept only when it beats
+the earlier blocks strictly, is the first least set of the whole code.
 
 Local refinement scores all candidate moves of a step at once as numpy int64
 arrays: single-vertex moves as one length-n array, and (u out, w in) swaps as
@@ -24,11 +48,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import TooLarge
-from .graph import Graph, edge_arrays, eigensystem
+from .errors import EmptySet, TooLarge
+from .graph import Graph, adjacency_matrix, edge_arrays, eigensystem
 from .witness import CutCertificate, make_certificate
 
 EXACT_CAP_HARD = 30
+EXACT_BLOCK = 2 ** 16      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
 
 
@@ -43,52 +68,69 @@ class SearchConfig:
             raise TooLarge(f"exact_cap {self.exact_cap} exceeds {EXACT_CAP_HARD}")
 
 
-def exact_cheeger(g: Graph, exact_cap: int = 24):
-    """Global minimum of boundary/vol(S) over all S with |S| <= n/2.
+def _gray_tables(A, idx):
+    """The subsets of the vertices ``idx`` in reflected Gray-code order: their
+    bitmasks, 0/1 bit matrix (one row per subset), sizes, and float32
+    volumes and boundaries in the whole graph."""
+    w = len(idx)
+    masks = np.arange(1 << w)
+    masks ^= masks >> 1
+    bits = (masks[:, None] >> np.arange(w) & 1).astype(np.float32)
+    vol = bits @ A[idx].sum(1)
+    inside = ((bits @ A[np.ix_(idx, idx)]) * bits).sum(1)   # twice the edges
+    return masks, bits, bits.sum(1, dtype=np.intp), vol, vol - inside
 
-    Returns (h, S) with h an exact Fraction.  Subsets are enumerated by
-    bitmask in Gray-code order; at |S| = n/2 each complementary pair is
-    visited once (canonical side contains vertex 0).
+
+def exact_cheeger(g: Graph, exact_cap: int = 24):
+    """Global minimum of boundary/vol(S) over all S with 1 <= |S| <= n/2,
+    by a meet-in-the-middle split of V scored in float32 blocks (module
+    docstring).
+
+    Returns (h, S) with h an exact Fraction.  At |S| = n/2 each
+    complementary pair is counted once (the side that holds vertex 0), sets
+    of volume 0 are never chosen, and among sets of equal ratio S is the one
+    that comes first in the reflected Gray code of its bitmask.
     """
     n = g.n
     if n > exact_cap:
         raise TooLarge(f"n = {n} exceeds exact cap {exact_cap}")
-    degs = [g.degree(v) for v in range(n)]
-    nbr_mask = [0] * n
-    for u in range(n):
-        for w in g.adj[u]:
-            nbr_mask[u] |= 1 << w
-    half = n // 2
-    best_num, best_den, best_mask = 1, 0, 0   # ratio = +inf
-    mask = 0
-    size = 0
-    vol = 0
-    inside = 0
-    for i in range(1, 1 << n):
-        gray = i ^ (i >> 1)
-        bit = gray ^ (mask)
-        v = bit.bit_length() - 1
-        common = (nbr_mask[v] & mask).bit_count()   # v is never its own neighbor
-        if gray > mask:     # vertex v added
-            mask = gray
-            size += 1
-            vol += degs[v]
-            inside += 2 * common
-        else:               # vertex v removed
-            mask = gray
-            size -= 1
-            vol -= degs[v]
-            inside -= 2 * common
-        if size == 0 or size > half:
-            continue
-        if 2 * size == n and not mask & 1:
-            continue
-        boundary = vol - inside
-        # compare boundary/vol < best_num/best_den exactly
-        if boundary * best_den < best_num * vol:
-            best_num, best_den, best_mask = boundary, vol, mask
-    S = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return Fraction(best_num, best_den), S
+    A = adjacency_matrix(g, np.float32)
+    nl, nh = n // 2, n - n // 2
+    low, high = np.arange(nl), np.arange(nl, n)
+    mask_l, bits_l, size_l, vol_l, bnd_l = _gray_tables(A, low)
+    mask_h, bits_h, size_h, vol_h, bnd_h = _gray_tables(A, high)
+    pen = A.sum() + 2               # 2m + 2: a ratio that carries it exceeds 1
+    # size_pen[|S|, holds vertex 0]: pen on sizes outside 1..n/2, and at
+    # |S| = n/2 on the side without vertex 0
+    s = np.arange(n + 1)[:, None]
+    size_pen = pen * ((s < 1) | (2 * s > n) | (2 * s == n) & (np.arange(2) == 0))
+    # numerator[hi, lo] = left[hi] @ right[:, lo] = bnd(hi) + bnd(lo)
+    # - 2 cross(lo, hi), plus pen when vol(S) = 0, plus size_pen
+    left = np.hstack([bits_h, bnd_h[:, None], np.ones((1 << nh, 1)),
+                      (vol_h == 0)[:, None], size_h[:, None] == np.arange(nh + 1)])
+    right = np.vstack([-2 * (bits_l @ A[np.ix_(low, high)]).T, np.ones(1 << nl),
+                       bnd_l, pen * (vol_l == 0),
+                       size_pen[np.arange(nh + 1)[:, None] + size_l, mask_l & 1]])
+    left, right = left.astype(np.float32), right.astype(np.float32)
+    cols = 1 << nl
+    rows = max(2, EXACT_BLOCK >> nl)    # even, so block rows keep hi's parity
+    best, best_at = np.inf, None
+    for start in range(0, 1 << nh, rows):
+        num = left[start:start + rows] @ right
+        vol = np.maximum(vol_h[start:start + rows, None] + vol_l, 1)
+        ratio = num / vol
+        ratio[1::2] = ratio[1::2, ::-1]    # the walk runs odd rows backwards
+        row, col = divmod(int(np.argmin(ratio)), cols)
+        if ratio[row, col] < best:
+            best = ratio[row, col]
+            if row % 2:
+                col = cols - 1 - col
+            best_at = start + row, col, int(num[row, col]), int(vol[row, col])
+    if not best <= 1:
+        raise EmptySet(f"no set with 1 <= |S| <= n/2 has positive volume (n = {n})")
+    hi, lo, boundary, vol = best_at
+    mask = int(mask_h[hi]) << nl | int(mask_l[lo])
+    return Fraction(boundary, vol), frozenset(v for v in range(n) if mask >> v & 1)
 
 
 def sweep_cut(g: Graph) -> CutCertificate:

@@ -6,10 +6,10 @@ from itertools import combinations
 import pytest
 
 from drgc import search
-from drgc.catalog import catalog_load
-from drgc.errors import TooLarge
-from drgc.families import FamilySpec, construct
-from drgc.graph import cut_stats
+from drgc.catalog import catalog_list, catalog_load
+from drgc.errors import EmptySet, TooLarge
+from drgc.families import FamilySpec, construct, default_grid, theory_values
+from drgc.graph import Graph, cut_stats
 from drgc.search import (SearchConfig, best_upper_bound, exact_cheeger,
                          local_refine, sweep_cut)
 from drgc.witness import make_certificate
@@ -62,6 +62,20 @@ def test_exact_cap():
         exact_cheeger(g, exact_cap=24)
     with pytest.raises(TooLarge):
         SearchConfig(exact_cap=31)
+
+
+def test_exact_reaches_past_default_cap():
+    g, _ = catalog_load("incidence-pg23")      # 26 vertices
+    h, S = exact_cheeger(g, exact_cap=26)
+    assert h == Fraction(4, 13)
+    st = cut_stats(g, S)
+    assert Fraction(st.boundary, st.vol) == h and len(S) <= g.n // 2
+
+
+def test_exact_half_size_optimum_holds_vertex_0():
+    g, _ = catalog_load("cube")      # h = 1/3 only at |S| = 4 = n/2 (a face)
+    h, S = exact_cheeger(g)
+    assert h == Fraction(1, 3) and len(S) == 4 and 0 in S
 
 
 def test_sweep_within_theorem_window():
@@ -271,3 +285,107 @@ def test_refine_refuses_inexact_sizes(monkeypatch):
     monkeypatch.setattr(search, "REFINE_TOTAL_CAP", 29)
     with pytest.raises(TooLarge, match="local_refine.*29"):
         local_refine(g, {0, 1}, budget=10)
+
+
+# -- meet-in-the-middle exact oracle against the pure-Python Gray walk --------
+
+def reference_exact_cheeger(g, exact_cap: int = 24):
+    """Pure-Python Gray walk, one subset per step: the reference that
+    ``exact_cheeger`` must reproduce exactly, h and S both.
+
+    Global minimum of boundary/vol(S) over all S with |S| <= n/2.
+
+    Returns (h, S) with h an exact Fraction.  Subsets are enumerated by
+    bitmask in Gray-code order; at |S| = n/2 each complementary pair is
+    visited once (canonical side contains vertex 0).
+    """
+    n = g.n
+    if n > exact_cap:
+        raise TooLarge(f"n = {n} exceeds exact cap {exact_cap}")
+    degs = [g.degree(v) for v in range(n)]
+    nbr_mask = [0] * n
+    for u in range(n):
+        for w in g.adj[u]:
+            nbr_mask[u] |= 1 << w
+    half = n // 2
+    best_num, best_den, best_mask = 1, 0, 0   # ratio = +inf
+    mask = 0
+    size = 0
+    vol = 0
+    inside = 0
+    for i in range(1, 1 << n):
+        gray = i ^ (i >> 1)
+        bit = gray ^ (mask)
+        v = bit.bit_length() - 1
+        common = (nbr_mask[v] & mask).bit_count()   # v is never its own neighbor
+        if gray > mask:     # vertex v added
+            mask = gray
+            size += 1
+            vol += degs[v]
+            inside += 2 * common
+        else:               # vertex v removed
+            mask = gray
+            size -= 1
+            vol -= degs[v]
+            inside -= 2 * common
+        if size == 0 or size > half:
+            continue
+        if 2 * size == n and not mask & 1:
+            continue
+        boundary = vol - inside
+        # compare boundary/vol < best_num/best_den exactly
+        if boundary * best_den < best_num * vol:
+            best_num, best_den, best_mask = boundary, vol, mask
+    S = frozenset(v for v in range(n) if best_mask >> v & 1)
+    return Fraction(best_num, best_den), S
+
+
+SMALL_DEFAULT_TARGETS = [e.name for e in catalog_list() if e.array.v <= 16] + \
+    [str(s) for s in default_grid() if theory_values(s).v <= 16]
+
+
+def _exact_both_block_sizes(g, monkeypatch):
+    """exact_cheeger(g) at the module's block size, and again at blocks of
+    two rows, so that ties between blocks are decided too."""
+    result = exact_cheeger(g)
+    with monkeypatch.context() as m:
+        m.setattr(search, "EXACT_BLOCK", 2)
+        assert exact_cheeger(g) == result
+    return result
+
+
+@pytest.mark.parametrize("name", SMALL_DEFAULT_TARGETS)
+def test_exact_matches_gray_walk_on_default_targets(name, monkeypatch):
+    g = _graph(name)
+    assert _exact_both_block_sizes(g, monkeypatch) == reference_exact_cheeger(g)
+
+
+def _random_graph(n, p, rng):
+    """A seeded G(n, p) sample redrawn until no vertex is isolated."""
+    while True:
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < p])
+        if all(g.adj):
+            return g
+
+
+def test_exact_matches_gray_walk_on_random_graphs(monkeypatch):
+    """Irregular graphs have many equal ratios, so this exercises the Gray
+    order among ties and the canonical side at |S| = n/2 on both parities."""
+    rng = random.Random(6)
+    for i in range(30):
+        n = 2 + i % 15
+        g = _random_graph(n, rng.choice((0.2, 0.35, 0.6, 0.9)), rng)
+        assert _exact_both_block_sizes(g, monkeypatch) == \
+            reference_exact_cheeger(g), (i, g.adj)
+
+
+def test_exact_skips_volume_zero_sets():
+    """Isolated vertices give sets of volume 0, which are never chosen; with
+    no edges at all no set qualifies."""
+    for adj in ([[], [2], [1]], [[1], [0], [], [4], [3], []],
+                [[], [], [3], [2, 4], [3]]):
+        g = Graph(len(adj), adj)
+        assert exact_cheeger(g) == reference_exact_cheeger(g), adj
+    with pytest.raises(EmptySet):
+        exact_cheeger(Graph(3, [[], [], []]))
