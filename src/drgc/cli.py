@@ -7,7 +7,8 @@
 
 Targets are catalog names (``drgc list``), family specs like ``johnson:6,3``,
 or raw graph6 strings.  Exit codes: 0 = no violation, 2 = violation found,
-1 = operational error.
+1 = operational error.  verify-all reports a target that fails as an ERROR
+record, verifies the rest, and then exits 1 (2 if it also found a violation).
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ def main(argv=None) -> int:
             _write(emit(report, args.format), args.output)
             summary = ", ".join(f"{k}={v}" for k, v in report["counts"].items())
             print(f"\n{summary}", file=sys.stderr)
-            return 2 if report["counts"]["VIOLATION"] else 0
+            if report["counts"]["VIOLATION"]:
+                return 2
+            return 1 if report["counts"].get("ERROR") else 0
     except DrgcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

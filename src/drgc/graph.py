@@ -6,13 +6,15 @@ subsets are plain frozensets; all cut statistics are exact integer counts.
 
 Every stage that allocates an n x n array (adjacency and distance matrices,
 the intersection-array check, the dense eigensystem) refuses graphs with more
-than MAX_VERTICES vertices before it allocates, raising TooLarge.
+than MAX_VERTICES vertices before it allocates, raising TooLarge.  The
+distance matrix and the intersection-array check gather whole rows through an
+n x k neighbour table: they do O(n^2 k) work and no matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -23,13 +25,13 @@ from .errors import (Acyclic, EmptySet, FullSet, GraphError, MalformedGraph6,
 
 VertexSet = frozenset
 
-# the largest graph any n x n stage (and families.construct) accepts; the
-# int16 distance and count matrices also rely on n < 2**15
+# the largest graph any n x n stage (and families.construct) accepts; int16
+# distances (used past diameter 127) also rely on n < 2**15
 MAX_VERTICES = 20000
 
 
 class Graph:
-    __slots__ = ("n", "adj", "name", "_dm", "_eig", "_edges")
+    __slots__ = ("n", "adj", "name", "_ia", "_eig", "_edges")
 
     def __init__(self, n: int, adj: Iterable[Iterable[int]], name: str = ""):
         rows = [set(row) for row in adj]
@@ -47,7 +49,7 @@ class Graph:
         self.n = n
         self.adj = adj
         self.name = name
-        self._dm = None
+        self._ia = None
         self._eig = None
         self._edges = None
 
@@ -79,7 +81,7 @@ class Graph:
     def renamed(self, name: str) -> "Graph":
         g = Graph.__new__(Graph)
         g.n, g.adj, g.name = self.n, self.adj, name
-        g._dm, g._eig, g._edges = self._dm, self._eig, self._edges
+        g._ia, g._eig, g._edges = self._ia, self._eig, self._edges
         return g
 
     def __repr__(self):
@@ -237,86 +239,112 @@ def eigensystem(g: Graph):
     return g._eig
 
 
-def distance_matrix(g: Graph, A: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs distance matrix via layered boolean matmuls (cached); A is
-    the float32 adjacency matrix when the caller already holds it."""
-    if g._dm is not None:
-        return g._dm
+def _neighbour_table(g: Graph) -> np.ndarray:
+    """n x (max degree) table whose row v lists v's neighbours; a row of lower
+    degree is padded with v itself."""
+    src, dst, first = edge_arrays(g)
+    width = int(np.diff(first).max(initial=0))
+    table = np.repeat(np.arange(g.n)[:, None], width, axis=1)
+    table[src, np.arange(dst.size) - first[src]] = dst
+    return table
+
+
+def distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs distances as an n x n matrix, int8 while the diameter is
+    below 128 and int16 beyond.
+
+    A breadth-first search from every source at once, on bit-packed rows:
+    row x of the frontier is the sphere S_d(x), and S_{d+1}(x) is the union
+    of S_d(z) over the neighbours z of x, minus the ball B_d(x).  One level is
+    therefore a gather of frontier rows per neighbour slot, OR-ed together;
+    a padded slot (z = x) adds nothing outside B_d(x).  d(x, y) is the number
+    of levels d with y outside B_d(x)."""
     _check_dense(g, "distance_matrix")
     n = g.n
-    if A is None:
-        A = adjacency_matrix(g, np.float32)
-    dm = np.full((n, n), -1, dtype=np.int16)
-    np.fill_diagonal(dm, 0)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached.astype(np.float32)
-    d = 0
-    while True:
-        d += 1
-        nxt = (frontier @ A) > 0.5
-        new = nxt & ~reached
-        if not new.any():
+    table = _neighbour_table(g)
+    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
+    reached = frontier.copy()
+    dm = np.zeros((n, n), dtype=np.int8)
+    for d in count():
+        if d == np.iinfo(np.int8).max:
+            dm = dm.astype(np.int16)
+        dm += np.unpackbits(~reached, axis=1, count=n)
+        nxt = np.zeros_like(frontier)
+        for col in table.T:
+            nxt |= frontier[col]
+        nxt &= ~reached
+        if not nxt.any():
             break
-        dm[new] = d
-        reached |= new
-        frontier = new.astype(np.float32)
-    if (dm < 0).any():
+        reached |= nxt
+        frontier = nxt
+    if not np.unpackbits(reached[0], count=n).all():
         raise Unreachable("graph is disconnected")
-    g._dm = dm
     return dm
 
 
 def intersection_array(g: Graph) -> IntersectionArray:
-    """Extract the intersection array, checking distance-regularity over all
-    ordered vertex pairs; this load-time check is what lets embedded catalog
-    data be trusted.
+    """Extract the intersection array (cached), checking distance-regularity
+    over all ordered vertex pairs; this load-time check is what lets embedded
+    catalog data be trusted.
 
-    Every neighbour z of y has d(x,z) in {d-1, d, d+1} with d = d(x,y), and
-    these three have distinct residues mod 3.  So with
-    cnt[j][x,y] = #{z ~ y : d(x,z) = j mod 3}, three matmuls give
-    c(x,y) = cnt[(d-1) % 3] and b(x,y) = cnt[(d+1) % 3] for every pair at
-    once, whatever the diameter.  The float32 sums of at most n ones are
-    exact.  The checks then run by ascending i, c before b, and report the
-    first pair in row-major order that breaks a constant."""
+    Every neighbour z of y has d(x,z) in {d-1, d, d+1} with d = d(x,y).  For
+    each slot s of the neighbour table, the gathered rows dz = dm[N[:, s]]
+    hold dz[y, x] = d(x, z) for the s-th neighbour z of y, so summing
+    dz < dm and dz > dm over the k slots gives C[y, x] = c(x,y) and
+    B[y, x] = b(x,y) for every pair at once (dm is symmetric).  The value of
+    c_i and b_i is read at the first pair in row-major order at distance i,
+    and one pass compares every pair with its distance's values.  Only when
+    that pass finds a mismatch are the checks run by ascending i, c before
+    b, to report the first pair in row-major order that breaks a constant."""
+    if g._ia is not None:
+        return g._ia
     _check_dense(g, "intersection_array")
     k = g.regular_degree()
     if k is None:
         raise NotRegular("graph is not regular")
     if g.n == 1 or k == 0:
         raise NotRegular("trivial graph")
-    A = adjacency_matrix(g, np.float32)
-    dm = distance_matrix(g, A)
+    dm = distance_matrix(g)
     diam = int(dm.max())
-    residue = dm % 3
-    cnt = [((residue == j).astype(np.float32) @ A).astype(np.int16)
-           for j in range(3)]
-    b = []
-    c = []
-    for i in range(1, diam + 1):
-        pairs = dm == i
-        c.append(_constant_on(pairs, cnt[(i - 1) % 3], "c", i))
-        b_i = _constant_on(pairs, cnt[(i + 1) % 3], "b", i)
-        if i < diam:
-            b.append(b_i)
-        elif b_i != 0:
-            raise NotDistanceRegular(f"b_D = {b_i} != 0")
+    C = np.zeros(dm.shape, dtype=np.min_scalar_type(k))
+    B = np.zeros_like(C)
+    for col in _neighbour_table(g).T:
+        dz = dm[col]
+        C += dz < dm
+        B += dz > dm
+    counts = {"c": C, "b": B}
+    # ref[label][i] is the count at the first pair (0, y) with d(0, y) = i,
+    # which is the first pair at distance i in row-major order; the diagonal
+    # (i = 0) gives c = 0 and b = k.  Distances beyond e = ecc(0) read the
+    # diagonal, which is harmless: the graph then fails at b_e at the latest,
+    # since (0, y) has b = 0 there while a pair (u, w) with w next to last on
+    # a geodesic of length e + 1 from u has b >= 1
+    first = np.zeros(diam + 1, dtype=np.intp)
+    at_distance, y = np.unique(dm[0], return_index=True)
+    first[at_distance] = y
+    ref = {label: cnt[first, 0] for label, cnt in counts.items()}
+    if any((cnt != ref[label][dm]).any() for label, cnt in counts.items()):
+        _raise_first_failure(dm, counts, ref)
+    b = ref["b"][1:diam].tolist()
+    c = ref["c"][1:].tolist()
     ia = IntersectionArray((k, *b), tuple(c))
     if ia.v != g.n:
         raise NotDistanceRegular(f"sphere sizes sum to {ia.v} != n = {g.n}")
+    g._ia = ia
     return ia
 
 
-def _constant_on(pairs: np.ndarray, counts: np.ndarray, label: str, i: int) -> int:
-    """The value counts takes on every pair; NotDistanceRegular names the
-    first pair, in row-major order, whose count differs from the first one."""
-    x, y = np.unravel_index(np.argmax(pairs), pairs.shape)
-    value = int(counts[x, y])
-    bad = np.nonzero(pairs & (counts != value))
-    if bad[0].size:
-        x, y = int(bad[0][0]), int(bad[1][0])
-        raise NotDistanceRegular(
-            f"{label}_{i} differs at pair ({x},{y})", witness=(x, y, i))
-    return value
+def _raise_first_failure(dm: np.ndarray, counts: dict, ref: dict) -> None:
+    """NotDistanceRegular at the first failing (i, label, pair): ascending i,
+    c before b, then the first (x, y) in row-major order.  counts[label][y, x]
+    is the count of the pair (x, y)."""
+    for i in range(1, len(ref["c"])):
+        for label in ("c", "b"):
+            bad = ((dm == i) & (counts[label] != ref[label][i])).T
+            if bad.any():
+                x, y = (int(v) for v in np.argwhere(bad)[0])
+                raise NotDistanceRegular(
+                    f"{label}_{i} differs at pair ({x},{y})", witness=(x, y, i))
 
 
 def girth(g: Graph, with_cycle: bool = False):

@@ -2,8 +2,10 @@
 
 verify_one runs the full pipeline on a single target (construct/load, verify
 distance-regularity, spectra, every applicable witness, search) and returns a
-plain record dict; verify_all runs the catalog plus the family grid.  Reports
-are fully deterministic: fixed seeds, fixed field order, no timestamps.
+plain record dict; verify_all runs the catalog plus the family grid, and a
+target that raises a DrgcError becomes an ERROR record (id, status, error)
+instead of ending the batch.  Reports are fully deterministic: fixed seeds,
+fixed field order, no timestamps.
 """
 
 from __future__ import annotations
@@ -246,10 +248,18 @@ def verify_all(config: SearchConfig = SearchConfig(),
                targets: list[str] | None = None) -> dict:
     if targets is None:
         targets = default_targets()
-    records = [verify_one(t, config) for t in targets]
+    records = []
+    for t in targets:
+        try:
+            records.append(verify_one(t, config))
+        except DrgcError as exc:   # one bad target must not end the batch
+            records.append({"id": t, "status": "ERROR",
+                            "error": f"{type(exc).__name__}: {exc}"})
+    # ERROR is counted only when a target raised, so a clean run's report
+    # keeps its three counts
     counts = {"OK": 0, "OPEN": 0, "VIOLATION": 0}
     for r in records:
-        counts[r["status"]] += 1
+        counts[r["status"]] = counts.get(r["status"], 0) + 1
     return {
         "schema": SCHEMA,
         "tool": f"drgc {__version__}",
@@ -272,6 +282,10 @@ def emit(report: dict, fmt: str = "json") -> bytes:
                          "value_den", "value_approx", "boundary", "volS",
                          "set_size", "verdict", "status"])
         for r in report["records"]:
+            if r["status"] == "ERROR":
+                writer.writerow([r["id"], "", "", "", "error", r["error"]] +
+                                [""] * 7 + [r["status"]])
+                continue
             rows = [("certificate", c) for c in r["certificates"]]
             rows += [("bound", b) for b in r["bounds"]]
             for kind, item in rows:

@@ -33,6 +33,30 @@ def generalized_petersen(n, k):
     return Graph.from_edges(2 * n, edges, f"GP({n},{k})")
 
 
+def reference_distance_matrix(g):
+    """The earlier all-pairs distances, kept as an oracle: one float32
+    product frontier @ A per level."""
+    n = g.n
+    A = adjacency_matrix(g, np.float32)
+    dm = np.full((n, n), -1, dtype=np.int16)
+    np.fill_diagonal(dm, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached.astype(np.float32)
+    d = 0
+    while True:
+        d += 1
+        nxt = (frontier @ A) > 0.5
+        new = nxt & ~reached
+        if not new.any():
+            break
+        dm[new] = d
+        reached |= new
+        frontier = new.astype(np.float32)
+    if (dm < 0).any():
+        raise Unreachable("graph is disconnected")
+    return dm
+
+
 def reference_intersection_array(g):
     """The earlier check, kept as an oracle: two float32 matmuls per distance
     i, one against the pairs at distance i - 1 and one against i + 1."""
@@ -41,7 +65,7 @@ def reference_intersection_array(g):
         raise NotRegular("graph is not regular")
     if g.n == 1 or k == 0:
         raise NotRegular("trivial graph")
-    dm = distance_matrix(g)
+    dm = reference_distance_matrix(g)
     diam = int(dm.max())
     A = adjacency_matrix(g, np.float32)
     b = []
@@ -79,8 +103,8 @@ def array_or_failure(check, g):
     """check(g), or the (class, message, witness) of the error it raises."""
     try:
         return check(g)
-    except NotDistanceRegular as err:
-        return type(err), str(err), err.witness
+    except GraphError as err:
+        return type(err), str(err), getattr(err, "witness", None)
 
 
 def girth_oracle(g):
@@ -188,6 +212,71 @@ def test_intersection_array_matches_reference_on_catalog_and_grid():
     graphs += [cycle(7), cycle(8), complete(5), line_graph(cycle(9))]
     for g in graphs:
         assert intersection_array(g) == reference_intersection_array(g), g.name
+
+
+def test_intersection_array_matches_reference_on_generalized_petersen():
+    # k = n / 2 merges the inner edges, so GP(n, n/2) is not even regular
+    for n in range(3, 21):
+        for k in range(1, n // 2 + 1):
+            g = generalized_petersen(n, k)
+            assert array_or_failure(intersection_array, g) == \
+                array_or_failure(reference_intersection_array, g), g.name
+
+
+def test_intersection_array_when_vertex_0_has_short_eccentricity():
+    # GP(6,2) is regular and vertex 0 reaches every vertex within 3 steps,
+    # but the diameter is 4: distance 4's first pair lies outside row 0
+    g = generalized_petersen(6, 2)
+    dm = reference_distance_matrix(g)
+    assert dm[0].max() == 3 < dm.max() == 4
+    got = array_or_failure(intersection_array, g)
+    assert got == array_or_failure(reference_intersection_array, g)
+    assert got[0] is NotDistanceRegular
+
+
+def test_intersection_array_matches_reference_on_large_diameters():
+    # cycle(300) has diameter 150, past the int8 distances; the prism over
+    # C_300 is 3-regular and not distance-regular
+    prism = Graph.from_edges(600, [(i, (i + 1) % 300) for i in range(300)] +
+                             [(300 + i, 300 + (i + 1) % 300) for i in range(300)] +
+                             [(i, 300 + i) for i in range(300)])
+    for g in (cycle(300), prism):
+        assert array_or_failure(intersection_array, g) == \
+            array_or_failure(reference_intersection_array, g)
+    assert intersection_array(cycle(300)).D == 150
+
+
+def test_intersection_array_disconnected_regular_graph():
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                         (3, 4), (4, 5), (3, 5)])
+    got = array_or_failure(intersection_array, two_triangles)
+    assert got == array_or_failure(reference_intersection_array, two_triangles)
+    assert got[0] is Unreachable
+
+
+def test_distance_matrix_matches_reference():
+    rng = random.Random(7)
+    graphs = [cycle(300), generalized_petersen(6, 2), complete(1),
+              Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+              Graph.from_edges(6, [(0, i) for i in range(1, 6)])]
+    for n in (2, 9, 30, 64):
+        graphs.append(Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                           if rng.random() < 3 / n]))
+    for g in graphs:
+        got = array_or_failure(distance_matrix, g)
+        want = array_or_failure(reference_distance_matrix, g)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+    assert distance_matrix(cycle(300)).max() == 150
+
+
+def test_intersection_array_cached_and_shared_by_renamed():
+    g = generalized_petersen(5, 2)
+    ia = intersection_array(g)
+    assert intersection_array(g) is ia
+    assert intersection_array(g.renamed("petersen")) is ia
 
 
 def test_dense_stages_refuse_graphs_over_the_vertex_limit(monkeypatch):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -106,3 +107,30 @@ def test_cli_verify_json(tmp_path):
 def test_cli_bad_target(capsys):
     assert main(["verify", "johnson:3,2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_verify_all_bad_target_becomes_error_record(monkeypatch, tmp_path, capsys):
+    # "C~~" is graph6 for n = 4 with one body character too many
+    targets = ["cube", "C~~", "petersen"]
+    report = verify_all(FAST, targets=targets)
+    assert [r["id"] for r in report["records"]] == targets
+    assert report["records"][1] == {
+        "id": "C~~", "status": "ERROR",
+        "error": "MalformedGraph6: expected 1 body chars, got 2"}
+    assert report["records"][0] == verify_one("cube", FAST)
+    assert report["records"][2] == verify_one("petersen", FAST)
+    assert report["counts"] == {"OK": 2, "OPEN": 0, "VIOLATION": 0, "ERROR": 1}
+    assert "ERROR" not in verify_all(FAST, targets=["cube"])["counts"]
+    rows = list(csv.reader(emit(report, "csv").decode().splitlines()[1:]))
+    assert ["C~~", "", "", "", "error",
+            "MalformedGraph6: expected 1 body chars, got 2"] + [""] * 7 + \
+        ["ERROR"] in rows
+    assert all(len(row) == len(rows[0]) for row in rows)
+    # the command verifies every target and then exits 1
+    monkeypatch.setattr("drgc.report.default_targets", lambda: targets)
+    out = tmp_path / "r.json"
+    code = main(["verify-all", "--exact-cap", "20", "--seeds", "0,1",
+                 "--refine-budget", "2000", "-o", str(out)])
+    assert code == 1
+    assert json.loads(out.read_text()) == json.loads(emit(report, "json"))
+    assert "ERROR=1" in capsys.readouterr().err
