@@ -268,11 +268,12 @@ def distance_matrix(g: Graph) -> np.ndarray:
     for d in count():
         if d == np.iinfo(np.int8).max:
             dm = dm.astype(np.int16)
-        dm += np.unpackbits(~reached, axis=1, count=n)
+        unreached = ~reached
+        dm += np.unpackbits(unreached, axis=1, count=n)
         nxt = np.zeros_like(frontier)
         for col in table.T:
             nxt |= frontier[col]
-        nxt &= ~reached
+        nxt &= unreached
         if not nxt.any():
             break
         reached |= nxt
