@@ -5,13 +5,10 @@ __version__ = "0.1.0"
 from .exact import SqrtVal
 from .graph import (CutStats, Graph, IntersectionArray, VertexSet,
                     bfs_distances, bipartite_double, cut_stats, g6_decode,
-                    g6_encode, girth, halved_graph, induced_subgraph,
-                    intersection_array, line_graph)
+                    g6_encode, girth, intersection_array, line_graph)
 from .families import FamilySpec, TheoryValues, construct, descendant, theory_values
-from .spectral import (CheegerWindow, Spectrum, at_most_lambda1, classical_k,
-                       classical_theta1, dense_spectrum, drg_spectrum,
-                       exact_theta1, interlace_check, quotient_matrix,
-                       cheeger_window)
+from .spectral import (CheegerWindow, Spectrum, at_most_lambda1, cheeger_window,
+                       dense_spectrum, drg_spectrum, exact_theta1)
 from .search import SearchConfig, best_upper_bound, exact_cheeger, local_refine, sweep_cut
 from .witness import (AnalyticBound, CutCertificate, antipodal_fibre_cut,
                       avg_valency_certificate, balanced_partition_bound,

@@ -7,8 +7,9 @@
 
 Targets are catalog names (``drgc list``), family specs like ``johnson:6,3``,
 or raw graph6 strings.  Exit codes: 0 = no violation, 2 = violation found,
-1 = operational error.  verify-all reports a target that fails as an ERROR
-record, verifies the rest, and then exits 1 (2 if it also found a violation).
+1 = operational or usage error.  verify-all reports a target that fails as an
+ERROR record, verifies the rest, and then exits 1 (2 if it also found a
+violation).
 """
 
 from __future__ import annotations
@@ -18,24 +19,32 @@ import sys
 
 from .catalog import catalog_list
 from .errors import DrgcError
-from .report import emit, verify_all, verify_one
-from .search import SearchConfig
+from .report import SCHEMA, emit, verify_all, verify_one
+from .search import EXACT_CAP_HARD, SearchConfig
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def _add_common(p):
-    p.add_argument("--seeds", default=None,
-                   help="comma-separated RNG seeds (default 0..7)")
-    p.add_argument("--exact-cap", type=int, default=24,
-                   help="max n for exact enumeration (default 24, hard cap 30)")
-    p.add_argument("--refine-budget", type=int, default=100_000)
+    d = SearchConfig()
+    p.add_argument("--seeds", type=_seed_list, default=d.seeds,
+                   help="comma-separated RNG seeds (default %(default)s)")
+    p.add_argument("--exact-cap", type=int, default=d.exact_cap,
+                   help="max n for exact enumeration (default %(default)s, "
+                        f"hard cap {EXACT_CAP_HARD})")
+    p.add_argument("--refine-budget", type=int, default=d.refine_budget)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", default=None, help="write report to a file")
 
 
 def _config(args) -> SearchConfig:
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds \
-        else (0, 1, 2, 3, 4, 5, 6, 7)
-    return SearchConfig(exact_cap=args.exact_cap, seeds=seeds,
+    return SearchConfig(exact_cap=args.exact_cap, seeds=args.seeds,
                         refine_budget=args.refine_budget)
 
 
@@ -47,7 +56,7 @@ def _write(data: bytes, output):
         sys.stdout.buffer.write(data)
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="drgc", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,8 +72,14 @@ def main(argv=None) -> int:
 
     p_all = sub.add_parser("verify-all", help="verify the whole catalog and family grid")
     _add_common(p_all)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         if args.command == "list":
             for e in catalog_list():
@@ -84,7 +99,7 @@ def main(argv=None) -> int:
             return 0
         if args.command == "verify":
             record = verify_one(args.target, _config(args))
-            report = {"schema": 1, "records": [record]}
+            report = {"schema": SCHEMA, "records": [record]}
             _write(emit(report, args.format), args.output)
             return 2 if record["status"] == "VIOLATION" else 0
         if args.command == "verify-all":

@@ -41,10 +41,6 @@ class FullSet(GraphError):
     pass
 
 
-class BadPartition(GraphError):
-    pass
-
-
 class MalformedGraph6(DrgcError):
     pass
 

@@ -51,7 +51,11 @@ class FamilySpec:
         fam, _, rest = text.strip().lower().partition(":")
         if not rest:
             raise ParamDomain(f"family spec {text!r} needs parameters")
-        return FamilySpec(fam, tuple(int(x) for x in rest.split(",")))
+        try:
+            return FamilySpec(fam, tuple(int(x) for x in rest.split(",")))
+        except ValueError:
+            raise ParamDomain(f"family spec {text!r} has a non-integer "
+                              "parameter") from None
 
 
 @dataclass(frozen=True)

@@ -348,100 +348,58 @@ def _raise_first_failure(dm: np.ndarray, counts: dict, ref: dict) -> None:
                     f"{label}_{i} differs at pair ({x},{y})", witness=(x, y, i))
 
 
-def girth(g: Graph, with_cycle: bool = False):
-    """Length of a shortest cycle; optionally also one shortest cycle's vertices."""
-    if g.num_edges < g.n:
-        # a graph with a cycle has m >= n on some component; cheap necessary test
-        if _is_forest(g):
-            raise Acyclic("graph has no cycle")
-    best = g.n + 1
-    best_root = -1
+def girth(g: Graph) -> tuple[int, frozenset]:
+    """Length and vertex set of a shortest cycle.  A BFS from each root in
+    turn finds the shortest closed walk through it, stopping once none can
+    beat the best so far; the root's parent map then gives the cycle closed
+    by the first edge that reached the minimum, which is simple because the
+    minimum is the girth.  A forest raises Acyclic."""
+    best, closing = g.n + 1, None
     for root in range(g.n):
         found = _shortest_cycle_through(g, root, best)
-        if found < best:
-            best, best_root = found, root
+        if found is not None:
+            best, *closing = found
             if best == 3:
                 break
-    if best > g.n:
+    if closing is None:
         raise Acyclic("graph has no cycle")
-    if not with_cycle:
-        return best
-    return best, _recover_cycle(g, best_root, best)
-
-
-def _is_forest(g: Graph) -> bool:
-    seen = [False] * g.n
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack = [(s, -1)]
-        seen[s] = True
-        while stack:
-            u, parent = stack.pop()
-            skip_parent = parent >= 0
-            for w in g.adj[u]:
-                if w == parent and skip_parent:
-                    skip_parent = False
-                    continue
-                if seen[w]:
-                    return False
-                seen[w] = True
-                stack.append((w, u))
-    return True
+    u, w, parent = closing
+    cyc = set()
+    for z in (u, w):
+        while z != -1:
+            cyc.add(z)
+            z = parent[z]
+    return best, frozenset(cyc)
 
 
 def _shortest_cycle_through(g, root, cap):
+    """(length, u, w, parent) for the first non-tree edge u-w, in BFS order
+    from root, that closes the shortest walk through root shorter than cap;
+    None if there is no such walk."""
     dist = {root: 0}
     parent = {root: -1}
     frontier = [root]
-    best = cap
+    best = None
     while frontier:
         nxt = []
         for u in frontier:
             du = dist[u]
-            if 2 * du + 1 >= best:
+            if 2 * du + 1 >= cap:
                 return best
             for w in g.adj[u]:
                 if w == parent[u]:
                     continue
                 if w in dist:
                     cyc = du + dist[w] + 1
-                    if cyc < best:
-                        best = cyc
+                    if cyc < cap:
+                        cap = cyc
+                        best = (cyc, u, w, parent)
                 else:
                     dist[w] = du + 1
                     parent[w] = u
                     nxt.append(w)
         frontier = nxt
     return best
-
-
-def _recover_cycle(g, root, length):
-    dist = {root: 0}
-    parent = {root: -1}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            du = dist[u]
-            for w in g.adj[u]:
-                if w == parent[u]:
-                    continue
-                if w in dist:
-                    if du + dist[w] + 1 == length:
-                        cyc = set()
-                        for z in (u, w):
-                            while z != -1:
-                                cyc.add(z)
-                                z = parent[z]
-                        if len(cyc) == length:
-                            return frozenset(cyc)
-                else:
-                    dist[w] = du + 1
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    raise GraphError("cycle recovery failed")  # pragma: no cover
 
 
 def cut_stats(g: Graph, S) -> CutStats:
@@ -505,32 +463,6 @@ def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
         raise Unreachable("graph is disconnected")
     return ([v for v in range(g.n) if color[v] == 0],
             [v for v in range(g.n) if color[v] == 1])
-
-
-def halved_graph(g: Graph, side: int = 0) -> Graph:
-    """Distance-2 graph on one color class of a connected bipartite graph."""
-    classes = two_coloring(g)
-    members = classes[side]
-    pos = {v: i for i, v in enumerate(members)}
-    rows = [[] for _ in members]
-    for v in members:
-        at_two = set()
-        for w in g.adj[v]:
-            at_two.update(g.adj[w])
-        at_two.discard(v)
-        rows[pos[v]] = [pos[x] for x in at_two]
-    return Graph(len(members), rows, name=f"half({g.name})" if g.name else "")
-
-
-def induced_subgraph(g: Graph, S) -> tuple[Graph, list[int]]:
-    """Induced subgraph plus the list mapping new ids to original ids."""
-    S = frozenset(S)
-    if not S:
-        raise EmptySet("S is empty")
-    order = sorted(S)
-    pos = {v: i for i, v in enumerate(order)}
-    rows = [[pos[w] for w in g.adj[v] if w in S] for v in order]
-    return Graph(len(order), rows), order
 
 
 # -- graph6 ------------------------------------------------------------------

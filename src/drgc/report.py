@@ -276,7 +276,7 @@ def emit(report: dict, fmt: str = "json") -> bytes:
         return (json.dumps(report, indent=1, sort_keys=False) + "\n").encode()
     if fmt == "csv":
         out = io.StringIO()
-        out.write("# schema: 1\n")
+        out.write(f"# schema: {SCHEMA}\n")
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["graph", "n", "k", "D", "kind", "method", "value_num",
                          "value_den", "value_approx", "boundary", "volS",

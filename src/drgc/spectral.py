@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadPartition, ParamDomain, RangeError, TooLarge
+from .errors import RangeError, TooLarge
 from .exact import SqrtVal
 from .graph import Graph, IntersectionArray, eigensystem
 
@@ -26,7 +26,6 @@ DENSE_CAP = 2000
 @dataclass(frozen=True)
 class Spectrum:
     thetas: tuple[float, ...]   # strictly decreasing, theta_0 = k
-    source: str                 # tridiagonal | dense
 
     @property
     def k(self) -> float:
@@ -45,10 +44,6 @@ class Spectrum:
     def lambda1(self) -> float:
         return (self.k - self.theta1) / self.k
 
-    @property
-    def theta_min(self) -> float:
-        return self.thetas[-1]
-
 
 def drg_spectrum(ia: IntersectionArray) -> Spectrum:
     """Eigenvalues from the intersection array via a symmetric tridiagonal solve."""
@@ -61,7 +56,7 @@ def drg_spectrum(ia: IntersectionArray) -> Spectrum:
             M[i, i + 1] = M[i + 1, i] = math.sqrt(ia.b[i] * ia.c[i])
     vals = np.linalg.eigvalsh(M)
     thetas = tuple(sorted((float(v) for v in vals), reverse=True))
-    return Spectrum(thetas, "tridiagonal")
+    return Spectrum(thetas)
 
 
 def dense_spectrum(g: Graph, cap: int = DENSE_CAP) -> np.ndarray:
@@ -91,51 +86,6 @@ def cheeger_window(lambda1) -> CheegerWindow:
     if not 0 < lam < 2:
         raise RangeError(f"lambda1 = {lam} outside (0,2)")
     return CheegerWindow(lam / 2, math.sqrt(lam * (2 - lam)))
-
-
-def quotient_matrix(g: Graph, partition) -> list[list[Fraction]]:
-    """Part-averaged adjacency counts, as exact rationals."""
-    parts = [frozenset(p) for p in partition]
-    if any(not p for p in parts):
-        raise BadPartition("empty part")
-    total = sum(len(p) for p in parts)
-    union = frozenset().union(*parts)
-    if total != g.n or len(union) != g.n:
-        raise BadPartition("parts must partition the vertex set")
-    idx = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            idx[v] = i
-    counts = [[0] * len(parts) for _ in parts]
-    for u in range(g.n):
-        for w in g.adj[u]:
-            counts[idx[u]][idx[w]] += 1
-    return [[Fraction(counts[i][j], len(parts[i])) for j in range(len(parts))]
-            for i in range(len(parts))]
-
-
-def interlace_check(qm, spectrum: Spectrum, tol: float = 1e-8) -> bool:
-    """Quotient eigenvalues must lie in [theta_min, theta_max]."""
-    M = np.array([[float(x) for x in row] for row in qm])
-    vals = np.linalg.eigvals(M)
-    if np.abs(vals.imag).max(initial=0.0) > 1e-8:
-        return False
-    lo, hi = spectrum.theta_min - tol, spectrum.thetas[0] + tol
-    return bool(np.all((vals.real >= lo) & (vals.real <= hi)))
-
-
-def classical_theta1(D: int, b: int, alpha, beta) -> Fraction:
-    """Second eigenvalue from classical parameters (D, b, alpha, beta), b > 1."""
-    if b <= 1 or D < 1:
-        raise ParamDomain(f"classical parameters need integer b > 1, D >= 1")
-    gauss = Fraction(b ** D - 1, b - 1)
-    return (gauss - 1) * (Fraction(beta) - Fraction(alpha)) / b - 1
-
-
-def classical_k(D: int, b: int, beta) -> Fraction:
-    if b <= 1 or D < 1:
-        raise ParamDomain(f"classical parameters need integer b > 1, D >= 1")
-    return Fraction(b ** D - 1, b - 1) * Fraction(beta)
 
 
 # -- exact second eigenvalue ---------------------------------------------------

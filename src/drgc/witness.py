@@ -386,7 +386,7 @@ def girth_cycle_cut(g: Graph) -> CutCertificate:
     k = g.regular_degree()
     if k is None or k < 3:
         raise ParamDomain("needs a regular graph with k >= 3")
-    glen, cyc = girth(g, with_cycle=True)
+    glen, cyc = girth(g)
     if 2 * glen > g.n:
         raise ParamDomain(f"girth {glen} exceeds n/2 = {g.n / 2}")
     cert = make_certificate(g, cyc, "girth-cycle",

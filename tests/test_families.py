@@ -280,6 +280,9 @@ def test_spec_parsing_and_domain():
         FamilySpec.parse("grassmann:6,4,2")   # unsupported field order
     with pytest.raises(ParamDomain):
         FamilySpec.parse("johnson")
+    for text in ("johnson:6,x", "johnson:6,", "hamming:2.5,2"):
+        with pytest.raises(ParamDomain, match="non-integer parameter"):
+            FamilySpec.parse(text)
 
 
 def test_too_large():
@@ -359,14 +362,17 @@ def test_descendant_examples():
     spec = FamilySpec.parse("johnson:6,3")
     S = descendant(spec)
     assert len(S) == 10
-    g = construct(spec)
-    from drgc.graph import induced_subgraph
-    sub, _ = induced_subgraph(g, S)
+    def induced(g, S):
+        pos = {v: i for i, v in enumerate(sorted(S))}
+        return Graph(len(pos),
+                     [[pos[w] for w in g.adj[v] if w in pos] for v in pos])
+
+    sub = induced(construct(spec), S)
     assert intersection_array(sub) == \
         intersection_array(construct(FamilySpec.parse("johnson:5,2")))
     # strings starting 0 in the 3-cube induce a 4-cycle
     spec = FamilySpec.parse("hamming:3,2")
-    sub, _ = induced_subgraph(construct(spec), descendant(spec))
+    sub = induced(construct(spec), descendant(spec))
     assert sub.n == 4 and sub.regular_degree() == 2
 
 

@@ -8,14 +8,14 @@ import drgc.families
 import drgc.graph
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import (Acyclic, EmptySet, FullSet, GraphError,
-                         MalformedGraph6, NotBipartite, NotDistanceRegular,
+                         MalformedGraph6, NotDistanceRegular,
                          NotRegular, TooLarge, Unreachable)
 from drgc.families import FamilySpec, construct, default_grid, theory_values
 from drgc.graph import (Graph, IntersectionArray, adjacency_matrix,
                         bfs_distances, bipartite_double, cut_stats,
                         distance_matrix, edge_arrays, eigensystem, g6_decode,
-                        g6_encode, girth, halved_graph, induced_subgraph,
-                        intersection_array, line_graph, two_coloring)
+                        g6_encode, girth, intersection_array, line_graph,
+                        two_coloring)
 from drgc.report import verify_one
 
 
@@ -332,12 +332,109 @@ def test_antipodal_predicate_matches_distance_d_fibres():
 
 # -- girth --------------------------------------------------------------------------
 
+def reference_girth(g, with_cycle=False):
+    """The earlier girth: a forest test, a pruned BFS per root for the length,
+    then a second BFS from the best root to recover the cycle."""
+    if g.num_edges < g.n:
+        # a graph with a cycle has m >= n on some component; cheap necessary test
+        if _is_forest(g):
+            raise Acyclic("graph has no cycle")
+    best = g.n + 1
+    best_root = -1
+    for root in range(g.n):
+        found = _shortest_cycle_through(g, root, best)
+        if found < best:
+            best, best_root = found, root
+            if best == 3:
+                break
+    if best > g.n:
+        raise Acyclic("graph has no cycle")
+    if not with_cycle:
+        return best
+    return best, _recover_cycle(g, best_root, best)
+
+
+def _is_forest(g: Graph) -> bool:
+    seen = [False] * g.n
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        stack = [(s, -1)]
+        seen[s] = True
+        while stack:
+            u, parent = stack.pop()
+            skip_parent = parent >= 0
+            for w in g.adj[u]:
+                if w == parent and skip_parent:
+                    skip_parent = False
+                    continue
+                if seen[w]:
+                    return False
+                seen[w] = True
+                stack.append((w, u))
+    return True
+
+
+def _shortest_cycle_through(g, root, cap):
+    dist = {root: 0}
+    parent = {root: -1}
+    frontier = [root]
+    best = cap
+    while frontier:
+        nxt = []
+        for u in frontier:
+            du = dist[u]
+            if 2 * du + 1 >= best:
+                return best
+            for w in g.adj[u]:
+                if w == parent[u]:
+                    continue
+                if w in dist:
+                    cyc = du + dist[w] + 1
+                    if cyc < best:
+                        best = cyc
+                else:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    return best
+
+
+def _recover_cycle(g, root, length):
+    dist = {root: 0}
+    parent = {root: -1}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            du = dist[u]
+            for w in g.adj[u]:
+                if w == parent[u]:
+                    continue
+                if w in dist:
+                    if du + dist[w] + 1 == length:
+                        cyc = set()
+                        for z in (u, w):
+                            while z != -1:
+                                cyc.add(z)
+                                z = parent[z]
+                        if len(cyc) == length:
+                            return frozenset(cyc)
+                else:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    nxt.append(w)
+        frontier = nxt
+    raise GraphError("cycle recovery failed")  # pragma: no cover
+
+
 def test_girth_examples():
     heawood, _ = catalog_load("heawood")
-    assert girth(heawood) == girth_oracle(heawood) == 6
+    assert girth(heawood)[0] == girth_oracle(heawood) == 6
     cage, _ = catalog_load("tutte-12-cage")
-    assert girth(cage) == 12
-    assert girth(complete(4)) == 3
+    assert girth(cage)[0] == 12
+    assert girth(complete(4)) == (3, frozenset({0, 1, 2}))
     with pytest.raises(Acyclic):
         girth(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
 
@@ -345,14 +442,48 @@ def test_girth_examples():
 def test_girth_matches_oracle_on_catalog():
     for name in ("petersen", "pappus", "dodecahedron", "line-petersen", "flag-pg22"):
         g, _ = catalog_load(name)
-        assert girth(g) == girth_oracle(g)
+        assert girth(g)[0] == girth_oracle(g)
+
+
+def test_girth_matches_reference_on_default_targets():
+    """One BFS per root gives the same (length, cycle) as the earlier
+    length-then-recover pair, on every default target with n <= 256."""
+    graphs = [catalog_load(e.name)[0] for e in catalog_list()
+              if e.source != "parameters-only" and e.array.v <= 256]
+    graphs += [construct(spec) for spec in default_grid()
+               if theory_values(spec).v <= 256]
+    for g in graphs:
+        assert girth(g) == reference_girth(g, with_cycle=True), g.name
+
+
+def test_girth_matches_reference_off_the_catalog():
+    forest = Graph.from_edges(7, [(0, 1), (1, 2), (1, 3), (4, 5)])
+    for graph in (forest, Graph(0, [])):
+        with pytest.raises(Acyclic):
+            reference_girth(graph, with_cycle=True)
+        with pytest.raises(Acyclic):
+            girth(graph)
+    # a tree component first, then a 5-cycle and a 4-cycle sharing no vertex
+    disconnected = Graph.from_edges(
+        12, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 3),
+             (8, 9), (9, 10), (10, 11), (11, 8)])
+    # a triangle with a pendant path and a chord-split hexagon
+    irregular = Graph.from_edges(
+        10, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3),
+             (5, 6), (6, 7), (7, 8), (8, 6), (8, 9)])
+    for graph in (disconnected, irregular, generalized_petersen(8, 3),
+                  line_graph(generalized_petersen(5, 2))):
+        assert girth(graph) == reference_girth(graph, with_cycle=True)
+    assert girth(disconnected) == (4, frozenset({8, 9, 10, 11}))
+    assert girth(irregular) == (3, frozenset({6, 7, 8}))
 
 
 def test_girth_cycle_is_a_cycle():
     g, _ = catalog_load("heawood")
-    length, cyc = girth(g, with_cycle=True)
+    length, cyc = girth(g)
     assert len(cyc) == length
-    sub, _ = induced_subgraph(g, cyc)
+    pos = {v: i for i, v in enumerate(sorted(cyc))}
+    sub = Graph(length, [[pos[w] for w in g.adj[v] if w in pos] for v in pos])
     assert all(len(r) == 2 for r in sub.adj)
 
 
@@ -365,7 +496,7 @@ def test_girth_at_most_half_n_for_small_valency_corpus():
                  "flag-gq22", "doubled-odd-4", "incidence-gq33", "flag-gh22"):
         g, entry = catalog_load(name)
         if entry.array.D >= 3:
-            assert 2 * girth(g) <= g.n, name
+            assert 2 * girth(g)[0] <= g.n, name
 
 
 # -- cut statistics -----------------------------------------------------------------
@@ -484,30 +615,6 @@ def test_bipartite_double_examples():
     dk2 = bipartite_double(k2)
     assert dk2.n == 4 and dk2.num_edges == 2
     assert all(len(r) == 1 for r in dk2.adj)
-
-
-def test_halved_graph_examples():
-    h42 = construct(FamilySpec("hamming", (4, 2)))
-    half = halved_graph(h42)
-    assert half.n == 8 and half.regular_degree() == 6
-    c3 = halved_graph(cycle(6))
-    assert c3.n == 3 and c3.regular_degree() == 2
-    foster, _ = catalog_load("foster")
-    hf = halved_graph(foster)
-    assert hf.n == 45 and hf.regular_degree() == 6
-    with pytest.raises(NotBipartite):
-        halved_graph(complete(3))
-
-
-def test_induced_subgraph_examples():
-    sub, order = induced_subgraph(complete(4), {1, 3})
-    assert sub.n == 2 and sub.num_edges == 1 and order == [1, 3]
-    hea, _ = catalog_load("heawood")
-    star, _ = induced_subgraph(hea, {0, *hea.adj[0]})
-    degs = sorted(len(r) for r in star.adj)
-    assert degs == [1, 1, 1, 3]     # a_1 = 0: no edges inside the neighborhood
-    with pytest.raises(EmptySet):
-        induced_subgraph(hea, set())
 
 
 # -- graph6 ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from drgc.cli import main
+from drgc.cli import _config, _parser, main
 from drgc.report import default_targets, emit, verify_all, verify_one
 from drgc.search import SearchConfig
 
@@ -107,6 +107,37 @@ def test_cli_verify_json(tmp_path):
 def test_cli_bad_target(capsys):
     assert main(["verify", "johnson:3,2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_usage_errors_exit_1(capsys):
+    # argparse's own status 2 would read as "violation found"
+    assert main(["verify", "--format", "xml", "petersen"]) == 1
+    assert main(["verify", "--seeds", "1,,2", "petersen"]) == 1
+    assert main(["frobnicate"]) == 1
+    err = capsys.readouterr().err
+    assert "invalid choice: 'xml'" in err and "got '1,,2'" in err
+    assert main(["--help"]) == 0
+    assert main(["verify", "--help"]) == 0
+    assert "--refine-budget" in capsys.readouterr().out
+
+
+def test_cli_defaults_are_search_config():
+    for command in (["verify", "petersen"], ["verify-all"]):
+        assert _config(_parser().parse_args(command)) == SearchConfig()
+    args = _parser().parse_args(["verify-all", "--seeds", "3,1"])
+    assert _config(args) == SearchConfig(seeds=(3, 1))
+
+
+def test_non_integer_family_parameter_is_an_error_record(capsys):
+    assert main(["verify", "johnson:6,"]) == 1
+    assert "non-integer parameter" in capsys.readouterr().err
+    report = verify_all(FAST, targets=["petersen", "johnson:6,x"])
+    assert report["records"][0] == verify_one("petersen", FAST)
+    assert report["records"][1] == {
+        "id": "johnson:6,x", "status": "ERROR",
+        "error": "ParamDomain: family spec 'johnson:6,x' has a non-integer "
+                 "parameter"}
+    assert report["counts"] == {"OK": 1, "OPEN": 0, "VIOLATION": 0, "ERROR": 1}
 
 
 def test_verify_all_bad_target_becomes_error_record(monkeypatch, tmp_path, capsys):

@@ -1,7 +1,5 @@
 import math
-import random
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,10 +9,9 @@ from drgc.errors import RangeError, TooLarge
 from drgc.exact import SqrtVal
 from drgc.families import FamilySpec, construct, default_grid
 from drgc.graph import Graph, IntersectionArray, intersection_array
-from drgc.spectral import (at_most_lambda1, classical_k, classical_theta1,
-                           dense_spectrum, distinct_values, drg_spectrum,
-                           exact_theta1, interlace_check, quotient_matrix,
-                           srg_eigenvalues, cheeger_window)
+from drgc.spectral import (at_most_lambda1, dense_spectrum, distinct_values,
+                           drg_spectrum, exact_theta1, srg_eigenvalues,
+                           cheeger_window)
 
 
 def test_drg_spectrum_heawood():
@@ -78,74 +75,15 @@ def test_cheeger_window():
         cheeger_window(2.5)
 
 
-def test_quotient_matrix_examples():
-    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    qm = quotient_matrix(c4, [{0, 2}, {1, 3}])
-    assert qm == [[0, 2], [2, 0]]
-    qm = quotient_matrix(c4, [{0, 1, 2, 3}])
-    assert qm == [[2]]
-    # balanced bipartition of a k-regular graph: [[k-a, a], [a, k-a]]
-    g, entry = catalog_load("cube")
-    S = {0, 1, 2, 3}
-    qm = quotient_matrix(g, [S, set(range(8)) - S])
-    k = entry.array.k
-    a = qm[0][1]
-    assert qm == [[k - a, a], [a, k - a]]
-
-
-def test_quotient_matrix_bad_partition():
-    from drgc.errors import BadPartition
-    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    with pytest.raises(BadPartition):
-        quotient_matrix(c4, [{0, 1}, {1, 2, 3}])
-    with pytest.raises(BadPartition):
-        quotient_matrix(c4, [{0, 1}, set()])
-
-
-def test_interlacing_exhaustive_cube_bipartitions():
-    g, entry = catalog_load("cube")
-    sp = drg_spectrum(entry.array)
-    for S in combinations(range(8), 4):
-        S = set(S)
-        qm = quotient_matrix(g, [S, set(range(8)) - S])
-        assert interlace_check(qm, sp)
-        # the quotient eigenvalue k - 2a stays above theta_min
-        assert entry.array.k - 2 * qm[0][1] >= sp.theta_min - 1e-9
-
-
-@pytest.mark.parametrize("name", ["cube", "petersen"])
-def test_interlacing_random_partitions(name):
-    g, entry = catalog_load(name)
-    sp = drg_spectrum(entry.array)
-    rng = random.Random(17)
-    for _ in range(10_000):
-        nparts = rng.randrange(2, 5)
-        parts = [set() for _ in range(nparts)]
-        for v in range(g.n):
-            parts[rng.randrange(nparts)].add(v)
-        parts = [p for p in parts if p]
-        if len(parts) < 2:
-            continue
-        assert interlace_check(quotient_matrix(g, parts), sp)
-
-
 def test_classical_parameters():
     # bilinear forms at (q,D,e) = (2,2,2): theta1 = 1, matches dense spectrum
-    assert classical_theta1(2, 2, 1, 3) == 1
-    assert classical_k(2, 2, 3) == 9
     g = construct(FamilySpec("bilinearforms", (2, 2, 2)))
     dv = distinct_values(dense_spectrum(g))
     assert abs(dv[1] - 1) < 1e-9
-    # dual polar of type C: theta1 = q [D-1 1]_q - 1 via (D, q, 0, q)
-    assert classical_theta1(2, 2, 0, 2) == 2 * 1 - 1
-    assert classical_theta1(3, 3, 0, 3) == 3 * 4 - 1
     # Hermitian forms handled by the dedicated formula, not classical b > 1
     from drgc.families import theory_values
     tv = theory_values(FamilySpec("hermitianforms", (2, 2)))
     assert tv.theta1 == (2 ** 2 - 1) // 3 == 1
-    from drgc.errors import ParamDomain
-    with pytest.raises(ParamDomain):
-        classical_theta1(2, 1, 0, 3)
 
 
 def test_exact_theta1_matches_catalog():
