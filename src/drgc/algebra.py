@@ -9,7 +9,9 @@ element encodings stable across runs.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
+
+import numpy as np
 
 from .errors import AmbientMismatch, BadField, RangeError, TooLarge
 
@@ -252,9 +254,26 @@ def form_eval(kind: str, F: FiniteField, x, y):
 
 def isotropic_subspaces(F: FiniteField, n: int, e: int):
     """The e-subspaces of F^n totally isotropic for the symplectic form, in
-    the sorted order of enumerate_subspaces."""
-    return [U for U in enumerate_subspaces(n, e, F)
-            if all(form_eval("symplectic", F, u, v) == 0 for u, v in combinations(U, 2))]
+    the sorted order of enumerate_subspaces.  The form of form_eval is
+    evaluated on each pair of basis rows of all subspaces at once, through
+    the field's operation tables."""
+    subspaces = enumerate_subspaces(n, e, F)
+    if e < 2:
+        return subspaces
+    if n % 2:
+        raise BadField("symplectic form needs even dimension")
+    mul, add, neg = (np.array(t) for t in (F._mul, F._add, F._neg))
+    entries = chain.from_iterable(chain.from_iterable(subspaces))
+    rows = np.fromiter(entries, dtype=np.intp, count=len(subspaces) * e * n)
+    rows = rows.reshape(-1, e, n).transpose(1, 2, 0)   # rows[r, i] = U[r][i]
+    isotropic = np.ones(len(subspaces), dtype=bool)
+    for x, y in combinations(rows, 2):
+        acc = np.zeros(len(subspaces), dtype=np.intp)
+        for i in range(0, n, 2):
+            t = add[mul[x[i], y[i + 1]], neg[mul[x[i + 1], y[i]]]]
+            acc = add[acc, t]
+        isotropic &= acc == 0
+    return [U for U, iso in zip(subspaces, isotropic) if iso]
 
 
 def nullspace(F: FiniteField, rows, ncols: int):

@@ -31,7 +31,7 @@ MAX_VERTICES = 20000
 
 
 class Graph:
-    __slots__ = ("n", "adj", "name", "_ia", "_eig", "_edges")
+    __slots__ = ("n", "adj", "name", "num_edges", "_ia", "_eig", "_edges")
 
     def __init__(self, n: int, adj: Iterable[Iterable[int]], name: str = ""):
         rows = [set(row) for row in adj]
@@ -49,6 +49,7 @@ class Graph:
         self.n = n
         self.adj = adj
         self.name = name
+        self.num_edges = sum(map(len, adj)) // 2
         self._ia = None
         self._eig = None
         self._edges = None
@@ -60,10 +61,6 @@ class Graph:
             rows[u].append(v)
             rows[v].append(u)
         return Graph(n, rows, name)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(r) for r in self.adj) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -80,7 +77,7 @@ class Graph:
 
     def renamed(self, name: str) -> "Graph":
         g = Graph.__new__(Graph)
-        g.n, g.adj, g.name = self.n, self.adj, name
+        g.n, g.adj, g.name, g.num_edges = self.n, self.adj, name, self.num_edges
         g._ia, g._eig, g._edges = self._ia, self._eig, self._edges
         return g
 

@@ -29,15 +29,30 @@ consecutive hi and its columns lo in Gray order; reversing the odd rows puts
 the block in that order, so its first least entry, kept only when it beats
 the earlier blocks strictly, is the first least set of the whole code.
 
-Local refinement scores all candidate moves of a step at once as numpy int64
-arrays: single-vertex moves as one length-n array, and (u out, w in) swaps as
-one |S| x |S^c| array whose adjacency correction comes from the cut edges.
-Comparisons against the current ratio are exact cross-multiplications.  The
-best strictly improving move is the first minimum of float64 ratios b/d, and
-that is exact too: every ratio lies in [0, 1] with 0 < d <= total, so two
+Local refinement runs on k-regular graphs, where vol(S) = k|S|, and scores
+every candidate move from din, the count of each vertex's neighbours in S,
+in exact integer arithmetic.  A single move leaves one of two volumes,
+k(|S| - 1) or k(|S| + 1), so on each side the best move is a vertex of
+least din (leaving S) or greatest din (joining S), and whether a move beats
+or equals the current ratio is one integer comparison with a threshold.  A
+swap (u out, w in) keeps vol(S) and changes the boundary by
+2 (din[u] - din[w] + A(u, w)).  That key is one small-integer |S| x |S^c|
+array whose A(u, w) term comes from the cut edges, so nothing n x n is
+built; below 0 is strictly better and 0 is equal, and since every swap
+keeps the current denominator, the first least key in row-major order is
+the first least ratio.
+
+The prefix sweep orders the vertices by decreasing score (a stable argsort,
+so ties go by vertex) and scores every prefix at once: an edge adds +1 to
+the boundary at the position of its earlier endpoint and -1 at its later
+one, so one cumulative sum gives the boundary of each prefix and another
+its volume.  The first least float64 ratio boundary / min(vol, total - vol)
+is exact: every ratio lies in [0, 1] with 0 < denominator <= total, so two
 distinct ratios differ by at least 1/total**2, which is 2**-52 or more when
 total <= 2**26 and so more than the rounding error of either; equal ratios
-round to the same double.  ``local_refine`` refuses larger graphs.
+round to the same double.  The sweep and refinement refuse graphs with
+total > REFINE_TOTAL_CAP, which also keeps k below 2**13, so refinement's
+counts fit int16.
 """
 
 from __future__ import annotations
@@ -48,7 +63,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EmptySet, TooLarge
+from .errors import EmptySet, FullSet, NotRegular, TooLarge
 from .graph import Graph, adjacency_matrix, edge_arrays, eigensystem
 from .witness import CutCertificate, make_certificate
 
@@ -139,141 +154,151 @@ def sweep_cut(g: Graph) -> CutCertificate:
     return make_certificate(g, _sweep_order(g, vecs[:, -2]), "sweep")
 
 
+def _exact_total(g: Graph, stage: str) -> int:
+    """The total degree 2m, after refusing a graph too large for the exact
+    cut scoring of the sweep and of refinement (module docstring)."""
+    total = 2 * g.num_edges
+    if total > REFINE_TOTAL_CAP:
+        raise TooLarge(f"{stage}: total degree {total} exceeds "
+                       f"{REFINE_TOTAL_CAP}, the limit of exact cut scoring")
+    return total
+
+
 def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
                  plateau_patience: int = 200,
                  swap_cap: int = 40_000) -> CutCertificate:
-    """Kernighan-Lin style descent: single-vertex moves and (u out, w in)
-    swaps, ratio monotonically non-increasing.  Equal-ratio moves pass through
-    a tabu list of the last 50 moved vertices to cross plateaus;
-    deterministic for a fixed seed.
+    """Kernighan-Lin style descent on a regular graph: single-vertex moves and
+    (u out, w in) swaps, ratio monotonically non-increasing.  Equal-ratio
+    moves pass through a tabu list of the last 50 moved vertices to cross
+    plateaus; deterministic for a fixed seed.  Raises NotRegular on an
+    irregular or edgeless graph, and EmptySet or FullSet when S is empty or
+    all of V.
 
     Every step scores all single moves, and when none improves, all swaps,
-    as numpy arrays of keys (boundary, min(vol, total - vol)).  "Strictly
-    better" and "equal" are exact int64 cross-multiplications against the
-    current key; the chosen strict move is the first index of the least
-    float64 ratio, which is exact for total <= REFINE_TOTAL_CAP (module
-    docstring).  Plateau moves are listed in the order singles by vertex,
-    then swaps row-major over (sorted S, sorted S^c), so the seeded pick is
+    by din (the neighbours in S) alone, with exact integer comparisons
+    against the current key (boundary, min(vol, total - vol)); see the module
+    docstring.  The chosen strict move is the first one of least ratio.
+    Plateau moves are listed in the order singles by vertex, then swaps
+    row-major over (sorted S, sorted S^c), so the seeded pick is
     reproducible."""
     n = g.n
-    total = 2 * g.num_edges
-    if total > REFINE_TOTAL_CAP:
-        raise TooLarge(f"local_refine: total degree {total} exceeds "
-                       f"{REFINE_TOTAL_CAP}, the limit for exact float ratios")
+    total = _exact_total(g, "local_refine")
+    k = g.regular_degree()
+    if not k:
+        raise NotRegular("local_refine: graph is not regular" if k is None
+                         else "local_refine: graph has no edges")
     rng = random.Random(seed)
     half = n // 2
-    src, dst, first = edge_arrays(g)
-    degs = np.diff(first)
+    src, dst, _ = edge_arrays(g)
+    nbrs = dst.reshape(n, k)                # v's neighbours are row v
     inS = np.zeros(n, dtype=bool)
     inS[list(S)] = True
-    din = np.bincount(dst[inS[src]], minlength=n)    # neighbours inside S
     size = int(inS.sum())
-    vol = int(degs[inS].sum())
-    boundary = int((degs - din)[inS].sum())
-    sign = np.where(inS, -1, 1)             # a move takes v out of S or into it
+    if not 0 < size < n:
+        raise (FullSet if size else EmptySet)(f"local_refine: |S| = {size}, n = {n}")
+    # neighbours inside S; k < 2**13 since n * k <= REFINE_TOTAL_CAP
+    din = np.bincount(dst[inS[src]], minlength=n).astype(np.int16)
+    boundary = k * size - int(din[inS].sum())
 
-    def side(vl):
-        return np.minimum(vl, total - vl)
+    def side(vol):
+        return min(vol, total - vol)
 
-    def first_min(b, d, strict):
-        ratio = np.divide(b, d, out=np.full(b.shape, np.inf), where=strict)
-        return np.unravel_index(np.argmin(ratio), b.shape)
-
-    cur = (boundary, min(vol, total - vol))
-    best, best_S = cur, frozenset(S)
+    best, best_S = (boundary, side(k * size)), frozenset(S)
     tabu: list[int] = []
     stale = 0
     moves = 0
     while moves < budget and stale <= plateau_patience:
-        cb, cd = cur
-        b1 = boundary + sign * (degs - 2 * din)
-        v1 = vol + sign * degs
-        d1 = side(v1)
-        allowed = np.ones(n, dtype=bool)
-        if size == 1:
-            allowed &= ~inS
-        if size >= half:
-            allowed &= inS
-        strict1 = allowed & (b1 * cd < cb * d1)
+        cd, dm, dp = side(k * size), side(k * (size - 1)), side(k * (size + 1))
+        # v leaving S gives (boundary + 2 din[v] - k, dm), better than the
+        # current key iff 2 cd din[v] < rm; v joining gives
+        # (boundary + k - 2 din[v], dp), better iff 2 cd din[v] > rp
+        rm = boundary * dm - (boundary - k) * cd
+        rp = (boundary + k) * cd - boundary * dp
         moved = None
+        if size > 1:
+            v = int(np.where(inS, din, k + 1).argmin())
+            if 2 * cd * int(din[v]) < rm:
+                moved, b, d = (v,), boundary + 2 * int(din[v]) - k, dm
+        if size < half:
+            w = int(np.where(inS, -1, din).argmax())
+            bw = boundary + k - 2 * int(din[w])
+            # the least ratio wins, and the lower vertex on a tie
+            if 2 * cd * int(din[w]) > rp and (moved is None or bw * d < b * dp
+                                              or bw * d == b * dp and w < v):
+                moved = (w,)
         swapped = False
-        if strict1.any():
-            moved = first_min(b1, d1, strict1)
         # swaps only when single moves stall and the pair scan is affordable
-        elif size * (n - size) <= swap_cap:
+        if moved is None and size * (n - size) <= swap_cap:
+            # a swap keeps vol(S) and changes the boundary by twice
+            # din[u] - din[w] + A(u, w): din[w] still counts u, which has
+            # left S, so +1 per cut edge u-w
             ins, outs = np.flatnonzero(inS), np.flatnonzero(~inS)
-            b2 = (boundary + 2 * din[ins] - degs[ins])[:, None] \
-                + (degs[outs] - 2 * din[outs])[None, :]
-            # din[w] still counts u, which has left S: +2 per cut edge u-w
+            key = din[ins][:, None] - din[outs][None, :]
             pos = np.empty(n, dtype=np.intp)
-            pos[ins], pos[outs] = np.arange(size), np.arange(n - size)
-            cut = inS[src] & ~inS[dst]
-            b2[pos[src[cut]], pos[dst[cut]]] += 2
-            v2 = (vol - degs[ins])[:, None] + degs[outs][None, :]
-            d2 = side(v2)
-            strict2 = b2 * cd < cb * d2
+            pos[outs] = np.arange(n - size)
+            nb = nbrs[ins]
+            cut = np.flatnonzero(~inS[nb])          # r * k + j for w = nb[r, j]
+            key.ravel()[cut // k * (n - size) + pos[nb.ravel()[cut]]] += 1
+            least = key.argmin()
             swapped = True
-            if strict2.any():
-                moved = first_min(b2, d2, strict2)
+            if key.flat[least] < 0:
+                r, c = divmod(int(least), n - size)
+                moved = (int(ins[r]), int(outs[c]))
         if moved is not None:
             stale = 0
         else:
             # plateau moves in scan order, without tabu vertices
             free = np.ones(n, dtype=bool)
             free[tabu] = False
-            singles = np.flatnonzero(allowed & free & (b1 * cd == cb * d1))
+            eqm = rm // (2 * cd) if size > 1 and rm % (2 * cd) == 0 else -1
+            eqp = rp // (2 * cd) if size < half and rp % (2 * cd) == 0 else -1
+            singles = np.flatnonzero(free & (din == np.where(inS, eqm, eqp)))
             pairs = []
-            if swapped:
-                pairs = np.flatnonzero((b2 * cd == cb * d2)
+            if swapped and key.flat[least] == 0:
+                pairs = np.flatnonzero((key == 0)
                                        & free[ins][:, None] & free[outs][None, :])
             count = len(singles) + len(pairs)
             if not count:
                 break
             pick = rng.randrange(count)
             if pick < len(singles):
-                moved = (singles[pick],)
+                moved = (int(singles[pick]),)
             else:
-                moved = np.unravel_index(pairs[pick - len(singles)], b2.shape)
+                r, c = divmod(int(pairs[pick - len(singles)]), n - size)
+                moved = (int(ins[r]), int(outs[c]))
             stale += 1
-        if len(moved) == 1:
-            boundary, vol = int(b1[moved]), int(v1[moved])
-            moved = (int(moved[0]),)
-        else:
-            boundary, vol = int(b2[moved]), int(v2[moved])
-            moved = (int(ins[moved[0]]), int(outs[moved[1]]))
         for m in moved:
             step = -1 if inS[m] else 1
+            boundary += step * (k - 2 * int(din[m]))
             inS[m] = step > 0
-            sign[m] = -step
-            din[dst[first[m]:first[m + 1]]] += step
+            din[nbrs[m]] += step
             size += step
-        cur = (boundary, min(vol, total - vol))
         tabu.extend(moved)
         del tabu[:-50]
         moves += 1
+        cur = (boundary, side(k * size))
         if cur[0] * best[1] < best[0] * cur[1]:
             best, best_S = cur, frozenset(np.flatnonzero(inS).tolist())
     return make_certificate(g, best_S, "refine")
 
 
 def _sweep_order(g: Graph, x) -> frozenset:
-    """Best prefix cut for an arbitrary vertex scoring vector."""
-    degs = [g.degree(v) for v in range(g.n)]
-    total = 2 * g.num_edges
-    order = sorted(range(g.n), key=lambda v: (-x[v], v))
-    in_S = [False] * g.n
-    vol = boundary = 0
-    best = None
-    best_i = 0
-    for i, v in enumerate(order[:-1]):
-        in_S[v] = True
-        vol += degs[v]
-        for w in g.adj[v]:
-            boundary += -1 if in_S[w] else 1
-        r = Fraction(boundary, min(vol, total - vol))
-        if best is None or r < best:
-            best, best_i = r, i
-    return frozenset(order[:best_i + 1])
+    """Best prefix cut for an arbitrary vertex scoring vector: the first
+    prefix of least ratio in the order of decreasing x, ties by vertex, with
+    every prefix scored at once (module docstring)."""
+    total = _exact_total(g, "sweep")
+    src, dst, first = edge_arrays(g)
+    order = np.argsort(-np.asarray(x), kind="stable")
+    pos = np.empty(g.n, dtype=np.intp)
+    pos[order] = np.arange(g.n)
+    p, q = pos[src], pos[dst]
+    once = p < q
+    # an edge is cut by the prefixes from its first endpoint up to its second
+    delta = np.bincount(p[once], minlength=g.n) - np.bincount(q[once], minlength=g.n)
+    boundary = np.cumsum(delta)[:-1]
+    vol = np.cumsum(np.diff(first)[order])[:-1]
+    best = np.argmin(boundary / np.minimum(vol, total - vol))
+    return frozenset(order[:best + 1].tolist())
 
 
 def _eigenspace_starts(g: Graph, seeds) -> list[frozenset]:

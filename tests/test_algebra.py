@@ -120,6 +120,29 @@ def test_isotropic_line_count_w33():
     assert isotropic_subspaces(F, 4, 2) == iso
 
 
+def reference_isotropic_subspaces(F, n, e):
+    """The filter one form_eval call at a time, in Python."""
+    return [U for U in enumerate_subspaces(n, e, F)
+            if all(form_eval("symplectic", F, u, v) == 0 for u, v in combinations(U, 2))]
+
+
+@pytest.mark.parametrize("q,D", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_isotropic_subspaces_match_reference(q, D):
+    F = field(q)
+    iso = isotropic_subspaces(F, 2 * D, D)
+    assert iso == reference_isotropic_subspaces(F, 2 * D, D)
+    # the dual polar graph's vertex count, prod (q^i + 1) over i = 1..D
+    assert len(iso) == {(2, 2): 15, (2, 3): 135, (3, 2): 40, (3, 3): 1120}[q, D]
+
+
+def test_isotropic_subspaces_small_and_odd_dimensions():
+    F = field(3)
+    assert isotropic_subspaces(F, 5, 1) == enumerate_subspaces(5, 1, F)
+    assert isotropic_subspaces(F, 4, 0) == [()]
+    with pytest.raises(BadField, match="even dimension"):
+        isotropic_subspaces(F, 5, 2)
+
+
 def test_matrix_rank():
     F = field(3)
     assert matrix_rank(F, [(0, 0), (0, 0)]) == 0

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from drgc import search
 from drgc.catalog import catalog_list, catalog_load
-from drgc.errors import EmptySet, TooLarge
+from drgc.errors import EmptySet, FullSet, NotRegular, TooLarge
 from drgc.families import FamilySpec, construct, default_grid, theory_values
-from drgc.graph import Graph, cut_stats
+from drgc.graph import Graph, cut_stats, eigensystem
 from drgc.search import (SearchConfig, best_upper_bound, exact_cheeger,
                          local_refine, sweep_cut)
 from drgc.witness import make_certificate
@@ -261,10 +262,13 @@ def _starts(n, rng):
 
 
 @pytest.mark.parametrize("name", ["dodecahedron", "coxeter", "incidence-gq33",
-                                  "hamming:3,3"])
+                                  "hamming:3,3", "foldedhalvedcube:5",
+                                  "flag-gh22"])
 def test_refine_matches_reference(name):
     """Strict single moves, strict swaps and tabu-filtered plateau swaps all
-    occur in these walks; the numpy scan must pick the same move at every step."""
+    occur in these walks; the numpy scan must pick the same move at every step.
+    foldedhalvedcube:5 (k = 45) and flag-gh22 (k = 4) are the default walks
+    that scan swaps most often."""
     g = _graph(name)
     rng = random.Random(2024)
     for i, start in enumerate(_starts(g.n, rng)):
@@ -285,6 +289,72 @@ def test_refine_refuses_inexact_sizes(monkeypatch):
     monkeypatch.setattr(search, "REFINE_TOTAL_CAP", 29)
     with pytest.raises(TooLarge, match="local_refine.*29"):
         local_refine(g, {0, 1}, budget=10)
+
+
+def test_refine_refuses_irregular_graphs_and_trivial_sets():
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(NotRegular, match="not regular"):
+        local_refine(path, {0, 1})
+    with pytest.raises(NotRegular, match="no edges"):
+        local_refine(Graph(4, [[], [], [], []]), {0, 1})
+    g, _ = catalog_load("petersen")
+    with pytest.raises(EmptySet):
+        local_refine(g, set())
+    with pytest.raises(FullSet):
+        local_refine(g, range(10))
+
+
+# -- numpy prefix sweep against the pure-Python loop ---------------------------
+
+def reference_sweep_order(g, x) -> frozenset:
+    """Best prefix cut for an arbitrary vertex scoring vector."""
+    degs = [g.degree(v) for v in range(g.n)]
+    total = 2 * g.num_edges
+    order = sorted(range(g.n), key=lambda v: (-x[v], v))
+    in_S = [False] * g.n
+    vol = boundary = 0
+    best = None
+    best_i = 0
+    for i, v in enumerate(order[:-1]):
+        in_S[v] = True
+        vol += degs[v]
+        for w in g.adj[v]:
+            boundary += -1 if in_S[w] else 1
+        r = Fraction(boundary, min(vol, total - vol))
+        if best is None or r < best:
+            best, best_i = r, i
+    return frozenset(order[:best_i + 1])
+
+
+def _default_targets(max_n):
+    return [e.name for e in catalog_list() if e.array.v <= max_n] + \
+        [str(s) for s in default_grid() if theory_values(s).v <= max_n]
+
+
+@pytest.mark.parametrize("name", _default_targets(256))
+def test_sweep_matches_reference(name):
+    """The second eigenvector, a three-valued integer vector (long runs of
+    ties) and a vector of 1.0, 0.0 and -0.0 (the zeros compare equal, so
+    they are ordered by vertex)."""
+    g = _graph(name)
+    rng = random.Random(name)
+    vectors = [eigensystem(g)[1][:, -2],
+               np.array([float(rng.randrange(3)) for _ in range(g.n)]),
+               np.array([rng.choice((1.0, 0.0, -0.0)) for _ in range(g.n)])]
+    for x in vectors:
+        assert search._sweep_order(g, x) == reference_sweep_order(g, x)
+
+
+def test_sweep_refuses_inexact_sizes(monkeypatch):
+    g, _ = catalog_load("petersen")     # total degree 30
+    x = eigensystem(g)[1][:, -2]
+    monkeypatch.setattr(search, "REFINE_TOTAL_CAP", 30)
+    assert search._sweep_order(g, x) == reference_sweep_order(g, x)
+    monkeypatch.setattr(search, "REFINE_TOTAL_CAP", 29)
+    with pytest.raises(TooLarge, match="sweep.*29"):
+        search._sweep_order(g, x)
+    with pytest.raises(TooLarge, match="sweep.*29"):
+        sweep_cut(g)
 
 
 # -- meet-in-the-middle exact oracle against the pure-Python Gray walk --------
@@ -340,8 +410,7 @@ def reference_exact_cheeger(g, exact_cap: int = 24):
     return Fraction(best_num, best_den), S
 
 
-SMALL_DEFAULT_TARGETS = [e.name for e in catalog_list() if e.array.v <= 16] + \
-    [str(s) for s in default_grid() if theory_values(s).v <= 16]
+SMALL_DEFAULT_TARGETS = _default_targets(16)
 
 
 def _exact_both_block_sizes(g, monkeypatch):
