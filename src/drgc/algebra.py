@@ -13,9 +13,10 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .errors import AmbientMismatch, BadField, RangeError, TooLarge
+from .errors import BadField, RangeError, TooLarge
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+SUBSPACE_CAP = 10 ** 6   # most subspaces enumerate_subspaces lists
 
 # Conway polynomials, ascending coefficients, monic part included.
 _REDUCTION = {
@@ -122,12 +123,6 @@ class FiniteField:
         """x -> x^r, the involutive automorphism when q = r^2."""
         return self.pow(a, self.r)
 
-    def vec_add(self, x, y):
-        return tuple(self._add[a][b] for a, b in zip(x, y))
-
-    def vec_scale(self, c, x):
-        return tuple(self._mul[c][a] for a in x)
-
     def __repr__(self):
         return f"GF({self.q})"
 
@@ -187,28 +182,13 @@ def matrix_rank(F: FiniteField, rows) -> int:
     return len(rref(F, rows)[0])
 
 
-def subspace_elements(F: FiniteField, U) -> frozenset[tuple[int, ...]]:
-    """All q^dim vectors of the subspace (including 0)."""
-    if not U:
-        return frozenset()
-    elems = {tuple([0] * len(U[0]))}
-    for row in U:
-        new = set()
-        for c in range(1, F.q):
-            cv = F.vec_scale(c, row)
-            for e in elems:
-                new.add(F.vec_add(e, cv))
-        elems |= new
-    return frozenset(elems)
-
-
-def enumerate_subspaces(n: int, e: int, F: FiniteField, cap: int = 10 ** 6):
-    """All e-dimensional subspaces of F^n as sorted RREF tuples."""
+def enumerate_subspaces(n: int, e: int, F: FiniteField):
+    """All e-subspaces of F^n as sorted RREF tuples, at most SUBSPACE_CAP."""
     if not 0 <= e <= n:
         raise RangeError(f"e = {e} out of range for n = {n}")
     total = gb(n, e, F.q)
-    if total > cap:
-        raise TooLarge(f"{total} subspaces exceeds cap {cap}")
+    if total > SUBSPACE_CAP:
+        raise TooLarge(f"{total} subspaces exceeds cap {SUBSPACE_CAP}")
     if e == 0:
         return [()]
     out = []
@@ -231,41 +211,51 @@ def enumerate_subspaces(n: int, e: int, F: FiniteField, cap: int = 10 ** 6):
     return out
 
 
-# -- forms --------------------------------------------------------------------
+# -- all given subspaces at once, through the field tables ---------------------
 
-def form_eval(kind: str, F: FiniteField, x, y):
-    """Evaluate the standard form of the given kind at (x, y).
+@lru_cache(maxsize=None)
+def _tables(F: FiniteField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multiplication, addition and negation tables as numpy arrays."""
+    return tuple(np.array(t) for t in (F._mul, F._add, F._neg))
 
-    symplectic: sum over coordinate pairs (2i, 2i+1) of x_i y_j - x_j y_i.
-    """
-    if len(x) != len(y):
-        raise AmbientMismatch("vectors of unequal length")
-    if kind == "symplectic":
-        if len(x) % 2:
-            raise BadField("symplectic form needs even dimension")
-        acc = 0
-        for i in range(0, len(x), 2):
-            t1 = F.mul(x[i], y[i + 1])
-            t2 = F.mul(x[i + 1], y[i])
-            acc = F.add(acc, F.sub(t1, t2))
-        return acc
-    raise BadField(f"unknown form kind {kind!r}")
+
+def _basis_array(subspaces, e: int, n: int) -> np.ndarray:
+    """basis[i, r] is row r of subspaces[i], as an (N, e, n) array."""
+    entries = chain.from_iterable(chain.from_iterable(subspaces))
+    rows = np.fromiter(entries, dtype=np.intp, count=len(subspaces) * e * n)
+    return rows.reshape(-1, e, n)
+
+
+def span_rows(F: FiniteField, subspaces) -> np.ndarray:
+    """0/1 rows over F^n, one per RREF subspace of one dimension e >= 1: row i
+    marks the base-q number of each vector sum_r c_r U[r] of U = subspaces[i],
+    one per coefficient tuple c, with c_r U[r] looked up in the multiplication
+    table and the sum in the addition table."""
+    e, n = len(subspaces[0]), len(subspaces[0][0])
+    mul, add, _ = _tables(F)
+    basis = _basis_array(subspaces, e, n)[:, None]            # (N, 1, e, n)
+    coeffs = np.array(list(product(range(F.q), repeat=e)), dtype=np.intp)
+    vectors = np.zeros((len(subspaces), len(coeffs), n), dtype=np.intp)
+    for r in range(e):
+        vectors = add[vectors, mul[coeffs[:, r, None], basis[:, :, r]]]
+    codes = vectors @ F.q ** np.arange(n - 1, -1, -1)
+    X = np.zeros((len(subspaces), F.q ** n), dtype=bool)
+    X[np.arange(len(subspaces))[:, None], codes] = True
+    return X
 
 
 def isotropic_subspaces(F: FiniteField, n: int, e: int):
-    """The e-subspaces of F^n totally isotropic for the symplectic form, in
-    the sorted order of enumerate_subspaces.  The form of form_eval is
-    evaluated on each pair of basis rows of all subspaces at once, through
-    the field's operation tables."""
+    """The e-subspaces of F^n totally isotropic for the symplectic form
+    B(x, y) = sum over coordinate pairs (2i, 2i+1) of x_2i y_2i+1 - x_2i+1 y_2i,
+    in the sorted order of enumerate_subspaces.  B is evaluated on each pair
+    of basis rows of all subspaces at once, through the field's tables."""
     subspaces = enumerate_subspaces(n, e, F)
     if e < 2:
         return subspaces
     if n % 2:
         raise BadField("symplectic form needs even dimension")
-    mul, add, neg = (np.array(t) for t in (F._mul, F._add, F._neg))
-    entries = chain.from_iterable(chain.from_iterable(subspaces))
-    rows = np.fromiter(entries, dtype=np.intp, count=len(subspaces) * e * n)
-    rows = rows.reshape(-1, e, n).transpose(1, 2, 0)   # rows[r, i] = U[r][i]
+    mul, add, neg = _tables(F)
+    rows = _basis_array(subspaces, e, n).transpose(1, 2, 0)   # rows[r, i] = U[r][i]
     isotropic = np.ones(len(subspaces), dtype=bool)
     for x, y in combinations(rows, 2):
         acc = np.zeros(len(subspaces), dtype=np.intp)

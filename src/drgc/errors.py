@@ -53,10 +53,6 @@ class TooLarge(DrgcError):
     pass
 
 
-class AmbientMismatch(DrgcError):
-    pass
-
-
 class BadField(DrgcError):
     pass
 

@@ -19,8 +19,7 @@ from math import comb
 import numpy as np
 
 from .algebra import (SUPPORTED_Q, enumerate_subspaces, field,
-                      isotropic_subspaces, matrix_rank, nullspace,
-                      subspace_elements)
+                      isotropic_subspaces, matrix_rank, nullspace, span_rows)
 from .constructions import shrikhande
 from .errors import NoDescendant, ParamDomain, TooLarge
 from .exact import SqrtVal
@@ -340,20 +339,10 @@ def _hamming_distances(keys, q: int) -> np.ndarray:
     return K.shape[1] - _inner(onehot, onehot)
 
 
-def _element_rows(F, subspaces) -> np.ndarray:
-    """Indicator rows over the q^dim vectors of each subspace's elements."""
-    dim = len(subspaces[0][0])
-    weights = F.q ** np.arange(dim - 1, -1, -1)
-    X = np.zeros((len(subspaces), F.q ** dim), dtype=bool)
-    for row, U in zip(X, subspaces):
-        row[np.array(list(subspace_elements(F, U))) @ weights] = True
-    return X
-
-
 def incidence_block(F, small, big) -> np.ndarray:
     """small[i] <= big[j], for subspaces of one F^n: exactly when all q^dim
     vectors of small[i] lie in big[j]."""
-    inside = _inner(_element_rows(F, small), _element_rows(F, big))
+    inside = _inner(span_rows(F, small), span_rows(F, big))
     return inside == F.q ** len(small[0])
 
 
@@ -455,7 +444,7 @@ def construct(spec: FamilySpec) -> Graph:
         adj = _bipartite(_inner(X, X) == 0)
     elif fam == "grassmann":
         q, n, e = p
-        X = _element_rows(field(q), keys)
+        X = span_rows(field(q), keys)
         adj = _inner(X, X) == q ** (e - 1)
     elif fam == "bilinearforms":
         q, D, e = p
@@ -494,7 +483,7 @@ def construct(spec: FamilySpec) -> Graph:
             F, keys, lambda key: _quad_rank(F, dict(zip(monos, key)), n) in (1, 2))
     elif fam == "dualpolarc":
         q, D = p
-        X = _element_rows(field(q), keys)
+        X = span_rows(field(q), keys)
         adj = _inner(X, X) == q ** (D - 1)
     elif fam == "doubledgrassmann":
         q, t = p
@@ -554,10 +543,11 @@ def descendant(spec: FamilySpec) -> frozenset:
         n = p[1]
         keep = lambda key: not any(key[:n])
     elif fam == "dualpolarc":
-        q, D = p
-        F = field(q)
-        e1 = tuple([1] + [0] * (2 * D - 1))
-        keep = lambda U: e1 in subspace_elements(F, U)
+        # e1 in U: in RREF a vector with pivot column 0 is the first row plus
+        # rows that are 0 at column 0, and the first row is 0 at every later
+        # pivot, so e1 is in U exactly when it is the first row
+        e1 = tuple([1] + [0] * (2 * p[1] - 1))
+        keep = lambda U: U[0] == e1
     elif fam in ("doubledgrassmann", "halfdualpolar"):
         raise NoDescendant(f"{fam}: handled analytically, no explicit descendant")
     else:  # pragma: no cover

@@ -155,7 +155,7 @@ def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
         except DrgcError:
             pass
     if k == 4 and ia.a(1) == 1:
-        for builder in (lambda: triangle_chain_cut(g, 3),
+        for builder in (lambda: triangle_chain_cut(g),
                         lambda: triangle_octagon_cut(g)):
             try:
                 certs.append(builder())

@@ -70,6 +70,7 @@ from .witness import CutCertificate, make_certificate
 EXACT_CAP_HARD = 30
 EXACT_BLOCK = 2 ** 16      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
+SWAP_CAP = 40_000          # most (u, w) pairs one refinement step scans
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,7 @@ def _exact_total(g: Graph, stage: str) -> int:
 
 
 def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
-                 plateau_patience: int = 200,
-                 swap_cap: int = 40_000) -> CutCertificate:
+                 plateau_patience: int = 200) -> CutCertificate:
     """Kernighan-Lin style descent on a regular graph: single-vertex moves and
     (u out, w in) swaps, ratio monotonically non-increasing.  Equal-ratio
     moves pass through a tabu list of the last 50 moved vertices to cross
@@ -174,13 +174,13 @@ def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
     irregular or edgeless graph, and EmptySet or FullSet when S is empty or
     all of V.
 
-    Every step scores all single moves, and when none improves, all swaps,
-    by din (the neighbours in S) alone, with exact integer comparisons
-    against the current key (boundary, min(vol, total - vol)); see the module
-    docstring.  The chosen strict move is the first one of least ratio.
-    Plateau moves are listed in the order singles by vertex, then swaps
-    row-major over (sorted S, sorted S^c), so the seeded pick is
-    reproducible."""
+    Every step scores all single moves, and when none improves and
+    |S| |S^c| <= SWAP_CAP, all swaps, by din (the neighbours in S) alone,
+    with exact integer comparisons against the current key (boundary,
+    min(vol, total - vol)); see the module docstring.  The chosen strict
+    move is the first one of least ratio.  Plateau moves are listed in the
+    order singles by vertex, then swaps row-major over (sorted S, sorted
+    S^c), so the seeded pick is reproducible."""
     n = g.n
     total = _exact_total(g, "local_refine")
     k = g.regular_degree()
@@ -228,7 +228,7 @@ def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
                 moved = (w,)
         swapped = False
         # swaps only when single moves stall and the pair scan is affordable
-        if moved is None and size * (n - size) <= swap_cap:
+        if moved is None and size * (n - size) <= SWAP_CAP:
             # a swap keeps vol(S) and changes the boundary by twice
             # din[u] - din[w] + A(u, w): din[w] still counts u, which has
             # left S, so +1 per cut edge u-w

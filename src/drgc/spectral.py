@@ -2,10 +2,10 @@
 
 The D+1 distinct eigenvalues come from the tridiagonal intersection matrix,
 symmetrized by the sphere sizes; Laplacian eigenvalues are (k - theta)/k.
-An exact-quadratic extractor recovers theta_1 as a SqrtVal whenever it is
-rational or a quadratic irrational, which covers every graph in this package.
-Verdicts against lambda_1 need no closed form: at_most_lambda1 counts
-eigenvalues exactly for any intersection array.
+Both exact jobs run one Sturm recursion, _minors, at an exact point:
+at_most_lambda1 counts the eigenvalues above it for any intersection array,
+and exact_theta1 checks rational and quadratic candidates for theta_1 (which
+cover every graph in this package) for an exact zero.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ def drg_spectrum(ia: IntersectionArray) -> Spectrum:
     return Spectrum(thetas)
 
 
-def dense_spectrum(g: Graph, cap: int = DENSE_CAP) -> np.ndarray:
-    """All n adjacency eigenvalues (ascending), as numpy array."""
-    if g.n > cap:
-        raise TooLarge(f"n = {g.n} exceeds dense cap {cap}")
+def dense_spectrum(g: Graph) -> np.ndarray:
+    """All n adjacency eigenvalues (ascending); refuses n > DENSE_CAP."""
+    if g.n > DENSE_CAP:
+        raise TooLarge(f"n = {g.n} exceeds dense cap {DENSE_CAP}")
     return eigensystem(g)[0]
 
 
@@ -90,21 +90,16 @@ def cheeger_window(lambda1) -> CheegerWindow:
 
 # -- exact second eigenvalue ---------------------------------------------------
 
-def charpoly(ia: IntersectionArray) -> list[int]:
-    """Monic integer characteristic polynomial of the intersection matrix,
-    ascending coefficients."""
-    # f_{i+1}(x) = (x - a_i) f_i(x) - b_{i-1} c_i f_{i-1}(x)
-    prev = [1]
-    cur = [-ia.a(0), 1]
+def _minors(ia: IntersectionArray, x) -> list:
+    """The leading principal minors of xI - L, L the intersection matrix, at
+    a rational or SqrtVal x: f_0 = 1, f_1 = x - a_0 and the three-term
+    recursion f_{i+1} = (x - a_i) f_i - b_{i-1} c_i f_{i-1}.  The last is the
+    monic integer characteristic polynomial of L at x."""
+    minors = [1, x - ia.a(0)]
     for i in range(1, ia.D + 1):
-        shifted = [0] + cur
-        term = [-ia.a(i) * c for c in cur] + [0]
-        scale = ia.b[i - 1] * ia.c[i - 1]
-        nxt = [s + t for s, t in zip(shifted, term)]
-        for j, c in enumerate(prev):
-            nxt[j] -= scale * c
-        prev, cur = cur, nxt
-    return cur
+        minors.append((x - ia.a(i)) * minors[-1]
+                      - ia.b[i - 1] * ia.c[i - 1] * minors[-2])
+    return minors
 
 
 def at_most_lambda1(ia: IntersectionArray, r) -> bool:
@@ -112,65 +107,38 @@ def at_most_lambda1(ia: IntersectionArray, r) -> bool:
 
     That holds iff theta_1 <= x = k(1 - r), i.e. iff at most one eigenvalue of
     the intersection matrix lies above x (theta_0 = k is simple and largest).
-    The charpoly recursion at x gives the leading principal minors of xI - L,
-    a Sturm sequence: with its zeros dropped, the sign changes count the
-    eigenvalues strictly above x (Wilkinson, The Algebraic Eigenvalue
-    Problem, 1965), so r == lambda_1 is decided exactly too."""
+    The minors of xI - L form a Sturm sequence: with its zeros dropped, the
+    sign changes count the eigenvalues strictly above x (Wilkinson, The
+    Algebraic Eigenvalue Problem, 1965), so r == lambda_1 is decided exactly
+    too."""
     if not isinstance(r, (int, Fraction)):
         raise TypeError(f"at_most_lambda1 needs a rational, got {r!r}")
-    x = ia.k * (1 - Fraction(r))
-    minors = [Fraction(1), x - ia.a(0)]
-    for i in range(1, ia.D + 1):
-        minors.append((x - ia.a(i)) * minors[-1]
-                      - ia.b[i - 1] * ia.c[i - 1] * minors[-2])
-    signs = [m > 0 for m in minors if m]
+    signs = [m > 0 for m in _minors(ia, ia.k * (1 - Fraction(r))) if m]
     return sum(s != t for s, t in zip(signs, signs[1:])) <= 1
 
 
-def _poly_eval(poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _divide_by_quadratic(poly, B: int, C: int):
-    """Divide by x^2 - Bx + C; returns quotient or None if remainder nonzero."""
-    rem = list(poly)
-    quot = [0] * max(len(poly) - 2, 0)
-    for i in range(len(poly) - 1, 1, -1):
-        coef = rem[i]
-        quot[i - 2] = coef
-        rem[i] = 0
-        rem[i - 1] += B * coef
-        rem[i - 2] -= C * coef
-    if rem[0] == 0 and rem[1] == 0:
-        return quot
-    return None
-
-
 def exact_theta1(ia: IntersectionArray) -> SqrtVal | None:
-    """theta_1 as an exact rational or quadratic irrational, when possible."""
-    poly = charpoly(ia)
+    """theta_1 as an exact rational or quadratic irrational, when possible.
+
+    A candidate near the float theta_1 is accepted when the characteristic
+    polynomial, the last minor, is exactly 0 there.  A rational root of that
+    monic integer polynomial is an integer; an irrational quadratic root
+    brings its conjugate, another eigenvalue theta', so it is a root of
+    x^2 - Bx + C with B = theta_1 + theta' and C = theta_1 theta' integers."""
     thetas = drg_spectrum(ia).thetas
     target = thetas[1]
-    # integer root?  (monic integer polynomial: rational roots are integers)
-    for cand in {math.floor(target), math.ceil(target), round(target)}:
-        if abs(cand - target) < 1e-6 and _poly_eval(poly, Fraction(cand)) == 0:
-            return SqrtVal(cand)
-    # quadratic factor pairing theta_1 with another root
+    m = round(target)
+    if abs(m - target) < 1e-6 and _minors(ia, m)[-1] == 0:
+        return SqrtVal(m)
     for partner in thetas:
         if partner == target:
             continue
         B, C = target + partner, target * partner
         Bi, Ci = round(B), round(C)
-        if abs(B - Bi) > 1e-6 or abs(C - Ci) > 1e-6:
+        if abs(B - Bi) > 1e-6 or abs(C - Ci) > 1e-6 or Bi * Bi <= 4 * Ci:
             continue
-        disc = Bi * Bi - 4 * Ci
-        if disc <= 0 or _divide_by_quadratic(poly, Bi, Ci) is None:
-            continue
-        root = SqrtVal(Fraction(Bi, 2), Fraction(1, 2), disc)
-        if abs(float(root) - target) < 1e-6:
+        root = SqrtVal(Fraction(Bi, 2), Fraction(1, 2), Bi * Bi - 4 * Ci)
+        if abs(float(root) - target) < 1e-6 and _minors(ia, root)[-1] == 0:
             return root
     return None
 

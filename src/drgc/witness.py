@@ -202,11 +202,6 @@ def greedy_dense_subset(g: Graph, A, B, r_prime: int) -> frozenset:
     return frozenset(-negb for _, negb in scored[:r_prime])
 
 
-def cross_edges(g: Graph, A, B) -> int:
-    A, B = frozenset(A), frozenset(B)
-    return sum(1 for a in A for w in g.adj[a] if w in B)
-
-
 # -- bipartite half-half cut -------------------------------------------------------
 
 def bipartite_half_cut(g: Graph) -> CutCertificate:
@@ -358,7 +353,7 @@ def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1) -> CutCertifica
             Xj = frozenset(g.adj[xj])
             Aj = greedy_dense_subset(g, B, Xj, t)
             B = B | Aj
-            inside = cross_edges(g, B, B)
+            inside = cut_stats(g, B).inside     # twice the edges inside B
             invariant = Fraction(j * t * c2, k)
             assert Fraction(inside, len(B)) >= invariant, \
                 f"fibre loop invariant failed at step {j}"
@@ -406,15 +401,15 @@ def _triangle_of_edge(g: Graph, u: int, v: int) -> int:
     return common[0]
 
 
-def triangle_chain_cut(g: Graph, triangles: int = 3) -> CutCertificate:
-    """A chain of edge-disjoint triangles sharing single vertices; on the flag
+def triangle_chain_cut(g: Graph) -> CutCertificate:
+    """Three edge-disjoint triangles chained at single vertices; on the flag
     graph of a projective plane of order 2 this is the 7-vertex, boundary-10 set."""
     k = g.regular_degree()
     if k != 4:
         raise WrongGraph("triangle chain cut expects valency 4")
     S = set()
     x = 0
-    for _ in range(triangles):
+    for _ in range(3):
         nbrs = [w for w in g.adj[x] if w not in S]
         if len(nbrs) < 2:
             raise SearchFailed("triangle chain ran out of fresh neighbors")

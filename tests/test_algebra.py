@@ -1,12 +1,15 @@
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
-from drgc.algebra import (SUPPORTED_Q, enumerate_subspaces, field, form_eval,
-                          gb, isotropic_subspaces, matrix_rank, nullspace,
-                          rref, subspace_elements)
+from drgc import algebra
+from drgc.algebra import (SUPPORTED_Q, enumerate_subspaces, field, gb,
+                          isotropic_subspaces, matrix_rank, nullspace, rref,
+                          span_rows)
 from drgc.errors import BadField, TooLarge
+from reference_algebra import form_eval, subspace_elements
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
@@ -90,16 +93,44 @@ def test_enumerate_counts_match_gb():
         assert len(set(subs)) == len(subs)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setattr(algebra, "SUBSPACE_CAP", 1000)
     with pytest.raises(TooLarge):
-        enumerate_subspaces(10, 5, field(4), cap=1000)
+        enumerate_subspaces(10, 5, field(4))
 
 
 def test_subspace_elements_and_span():
     F = field(2)
     U, _ = rref(F, [(1, 0, 1), (0, 1, 1)])
-    elems = subspace_elements(F, U)
+    (row,) = span_rows(F, [U])
+    elems = {v for v in product(range(2), repeat=3) if row[4 * v[0] + 2 * v[1] + v[2]]}
     assert len(elems) == 4 and (0, 0, 0) in elems and (1, 1, 0) in elems
+
+
+def reference_span_rows(F, subspaces):
+    """span_rows from the Python span, one subspace at a time."""
+    n = len(subspaces[0][0])
+    weights = F.q ** np.arange(n - 1, -1, -1)
+    X = np.zeros((len(subspaces), F.q ** n), dtype=bool)
+    for row, U in zip(X, subspaces):
+        row[np.array(sorted(subspace_elements(F, U))) @ weights] = True
+    return X
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_span_rows_match_reference(q):
+    # q = 4 and q = 9 are extension fields, which no grid subspace family uses
+    F = field(q)
+    cases = [(n, e) for n in range(1, 6) for e in range(1, n + 1) if q ** n <= 1000]
+    for n, e in cases:
+        subspaces = enumerate_subspaces(n, e, F)
+        X = span_rows(F, subspaces)
+        assert X.dtype == bool and X.shape == (len(subspaces), q ** n)
+        assert (X.sum(axis=1) == q ** e).all()
+        assert np.array_equal(X, reference_span_rows(F, subspaces)), (n, e)
+    for n, e in [(4, 2)] + [(6, 3)] * (q <= 3):
+        iso = isotropic_subspaces(F, n, e)
+        assert np.array_equal(span_rows(F, iso), reference_span_rows(F, iso)), (n, e)
 
 
 # -- forms ------------------------------------------------------------------------------

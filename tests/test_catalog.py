@@ -5,10 +5,11 @@ from itertools import combinations
 import pytest
 
 from drgc import catalog as cat
-from drgc.algebra import enumerate_subspaces, field, form_eval, subspace_elements
+from drgc.algebra import enumerate_subspaces, field
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import DataCorrupt, UnknownName
 from drgc.graph import Graph, intersection_array, line_graph
+from reference_algebra import form_eval, subspace_elements
 
 
 # -- reference builders: the earlier pair-loop incidence constructions, kept as

@@ -3,8 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from drgc.algebra import (enumerate_subspaces, field, form_eval,
-                          isotropic_subspaces, matrix_rank, subspace_elements)
+from drgc.algebra import enumerate_subspaces, field, isotropic_subspaces, matrix_rank
 from drgc.constructions import shrikhande
 from drgc.errors import NoDescendant, ParamDomain, TooLarge
 from drgc.families import (FamilySpec, _alt_full, _even_strings, _hamming_keys,
@@ -13,6 +12,7 @@ from drgc.families import (FamilySpec, _alt_full, _even_strings, _hamming_keys,
                            theory_values)
 from drgc.graph import Graph, bipartite_double, cut_stats, intersection_array
 from drgc.spectral import dense_spectrum, distinct_values, drg_spectrum
+from reference_algebra import form_eval, subspace_elements
 
 
 # -- reference constructions: the earlier pair-predicate builds, kept as oracles

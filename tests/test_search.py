@@ -264,7 +264,7 @@ def _starts(n, rng):
 @pytest.mark.parametrize("name", ["dodecahedron", "coxeter", "incidence-gq33",
                                   "hamming:3,3", "foldedhalvedcube:5",
                                   "flag-gh22"])
-def test_refine_matches_reference(name):
+def test_refine_matches_reference(name, monkeypatch):
     """Strict single moves, strict swaps and tabu-filtered plateau swaps all
     occur in these walks; the numpy scan must pick the same move at every step.
     foldedhalvedcube:5 (k = 45) and flag-gh22 (k = 4) are the default walks
@@ -278,7 +278,8 @@ def test_refine_matches_reference(name):
                 reference_local_refine(*args, plateau_patience=60), (name, i, seed)
     # pair scan over the cap: plateau walks of single moves only
     args = (g, _starts(g.n, rng)[2], 500, 1)
-    assert local_refine(*args, swap_cap=0) == reference_local_refine(*args, swap_cap=0)
+    monkeypatch.setattr(search, "SWAP_CAP", 0)
+    assert local_refine(*args) == reference_local_refine(*args, swap_cap=0)
 
 
 def test_refine_refuses_inexact_sizes(monkeypatch):

@@ -4,14 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from drgc import spectral
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import RangeError, TooLarge
 from drgc.exact import SqrtVal
 from drgc.families import FamilySpec, construct, default_grid
-from drgc.graph import Graph, IntersectionArray, intersection_array
-from drgc.spectral import (at_most_lambda1, dense_spectrum, distinct_values,
-                           drg_spectrum, exact_theta1, srg_eigenvalues,
-                           cheeger_window)
+from drgc.graph import (Graph, IntersectionArray, g6_decode, g6_encode,
+                        intersection_array)
+from drgc.spectral import (Spectrum, at_most_lambda1, dense_spectrum,
+                           distinct_values, drg_spectrum, exact_theta1,
+                           srg_eigenvalues, cheeger_window)
 
 
 def test_drg_spectrum_heawood():
@@ -54,11 +56,12 @@ def test_dense_spectrum_values_petersen():
     assert all(abs(a - b) < 1e-9 for a, b in zip(vals, expect))
 
 
-def test_dense_spectrum_k2_and_cap():
+def test_dense_spectrum_k2_and_cap(monkeypatch):
     vals = dense_spectrum(Graph.from_edges(2, [(0, 1)]))
     assert np.allclose(sorted(vals), [-1, 1])
+    monkeypatch.setattr(spectral, "DENSE_CAP", 2)
     with pytest.raises(TooLarge):
-        dense_spectrum(Graph(3, [[], [], []]), cap=2)
+        dense_spectrum(Graph(3, [[], [], []]))
 
 
 def test_cheeger_window():
@@ -92,6 +95,115 @@ def test_exact_theta1_matches_catalog():
         assert t is not None, e.name
         assert t == e.theta1, e.name
 
+
+
+# -- exact theta_1 against the characteristic-polynomial path ------------------------
+
+def charpoly(ia: IntersectionArray) -> list[int]:
+    """Monic integer characteristic polynomial of the intersection matrix,
+    ascending coefficients."""
+    # f_{i+1}(x) = (x - a_i) f_i(x) - b_{i-1} c_i f_{i-1}(x)
+    prev = [1]
+    cur = [-ia.a(0), 1]
+    for i in range(1, ia.D + 1):
+        shifted = [0] + cur
+        term = [-ia.a(i) * c for c in cur] + [0]
+        scale = ia.b[i - 1] * ia.c[i - 1]
+        nxt = [s + t for s, t in zip(shifted, term)]
+        for j, c in enumerate(prev):
+            nxt[j] -= scale * c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _poly_eval(poly, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def _divide_by_quadratic(poly, B: int, C: int):
+    """Divide by x^2 - Bx + C; returns quotient or None if remainder nonzero."""
+    rem = list(poly)
+    quot = [0] * max(len(poly) - 2, 0)
+    for i in range(len(poly) - 1, 1, -1):
+        coef = rem[i]
+        quot[i - 2] = coef
+        rem[i] = 0
+        rem[i - 1] += B * coef
+        rem[i - 2] -= C * coef
+    if rem[0] == 0 and rem[1] == 0:
+        return quot
+    return None
+
+
+def reference_exact_theta1(ia: IntersectionArray) -> SqrtVal | None:
+    """theta_1 from integer root and quadratic-factor tests on charpoly."""
+    poly = charpoly(ia)
+    thetas = drg_spectrum(ia).thetas
+    target = thetas[1]
+    # integer root?  (monic integer polynomial: rational roots are integers)
+    for cand in {math.floor(target), math.ceil(target), round(target)}:
+        if abs(cand - target) < 1e-6 and _poly_eval(poly, Fraction(cand)) == 0:
+            return SqrtVal(cand)
+    # quadratic factor pairing theta_1 with another root
+    for partner in thetas:
+        if partner == target:
+            continue
+        B, C = target + partner, target * partner
+        Bi, Ci = round(B), round(C)
+        if abs(B - Bi) > 1e-6 or abs(C - Ci) > 1e-6:
+            continue
+        disc = Bi * Bi - 4 * Ci
+        if disc <= 0 or _divide_by_quadratic(poly, Bi, Ci) is None:
+            continue
+        root = SqrtVal(Fraction(Bi, 2), Fraction(1, 2), disc)
+        if abs(float(root) - target) < 1e-6:
+            return root
+    return None
+
+
+def test_exact_theta1_matches_charpoly_reference():
+    """Every catalog and grid array, and the graph6 cycles C5-C12: theta_1 =
+    2cos(2pi/n) is rational for C6, quadratic for C5, C8, C10 and C12, and of
+    higher degree (no exact value) for C7, C9 and C11."""
+    arrays = {e.array for e in catalog_list()}
+    arrays |= {intersection_array(construct(spec)) for spec in default_grid()}
+    for ia in arrays:
+        t1 = exact_theta1(ia)
+        assert t1 is not None, ia
+        assert t1.triple() == reference_exact_theta1(ia).triple(), ia
+    kinds = {}
+    for n in range(5, 13):
+        cn = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        ia = intersection_array(g6_decode(g6_encode(cn)))
+        t1, ref = exact_theta1(ia), reference_exact_theta1(ia)
+        assert (t1 is None) == (ref is None), n
+        if t1 is None:
+            kinds[n] = "none"
+        else:
+            assert t1.triple() == ref.triple(), n
+            assert float(t1) == pytest.approx(2 * math.cos(2 * math.pi / n)), n
+            kinds[n] = "rational" if t1.is_rational else "quadratic"
+    assert kinds == {5: "quadratic", 6: "rational", 7: "none", 8: "quadratic",
+                     9: "none", 10: "quadratic", 11: "none", 12: "quadratic"}
+
+
+def test_exact_theta1_refuses_near_misses(monkeypatch):
+    """A candidate is accepted only where the characteristic polynomial is
+    exactly 0: C7's theta_1 (cubic) replaced by floats within 1e-9 of the
+    integer 1 and of sqrt 2, neither of which is an eigenvalue of C7."""
+    c7 = IntersectionArray((2, 1, 1), (1, 1, 1))
+    for fake in ((2.0, 1 + 1e-9, -0.5, -1.8),
+                 (2.0, math.sqrt(2) + 1e-9, -0.5, -math.sqrt(2))):
+        monkeypatch.setattr(spectral, "drg_spectrum", lambda ia: Spectrum(fake))
+        assert exact_theta1(c7) is None, fake
+    monkeypatch.setattr(spectral, "drg_spectrum",
+                        lambda ia: Spectrum((2.0, math.sqrt(2) + 1e-9, 0.0,
+                                             -math.sqrt(2), -2.0)))
+    c8 = IntersectionArray((2, 1, 1, 1), (1, 1, 1, 2))
+    assert exact_theta1(c8) == SqrtVal(0, 1, 2)
 
 def test_srg_eigenvalues():
     t1, t2 = srg_eigenvalues(3, 0, 1)
