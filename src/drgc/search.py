@@ -12,7 +12,8 @@ of a block of hi rows against every lo are one float32 matrix product.  Two
 more terms of that product add a penalty of 2m + 2 to every set that may not
 be chosen: |S| outside 1..n/2, the side without vertex 0 at |S| = n/2, and
 volume 0 (whose denominator is then taken as 1).  Blocks hold at most
-EXACT_BLOCK (lo, hi) pairs, so memory stays at a few MiB.
+EXACT_BLOCK (lo, hi) pairs: for n <= 24 OpenBLAS runs such a product on one
+thread, as a split one ran no faster and stalled whenever a core was busy.
 
 The least float32 ratio of a block is exact.  Every entry is an integer
 below 2**24, so the products are exact.  A chosen set has ratio at most 1
@@ -68,7 +69,7 @@ from .graph import Graph, adjacency_matrix, edge_arrays, eigensystem
 from .witness import CutCertificate, make_certificate
 
 EXACT_CAP_HARD = 30
-EXACT_BLOCK = 2 ** 16      # (lo, hi) pairs scored at once by exact_cheeger
+EXACT_BLOCK = 2 ** 14      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
 SWAP_CAP = 40_000          # most (u, w) pairs one refinement step scans
 
