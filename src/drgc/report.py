@@ -25,9 +25,10 @@ from .graph import Graph, IntersectionArray, g6_decode, intersection_array
 # exact_cheeger is not called here (best_upper_bound already returns the exact
 # certificate), but it stays bound in this module: the benchmark's tracer
 # (perfbench/tracer.py) wraps report.exact_cheeger by name.
-from .search import SearchConfig, best_upper_bound, exact_cheeger
-from .spectral import (DENSE_CAP, at_most_lambda1, dense_spectrum,
-                       distinct_values, drg_spectrum, exact_theta1, cheeger_window)
+from . import spectral
+from .search import SearchConfig, best_upper_bound, cert_key, exact_cheeger
+from .spectral import (at_most_lambda1, dense_spectrum, distinct_values,
+                       drg_spectrum, exact_theta1, cheeger_window)
 from .witness import (AnalyticBound, CutCertificate, GQ33_ARRAY,
                       TWELVE_CAGE_ARRAY, antipodal_fibre_cut,
                       avg_valency_certificate, ball_cut,
@@ -196,13 +197,23 @@ def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
         else spectrum.lambda1
 
     crosscheck = None
-    if g.n <= DENSE_CAP:
+    if g.n <= spectral.DENSE_CAP:
         dv = distinct_values(dense_spectrum(g))
         crosscheck = (len(dv) == ia.D + 1 and
                       all(abs(a - b) <= 1e-8 for a, b in zip(spectrum.thetas, dv)))
 
     certs, bounds = gather_bounds(g, ia, t1_exact, spec)
-    best = _judged(ia, best_upper_bound(g, config, extra_certs=certs))
+    # h >= lambda_1/2 (Cheeger), so a witness of ratio lambda_1/2 is a global
+    # minimum.  When it is also the least witness under the search's order and
+    # its method sorts before "refine" and "sweep", the search cannot return
+    # anything else, so it is skipped.  Below exact_cap the exact oracle runs
+    # anyway, because exact_h is its own enumeration.
+    least = min(certs, key=cert_key, default=None)
+    if (g.n > config.exact_cap and least is not None and least.method < "refine"
+            and at_most_lambda1(ia, 2 * least.ratio)):
+        best = least
+    else:
+        best = _judged(ia, best_upper_bound(g, config, extra_certs=certs))
     all_certs = list(certs)
     if best not in all_certs:
         all_certs.append(best)
@@ -213,8 +224,9 @@ def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
             any(b.verdict == "ok" for b in bounds):
         status = "OK"
     if g.n <= config.exact_cap:
+        # n <= exact_cap, so the floor skip above did not apply and
         # best_upper_bound ran exact_cheeger, whose certificate is the global
-        # minimum, so no other certificate beats it and best.ratio is h
+        # minimum: no other certificate beats it and best.ratio is h
         exact_h = best.ratio
         if not at_most_lambda1(ia, exact_h):
             status = "VIOLATION"

@@ -54,6 +54,12 @@ total <= 2**26 and so more than the rounding error of either; equal ratios
 round to the same double.  The sweep and refinement refuse graphs with
 total > REFINE_TOTAL_CAP, which also keeps k below 2**13, so refinement's
 counts fit int16.
+
+best_upper_bound returns the first certificate under cert_key (ratio, then
+method, then sorted vertex tuple).  The report shares that order: above
+exact_cap it skips the search when the least witness has ratio lambda_1/2,
+the Cheeger floor no cut goes below, and a method that sorts before
+"refine" and "sweep", because the search would return that witness.
 """
 
 from __future__ import annotations
@@ -347,6 +353,12 @@ def _iterated_refine(g: Graph, start, seed: int, budget: int, rounds: int,
     return best
 
 
+def cert_key(c: CutCertificate):
+    """The order in which the search picks its best certificate: least ratio,
+    then method name, then the sorted vertex tuple."""
+    return c.ratio, c.method, c.S
+
+
 def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig(),
                      extra_certs=()) -> CutCertificate:
     """Minimum-ratio certificate over exact enumeration (when it fits), the
@@ -372,4 +384,4 @@ def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig(),
         for seed, start in zip((-1,) + tuple(config.seeds), starts):
             certs.append(_iterated_refine(g, start, max(seed, 0),
                                           config.refine_budget, rounds, patience))
-    return min(certs, key=lambda c: (c.ratio, c.method, c.S))
+    return min(certs, key=cert_key)

@@ -1,12 +1,20 @@
 import csv
 import json
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from drgc import search, spectral
+from drgc.catalog import catalog_list
 from drgc.cli import _config, _parser, main
-from drgc.report import default_targets, emit, verify_all, verify_one
-from drgc.search import SearchConfig
+from drgc.families import default_grid, theory_values
+from drgc.graph import intersection_array
+from drgc.report import (_resolve, default_targets, emit, gather_bounds,
+                         verify_all, verify_one)
+from drgc.search import SearchConfig, exact_cheeger
+from drgc.spectral import _minors, at_most_lambda1, exact_theta1
 
 FAST = SearchConfig(exact_cap=20, seeds=(0, 1), refine_budget=2000)
 
@@ -165,3 +173,143 @@ def test_verify_all_bad_target_becomes_error_record(monkeypatch, tmp_path, capsy
     assert code == 1
     assert json.loads(out.read_text()) == json.loads(emit(report, "json"))
     assert "ERROR=1" in capsys.readouterr().err
+
+
+def test_dense_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_CAP", 9)   # petersen has n = 10
+    r = verify_one("petersen", FAST)
+    assert r["spectrum_crosscheck"] is None
+    assert r["status"] == "OK"
+    assert verify_all(FAST, targets=["petersen"])["records"] == [r]
+
+
+# -- the Cheeger floor h >= lambda_1/2 and the search skip that rests on it ----
+
+def _resolved(target):
+    _, g, spec, _ = _resolve(target)
+    ia = intersection_array(g)
+    certs, _ = gather_bounds(g, ia, exact_theta1(ia), spec)
+    return g, ia, certs
+
+
+def _count_searches(monkeypatch):
+    """Route report's best_upper_bound through a wrapper that records the n
+    of each graph searched."""
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.n)
+        return search.best_upper_bound(g, *args, **kwargs)
+
+    monkeypatch.setattr("drgc.report.best_upper_bound", counted)
+    return calls
+
+
+def lambda1_at_most(ia, r) -> bool:
+    """lambda_1 <= r, decided exactly from the Sturm minors of xI - L at
+    x = k(1 - r): theta_1 >= x iff two eigenvalues lie strictly above x, or
+    x is itself an eigenvalue with one (theta_0 = k) above it."""
+    minors = _minors(ia, ia.k * (1 - Fraction(r)))
+    signs = [m > 0 for m in minors if m]
+    above = sum(s != t for s, t in zip(signs, signs[1:]))
+    return above >= 2 or above == 1 and minors[-1] == 0
+
+
+def _small_targets():
+    cap = SearchConfig().exact_cap
+    return [e.name for e in catalog_list() if e.array.v <= cap] + \
+        [str(s) for s in default_grid() if theory_values(s).v <= cap]
+
+
+# the exact-small targets with a witness of ratio lambda_1/2
+FLOOR_SMALL = {"cube", "4-cube", "johnson:4,2", "johnson:6,3", "hamming:2,2",
+               "hamming:3,2", "hamming:4,2", "halvedcube:4", "halvedcube:5",
+               "foldedcube:4", "foldedcube:5"}
+
+
+@pytest.mark.parametrize("target", _small_targets())
+def test_exact_h_meets_cheeger_floor(target):
+    g, ia, certs = _resolved(target)
+    h, _ = exact_cheeger(g)
+    assert lambda1_at_most(ia, 2 * h)
+    # the skip's test: 2 ratio <= lambda_1 holds only for a cut of ratio h
+    floor = [c for c in certs if at_most_lambda1(ia, 2 * c.ratio)]
+    assert all(c.ratio == h for c in floor)
+    assert bool(floor) == (target in FLOOR_SMALL)
+
+
+def test_floor_targets_cover_every_small_target_named():
+    assert FLOOR_SMALL <= set(_small_targets())
+
+
+SKIPPED = ["johnson:8,4", "halvedcube:6", "halvedcube:7", "halvedcube:8",
+           "foldedcube:6", "foldedcube:7", "foldedcube:8"]
+
+
+@pytest.mark.parametrize("target", SKIPPED)
+def test_floor_skip_returns_the_full_search_best(target, monkeypatch):
+    searched = _count_searches(monkeypatch)
+    r = verify_one(target)
+    assert searched == []
+    g, ia, certs = _resolved(target)
+    full = search.best_upper_bound(g, SearchConfig(), extra_certs=certs)
+    best = r["best"]
+    assert (best["method"], tuple(best["S"]),
+            Fraction(best["ratio"]["num"], best["ratio"]["den"])) == \
+        (full.method, full.S, full.ratio)
+    assert best["verdict"] == "ok" and r["status"] == "OK"
+
+
+@pytest.mark.parametrize("target", ["johnson:8,3", "doubled-odd-4"])
+def test_floor_skip_keeps_searching_above_the_floor(target, monkeypatch):
+    """A witness that settles the graph but lies above lambda_1/2 leaves room
+    for the search, which beats it here."""
+    g, ia, certs = _resolved(target)
+    assert any(at_most_lambda1(ia, c.ratio) for c in certs)
+    assert not any(at_most_lambda1(ia, 2 * c.ratio) for c in certs)
+    searched = _count_searches(monkeypatch)
+    r = verify_one(target, FAST)
+    assert searched == [g.n]
+    best = r["best"]["ratio"]
+    assert best["approx"] < min(c.ratio for c in certs)
+
+
+def test_floor_skip_needs_a_method_before_refine(monkeypatch):
+    """A floor witness named after "refine" could lose a tie to a refinement
+    certificate, so the search still runs."""
+    def renamed(*args):
+        certs, bounds = gather_bounds(*args)
+        return [replace(c, method="zz-" + c.method) for c in certs], bounds
+
+    monkeypatch.setattr("drgc.report.gather_bounds", renamed)
+    searched = _count_searches(monkeypatch)
+    r = verify_one("halvedcube:6", FAST)
+    assert searched == [32]
+    assert r["best"]["method"] == "refine"
+    assert r["best"]["ratio"]["num"] * 3 == r["best"]["ratio"]["den"]
+
+
+def test_floor_skip_leaves_the_exact_oracle_below_the_cap(monkeypatch):
+    calls = []
+    exact = search.exact_cheeger
+    monkeypatch.setattr(search, "exact_cheeger",
+                        lambda *args: calls.append(1) or exact(*args))
+    r = verify_one("cube")              # a witness meets lambda_1/2 = 1/3
+    assert calls == [1]
+    assert r["exact_h"] == {"num": 1, "den": 3}
+
+
+def test_floor_skip_on_foldedcube_12_runs_no_search(monkeypatch):
+    expect = verify_one("foldedcube:12")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(search, "eigensystem", refuse)
+    monkeypatch.setattr(search, "local_refine", refuse)
+    r = verify_one("foldedcube:12")
+    assert r == expect
+    assert r["n"] == 2048 and r["spectrum_crosscheck"] is None
+    assert (r["best"]["method"], r["best"]["ratio"]["num"],
+            r["best"]["ratio"]["den"]) == ("bipartite-half", 1, 6)
+    assert r["lambda1"]["u"] == "1/3" and r["lambda1"]["w"] == "0"
