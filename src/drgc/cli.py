@@ -6,10 +6,11 @@
     drgc verify-all [same options]
 
 Targets are catalog names (``drgc list``), family specs like ``johnson:6,3``,
-or raw graph6 strings.  Exit codes: 0 = no violation, 2 = violation found,
-1 = operational or usage error.  verify-all reports a target that fails as an
-ERROR record, verifies the rest, and then exits 1 (2 if it also found a
-violation).
+or raw graph6 strings.  Exit codes: 0 = no violation, 2 = violation found
+(a counterexample with k >= 3; a polygon whose exact h exceeds lambda_1 is
+reported OUT_OF_SCOPE and exits 0), 1 = operational or usage error.
+verify-all reports a target that fails as an ERROR record, verifies the
+rest, and then exits 1 (2 if it also found a violation).
 """
 
 from __future__ import annotations

@@ -177,6 +177,17 @@ class IntersectionArray:
     def is_bipartite(self) -> bool:
         return all(self.a(i) == 0 for i in range(self.D + 1))
 
+    def girth(self) -> int:
+        """The girth: the least of 2i + 1 over a_i > 0 (an edge inside a
+        sphere of radius i) and 2i over c_i > 1 (two geodesics to one vertex
+        at distance i); every vertex lies on such a cycle."""
+        for i in range(1, self.D + 1):
+            if self.ci(i) > 1:
+                return 2 * i
+            if self.a(i) > 0:
+                return 2 * i + 1
+        raise Acyclic(f"{self} has no cycle")
+
     def is_antipodal(self) -> bool:
         # distance-D fibres: b_i = c_{D-i} for all i except possibly i = floor(D/2)
         return all(self.bi(i) == self.ci(self.D - i)
@@ -345,18 +356,21 @@ def _raise_first_failure(dm: np.ndarray, counts: dict, ref: dict) -> None:
                     f"{label}_{i} differs at pair ({x},{y})", witness=(x, y, i))
 
 
-def girth(g: Graph) -> tuple[int, frozenset]:
+def girth(g: Graph, least: int = 3) -> tuple[int, frozenset]:
     """Length and vertex set of a shortest cycle.  A BFS from each root in
     turn finds the shortest closed walk through it, stopping once none can
     beat the best so far; the root's parent map then gives the cycle closed
     by the first edge that reached the minimum, which is simple because the
-    minimum is the girth.  A forest raises Acyclic."""
+    minimum is the girth.  The roots stop at the first cycle of length
+    least, a lower bound on the girth (IntersectionArray.girth() is exact);
+    a later root would replace only a strictly shorter cycle, so the answer
+    is the full scan's.  A forest raises Acyclic."""
     best, closing = g.n + 1, None
     for root in range(g.n):
         found = _shortest_cycle_through(g, root, best)
         if found is not None:
             best, *closing = found
-            if best == 3:
+            if best == least:
                 break
     if closing is None:
         raise Acyclic("graph has no cycle")

@@ -152,7 +152,7 @@ def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
         certs.append(shilla_cut(g, ia))
     if k >= 3 and D >= 3:
         try:
-            certs.append(girth_cycle_cut(g))
+            certs.append(girth_cycle_cut(g, ia))
         except DrgcError:
             pass
     if k == 4 and ia.a(1) == 1:
@@ -229,7 +229,9 @@ def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
         # minimum: no other certificate beats it and best.ratio is h
         exact_h = best.ratio
         if not at_most_lambda1(ia, exact_h):
-            status = "VIOLATION"
+            # a polygon (k = 2) has h = 2/n against lambda_1 of about
+            # 2 pi^2 / n^2, so the conjecture is read for k >= 3 only
+            status = "VIOLATION" if ia.k >= 3 else "OUT_OF_SCOPE"
 
     return {
         "id": graph_id, "n": g.n, "k": ia.k, "D": ia.D,
@@ -267,8 +269,8 @@ def verify_all(config: SearchConfig = SearchConfig(),
         except DrgcError as exc:   # one bad target must not end the batch
             records.append({"id": t, "status": "ERROR",
                             "error": f"{type(exc).__name__}: {exc}"})
-    # ERROR is counted only when a target raised, so a clean run's report
-    # keeps its three counts
+    # ERROR and OUT_OF_SCOPE are counted only when present, so a clean run's
+    # report keeps its three counts
     counts = {"OK": 0, "OPEN": 0, "VIOLATION": 0}
     for r in records:
         counts[r["status"]] = counts.get(r["status"], 0) + 1

@@ -55,6 +55,21 @@ round to the same double.  The sweep and refinement refuse graphs with
 total > REFINE_TOTAL_CAP, which also keeps k below 2**13, so refinement's
 counts fit int16.
 
+The sweeps follow theta_1-eigenvectors, from one of two sources split at
+spectral.EIGENVECTOR_CAP vertices, the bound that also starts the search's
+cheapest effort tier.  Up to it they come from the dense eigh that the
+spectrum cross-check shares (graph.eigensystem): the second eigenvector, and
+per seed a Gaussian combination of the eigenbasis of theta_1.  Above it no
+eigenvector is computed.  For theta_1's standard sequence u (u_0 = 1,
+u_1 = theta_1/k, c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta_1 u_i) the
+matrix E = sum_i u_i A_i, A_i the distance-i adjacency matrix, is a multiple
+of the projection onto the theta_1-eigenspace (Brouwer, Cohen and Neumaier,
+Distance-Regular Graphs, 4.1).  Its column 0, y -> u_{d(0, y)}, is the
+sweep's vector, and E r for a Gaussian r per seed has the distribution of
+the dense path's combination.  The products A_i R come from
+A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}: D sums over the
+neighbour slots, with no n x n array and no LAPACK call.
+
 best_upper_bound returns the first certificate under cert_key (ratio, then
 method, then sorted vertex tuple).  The report shares that order: above
 exact_cap it skips the search when the least witness has ratio lambda_1/2,
@@ -70,8 +85,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import spectral
 from .errors import EmptySet, FullSet, NotRegular, TooLarge
-from .graph import Graph, adjacency_matrix, edge_arrays, eigensystem
+from .graph import (Graph, adjacency_matrix, edge_arrays, eigensystem,
+                    intersection_array)
 from .witness import CutCertificate, make_certificate
 
 EXACT_CAP_HARD = 30
@@ -157,9 +174,33 @@ def exact_cheeger(g: Graph, exact_cap: int = 24):
 
 
 def sweep_cut(g: Graph) -> CutCertificate:
-    """Best prefix cut in the ordering of the second adjacency eigenvector."""
-    vals, vecs = eigensystem(g)
-    return make_certificate(g, _sweep_order(g, vecs[:, -2]), "sweep")
+    """Best prefix cut in the ordering of a theta_1-eigenvector: the second
+    adjacency eigenvector up to spectral.EIGENVECTOR_CAP vertices, and above
+    it vertex 0's spherical vector y -> u_{d(0, y)}, column 0 of E."""
+    if g.n <= spectral.EIGENVECTOR_CAP:
+        x = eigensystem(g)[1][:, -2]
+    else:
+        x = _theta1_vectors(g, np.eye(g.n, 1))[:, 0]
+    return make_certificate(g, _sweep_order(g, x), "sweep")
+
+
+def _theta1_vectors(g: Graph, R: np.ndarray) -> np.ndarray:
+    """E R for a distance-regular g, where E = sum_i u_i A_i, u is theta_1's
+    standard sequence and A_i the distance-i matrix, so every column of E R
+    is a theta_1-eigenvector (module docstring)."""
+    ia = intersection_array(g)
+    u = spectral.standard_sequence(ia, spectral.drg_spectrum(ia).theta1)
+    nbrs = edge_arrays(g).dst.reshape(g.n, ia.k)   # v's neighbours are row v
+    prev, cur = np.zeros_like(R), R
+    out = u[0] * R
+    for i in range(ia.D):
+        # A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}, A_{-1} = 0
+        nxt = -ia.a(i) * cur - (ia.b[i - 1] * prev if i else 0)
+        for col in nbrs.T:
+            nxt += cur[col]
+        prev, cur = cur, nxt / ia.c[i]
+        out += u[i + 1] * cur
+    return out
 
 
 def _exact_total(g: Graph, stage: str) -> int:
@@ -309,18 +350,23 @@ def _sweep_order(g: Graph, x) -> frozenset:
 
 
 def _eigenspace_starts(g: Graph, seeds) -> list[frozenset]:
-    """Sweep starts from seeded random combinations inside the second
-    eigenvalue's eigenspace (high multiplicity in distance-regular graphs)."""
-    vals, vecs = eigensystem(g)
-    theta1 = vals[-2]
-    cols = [i for i, v in enumerate(vals) if abs(v - theta1) < 1e-8]
-    basis = vecs[:, cols]
-    starts = []
-    for seed in seeds:
-        rng = np.random.RandomState(seed)
-        x = basis @ rng.randn(len(cols))
-        starts.append(_sweep_order(g, x))
-    return starts
+    """Sweep starts from seeded random vectors inside the second eigenvalue's
+    eigenspace (high multiplicity in distance-regular graphs): combinations
+    of the dense eigenbasis up to spectral.EIGENVECTOR_CAP vertices, and
+    above it E R, whose column per seed is a Gaussian projected onto the
+    eigenspace."""
+    if g.n <= spectral.EIGENVECTOR_CAP:
+        vals, vecs = eigensystem(g)
+        theta1 = vals[-2]
+        basis = vecs[:, np.abs(vals - theta1) < 1e-8]
+        xs = [basis @ np.random.RandomState(seed).randn(basis.shape[1])
+              for seed in seeds]
+    else:
+        R = np.empty((g.n, len(seeds)))
+        for j, seed in enumerate(seeds):
+            R[:, j] = np.random.RandomState(seed).randn(g.n)
+        xs = _theta1_vectors(g, R).T
+    return [_sweep_order(g, x) for x in xs]
 
 
 def _iterated_refine(g: Graph, start, seed: int, budget: int, rounds: int,
@@ -362,7 +408,9 @@ def cert_key(c: CutCertificate):
 def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig(),
                      extra_certs=()) -> CutCertificate:
     """Minimum-ratio certificate over exact enumeration (when it fits), the
-    spectral sweep, seeded refinements, and any supplied witness certificates."""
+    spectral sweep, seeded refinements, and any supplied witness certificates.
+    Above spectral.EIGENVECTOR_CAP vertices the sweeps read the intersection
+    array, so g must be distance-regular there (NotDistanceRegular)."""
     certs = list(extra_certs)
     if g.n <= config.exact_cap:
         h, S = exact_cheeger(g, config.exact_cap)
@@ -376,7 +424,7 @@ def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig(),
         # the deep plateau walks matter only at Biggs-Smith/Foster scale
         if g.n <= 128:
             rounds, patience = 12, 400
-        elif g.n <= 256:
+        elif g.n <= spectral.EIGENVECTOR_CAP:
             rounds, patience = 5, 150
         else:
             rounds, patience = 2, 40

@@ -18,9 +18,13 @@ import numpy as np
 
 from .errors import RangeError, TooLarge
 from .exact import SqrtVal
-from .graph import Graph, IntersectionArray, eigensystem
+from .graph import Graph, IntersectionArray, adjacency_matrix, eigensystem
 
 DENSE_CAP = 2000
+# the largest n whose dense eigenvectors are computed: up to it the cross-check
+# and the search share graph.eigensystem; above it the cross-check calls
+# eigvalsh and the search takes its theta_1-vectors from distances
+EIGENVECTOR_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,25 @@ def drg_spectrum(ia: IntersectionArray) -> Spectrum:
 
 
 def dense_spectrum(g: Graph) -> np.ndarray:
-    """All n adjacency eigenvalues (ascending); refuses n > DENSE_CAP."""
+    """All n adjacency eigenvalues (ascending); refuses n > DENSE_CAP.  Up to
+    EIGENVECTOR_CAP they come from the cached eigensystem the search shares,
+    above it from eigvalsh, which computes no eigenvectors."""
     if g.n > DENSE_CAP:
         raise TooLarge(f"n = {g.n} exceeds dense cap {DENSE_CAP}")
-    return eigensystem(g)[0]
+    if g.n <= EIGENVECTOR_CAP:
+        return eigensystem(g)[0]
+    return np.linalg.eigvalsh(adjacency_matrix(g))
+
+
+def standard_sequence(ia: IntersectionArray, theta: float) -> list[float]:
+    """u_0 .. u_D of the eigenvalue theta: u_0 = 1, u_1 = theta/k and
+    c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta u_i.  For every vertex x,
+    y -> u_{d(x, y)} is a theta-eigenvector of the adjacency matrix
+    (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 1989, 4.1)."""
+    u = [1.0, theta / ia.k]
+    for i in range(1, ia.D):
+        u.append(((theta - ia.a(i)) * u[i] - ia.c[i - 1] * u[i - 1]) / ia.b[i])
+    return u
 
 
 def distinct_values(values) -> list[float]:

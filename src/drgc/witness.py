@@ -375,13 +375,14 @@ def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1) -> CutCertifica
 
 # -- girth cycle cut ----------------------------------------------------------------
 
-def girth_cycle_cut(g: Graph) -> CutCertificate:
+def girth_cycle_cut(g: Graph, ia: IntersectionArray) -> CutCertificate:
     """A shortest cycle as the cut set: for k >= 3 and D >= 3 the cycle has at
-    most n/2 vertices and ratio exactly (k-2)/k."""
+    most n/2 vertices and ratio exactly (k-2)/k.  The girth is read from the
+    array, so the scan stops at vertex 0's shortest cycle."""
     k = g.regular_degree()
     if k is None or k < 3:
         raise ParamDomain("needs a regular graph with k >= 3")
-    glen, cyc = girth(g)
+    glen, cyc = girth(g, ia.girth())
     if 2 * glen > g.n:
         raise ParamDomain(f"girth {glen} exceeds n/2 = {g.n / 2}")
     cert = make_certificate(g, cyc, "girth-cycle",

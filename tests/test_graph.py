@@ -16,7 +16,7 @@ from drgc.graph import (Graph, IntersectionArray, adjacency_matrix,
                         distance_matrix, edge_arrays, eigensystem, g6_decode,
                         g6_encode, girth, intersection_array, line_graph,
                         two_coloring)
-from drgc.report import verify_one
+from drgc.report import _resolve, default_targets, verify_one
 
 
 def cycle(n):
@@ -476,6 +476,28 @@ def test_girth_matches_reference_off_the_catalog():
         assert girth(graph) == reference_girth(graph, with_cycle=True)
     assert girth(disconnected) == (4, frozenset({8, 9, 10, 11}))
     assert girth(irregular) == (3, frozenset({6, 7, 8}))
+
+
+def test_girth_from_the_array():
+    """min(2i + 1 : a_i > 0, 2i : c_i > 1) is the girth of every default
+    target with k >= 3 and D >= 3, and the scan that stops at it returns the
+    full scan's cycle."""
+    checked = 0
+    for target in default_targets():
+        _, g, _, _ = _resolve(target)
+        if g is None:
+            continue
+        ia = intersection_array(g)
+        if ia.k >= 3 and ia.D >= 3:
+            full = girth(g)
+            assert ia.girth() == full[0], target
+            assert girth(g, ia.girth()) == full, target
+            checked += 1
+    assert checked == 48
+    assert IntersectionArray((2, 1, 1, 1), (1, 1, 1, 1)).girth() == 9     # C9
+    assert IntersectionArray((2, 1, 1, 1, 1), (1, 1, 1, 1, 2)).girth() == 10
+    with pytest.raises(Acyclic):
+        IntersectionArray((1,), (1,)).girth()                             # K2
 
 
 def test_girth_cycle_is_a_cycle():

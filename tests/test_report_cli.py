@@ -10,7 +10,7 @@ from drgc import search, spectral
 from drgc.catalog import catalog_list
 from drgc.cli import _config, _parser, main
 from drgc.families import default_grid, theory_values
-from drgc.graph import intersection_array
+from drgc.graph import bfs_distances, cut_stats, intersection_array
 from drgc.report import (_resolve, default_targets, emit, gather_bounds,
                          verify_all, verify_one)
 from drgc.search import SearchConfig, exact_cheeger
@@ -313,3 +313,79 @@ def test_floor_skip_on_foldedcube_12_runs_no_search(monkeypatch):
     assert (r["best"]["method"], r["best"]["ratio"]["num"],
             r["best"]["ratio"]["den"]) == ("bipartite-half", 1, 6)
     assert r["lambda1"]["u"] == "1/3" and r["lambda1"]["w"] == "0"
+
+
+# -- eigenvectors only up to spectral.EIGENVECTOR_CAP --------------------------
+
+def _refuse_eigenvectors(monkeypatch):
+    """Make every eigenvector computation raise, and record the graphs that
+    report._resolve hands to the pipeline."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvectors were computed")
+
+    monkeypatch.setattr(search, "eigensystem", refuse)
+    monkeypatch.setattr("numpy.linalg.eigh", refuse)
+    graphs = []
+
+    def resolved(target):
+        found = _resolve(target)
+        graphs.append(found[1])
+        return found
+
+    monkeypatch.setattr("drgc.report._resolve", resolved)
+    return graphs
+
+
+def test_no_eigenvectors_above_the_cap(monkeypatch):
+    expect = {t: verify_one(t) for t in ("hamming:3,7", "odd:6")}
+    graphs = _refuse_eigenvectors(monkeypatch)
+    for target, record in expect.items():
+        r = verify_one(target)
+        assert r == record
+        assert r["n"] > spectral.EIGENVECTOR_CAP
+        assert r["status"] == "OK" and r["spectrum_crosscheck"] is True
+        assert r["best"]["method"] == "refine"
+    assert [g.n for g in graphs] == [343, 462]
+    assert all(g._eig is None for g in graphs)
+
+
+def test_eigenvector_cap_is_read_at_call_time(monkeypatch):
+    """A target above a patched cap takes the distance path: no eigenvector,
+    and the sweep follows vertex 0's spherical vector, whose order is the
+    balls around vertex 0, ties by vertex."""
+    monkeypatch.setattr(spectral, "EIGENVECTOR_CAP", 34)
+    graphs = _refuse_eigenvectors(monkeypatch)
+    r = verify_one("odd:4")                     # n = 35
+    g = graphs[0]
+    assert g._eig is None
+    assert r["status"] == "OK" and r["spectrum_crosscheck"] is True
+    dist = bfs_distances(g, 0)
+    order = sorted(range(g.n), key=lambda v: (dist[v], v))
+    total = 2 * g.num_edges
+
+    def ratio(S):
+        st = cut_stats(g, S)
+        return Fraction(st.boundary, min(st.vol, total - st.vol))
+
+    prefixes = [frozenset(order[:j]) for j in range(1, g.n)]
+    assert frozenset(search.sweep_cut(g).S) == min(prefixes, key=ratio)
+
+
+# -- valency 2 is outside the conjecture's scope --------------------------------
+
+def _polygon(n):
+    from drgc.graph import Graph, g6_encode
+    return g6_encode(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+
+
+def test_polygons_past_c8_are_out_of_scope(tmp_path):
+    c7, c8, c9, c10 = (_polygon(n) for n in (7, 8, 9, 10))
+    for g6, h in ((c7, (1, 3)), (c8, (1, 4)), (c9, (1, 4)), (c10, (1, 5))):
+        r = verify_one(g6, FAST)
+        assert r["exact_h"] == {"num": h[0], "den": h[1]}
+        assert r["status"] == ("OK" if g6 in (c7, c8) else "OUT_OF_SCOPE")
+        assert main(["verify", g6, "-o", str(tmp_path / "r.json")]) == 0
+    report = verify_all(FAST, targets=[c7, c9, c10])
+    assert report["counts"] == {"OK": 1, "OPEN": 0, "VIOLATION": 0,
+                                "OUT_OF_SCOPE": 2}
+    assert "OUT_OF_SCOPE" not in verify_all(FAST, targets=[c7, c8])["counts"]

@@ -6,11 +6,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from drgc import search
+from drgc import search, spectral
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import EmptySet, FullSet, NotRegular, TooLarge
 from drgc.families import FamilySpec, construct, default_grid, theory_values
-from drgc.graph import Graph, cut_stats, eigensystem
+from drgc.graph import (Graph, adjacency_matrix, bfs_distances, cut_stats,
+                        eigensystem, intersection_array)
 from drgc.search import (SearchConfig, best_upper_bound, exact_cheeger,
                          local_refine, sweep_cut)
 from drgc.witness import make_certificate
@@ -120,9 +121,9 @@ def test_refine_fixed_point():
 
 def test_exact_beats_all_other_certificates():
     from drgc.witness import girth_cycle_cut, bipartite_half_cut
-    g, _ = catalog_load("heawood")
+    g, e = catalog_load("heawood")
     h, _ = exact_cheeger(g)
-    assert h <= girth_cycle_cut(g).ratio
+    assert h <= girth_cycle_cut(g, e.array).ratio
     assert h <= bipartite_half_cut(g).ratio
     assert h <= sweep_cut(g).ratio
 
@@ -459,3 +460,27 @@ def test_exact_skips_volume_zero_sets():
         assert exact_cheeger(g) == reference_exact_cheeger(g), adj
     with pytest.raises(EmptySet):
         exact_cheeger(Graph(3, [[], [], []]))
+
+
+# -- theta_1-vectors from distances (above spectral.EIGENVECTOR_CAP) ---------
+
+def _drg_targets():
+    return [e.name for e in catalog_list() if e.source != "parameters-only"] + \
+        [str(s) for s in default_grid()] + ["odd:6", "hamming:3,7"]
+
+
+@pytest.mark.parametrize("name", _drg_targets())
+def test_theta1_vectors_are_eigenvectors(name):
+    """E R solves A X = theta_1 X to rounding for Gaussian columns, and its
+    column for e_0 is vertex 0's spherical vector u_{d(0, y)}."""
+    g = _graph(name)
+    ia = intersection_array(g)
+    theta1 = spectral.drg_spectrum(ia).theta1
+    R = np.random.RandomState(0).randn(g.n, 3)
+    X = search._theta1_vectors(g, R)
+    A = adjacency_matrix(g)
+    assert np.linalg.norm(X, axis=0).min() > 1e-3 * np.linalg.norm(R, axis=0).max()
+    assert np.linalg.norm(A @ X - theta1 * X) <= 1e-9 * np.linalg.norm(X)
+    u = spectral.standard_sequence(ia, theta1)
+    x0 = search._theta1_vectors(g, np.eye(g.n, 1))[:, 0]
+    assert np.array_equal(x0, np.array(u)[bfs_distances(g, 0)])

@@ -9,8 +9,8 @@ from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import RangeError, TooLarge
 from drgc.exact import SqrtVal
 from drgc.families import FamilySpec, construct, default_grid
-from drgc.graph import (Graph, IntersectionArray, g6_decode, g6_encode,
-                        intersection_array)
+from drgc.graph import (Graph, IntersectionArray, adjacency_matrix, g6_decode,
+                        g6_encode, intersection_array)
 from drgc.spectral import (Spectrum, at_most_lambda1, dense_spectrum,
                            distinct_values, drg_spectrum, exact_theta1,
                            srg_eigenvalues, cheeger_window)
@@ -250,3 +250,21 @@ def test_at_most_lambda1_cubic_theta1():
     assert at_most_lambda1(c7, f - Fraction(1, 10 ** 15))
     with pytest.raises(TypeError):
         at_most_lambda1(c7, drg_spectrum(c7).lambda1)
+
+
+@pytest.mark.parametrize("name", ["hamming:3,7", "odd:6"])
+def test_dense_spectrum_above_eigenvector_cap_matches_eigh(name, monkeypatch):
+    """Above EIGENVECTOR_CAP the cross-check's eigenvalues come from eigvalsh,
+    agree with eigh's, and leave the graph's eigensystem cache empty."""
+    g = construct(FamilySpec.parse(name))
+    assert g.n > spectral.EIGENVECTOR_CAP
+    want = distinct_values(np.linalg.eigh(adjacency_matrix(g))[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr("numpy.linalg.eigh", refuse)
+    got = distinct_values(dense_spectrum(g))
+    assert g._eig is None
+    assert len(got) == len(want) == intersection_array(g).D + 1
+    assert np.allclose(got, want, rtol=0, atol=1e-9)

@@ -336,7 +336,7 @@ def test_not_antipodal():
 
 def test_girth_cut_heawood():
     g, e = catalog_load("heawood")
-    cert = girth_cycle_cut(g)
+    cert = girth_cycle_cut(g, e.array)
     assert cert.ratio == Fraction(1, 3) and len(cert.S) == 6
     assert at_most_lambda1(e.array, cert.ratio)
 
@@ -344,17 +344,17 @@ def test_girth_cut_heawood():
 def test_girth_cut_equality_cases():
     for name in ("coxeter", "tutte-coxeter"):
         g, e = catalog_load(name)
-        cert = girth_cycle_cut(g)
+        cert = girth_cycle_cut(g, e.array)
         assert cert.ratio == Fraction(1, 3) == e.lambda1.as_fraction()
         assert at_most_lambda1(e.array, cert.ratio)
     g, e = catalog_load("4-cube")
-    cert = girth_cycle_cut(g)
+    cert = girth_cycle_cut(g, e.array)
     assert cert.ratio == Fraction(1, 2) == e.lambda1.as_fraction()
 
 
 def test_girth_cut_insufficient_for_dodecahedron():
     g, e = catalog_load("dodecahedron")
-    cert = girth_cycle_cut(g)
+    cert = girth_cycle_cut(g, e.array)
     assert cert.ratio == Fraction(1, 3)
     assert not at_most_lambda1(e.array, cert.ratio)   # 1/3 > (3-sqrt(5))/3
 
