@@ -22,13 +22,14 @@ from .errors import DrgcError, UnknownName
 from .exact import SqrtVal
 from .families import FamilySpec, construct, default_grid, descendant, theory_values
 from .graph import Graph, IntersectionArray, g6_decode, intersection_array
-# exact_cheeger is not called here (best_upper_bound already returns the exact
-# certificate), but it stays bound in this module: the benchmark's tracer
-# (perfbench/tracer.py) wraps report.exact_cheeger by name.
-from . import spectral
+# exact_cheeger and dense_spectrum are not called here (best_upper_bound
+# already returns the exact certificate, and spectrum_certified checks the
+# spectrum without a dense eigensolve), but they stay bound in this module:
+# the benchmark's tracer (perfbench/tracer.py) wraps report.exact_cheeger and
+# report.dense_spectrum by name.
 from .search import SearchConfig, best_upper_bound, cert_key, exact_cheeger
-from .spectral import (at_most_lambda1, dense_spectrum, distinct_values,
-                       drg_spectrum, exact_theta1, cheeger_window)
+from .spectral import (at_most_lambda1, dense_spectrum, drg_spectrum,
+                       exact_theta1, cheeger_window, spectrum_certified)
 from .witness import (AnalyticBound, CutCertificate, GQ33_ARRAY,
                       TWELVE_CAGE_ARRAY, antipodal_fibre_cut,
                       avg_valency_certificate, ball_cut,
@@ -196,11 +197,10 @@ def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
     lam1 = ((SqrtVal(ia.k) - t1_exact) / ia.k) if t1_exact is not None \
         else spectrum.lambda1
 
-    crosscheck = None
-    if g.n <= spectral.DENSE_CAP:
-        dv = distinct_values(dense_spectrum(g))
-        crosscheck = (len(dv) == ia.D + 1 and
-                      all(abs(a - b) <= 1e-8 for a, b in zip(spectrum.thetas, dv)))
+    # intersection_array has checked the array on every vertex pair, so the
+    # adjacency eigenvalues are the intersection matrix's; the float spectrum
+    # is checked against them exactly, with no n x n matrix
+    crosscheck = spectrum_certified(ia, spectrum.thetas)
 
     certs, bounds = gather_bounds(g, ia, t1_exact, spec)
     # h >= lambda_1/2 (Cheeger), so a witness of ratio lambda_1/2 is a global

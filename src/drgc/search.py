@@ -57,8 +57,8 @@ counts fit int16.
 
 The sweeps follow theta_1-eigenvectors, from one of two sources split at
 spectral.EIGENVECTOR_CAP vertices, the bound that also starts the search's
-cheapest effort tier.  Up to it they come from the dense eigh that the
-spectrum cross-check shares (graph.eigensystem): the second eigenvector, and
+cheapest effort tier.  Up to it they come from the cached dense eigh of
+graph.eigensystem, which only the search reads: the second eigenvector, and
 per seed a Gaussian combination of the eigenbasis of theta_1.  Above it no
 eigenvector is computed.  For theta_1's standard sequence u (u_0 = 1,
 u_1 = theta_1/k, c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta_1 u_i) the

@@ -2,10 +2,11 @@
 
 The D+1 distinct eigenvalues come from the tridiagonal intersection matrix,
 symmetrized by the sphere sizes; Laplacian eigenvalues are (k - theta)/k.
-Both exact jobs run one Sturm recursion, _minors, at an exact point:
+Every exact job runs one Sturm recursion, _minors, at an exact point:
 at_most_lambda1 counts the eigenvalues above it for any intersection array,
-and exact_theta1 checks rational and quadratic candidates for theta_1 (which
-cover every graph in this package) for an exact zero.
+spectrum_certified counts them at the ends of a window around each float
+eigenvalue, and exact_theta1 checks rational and quadratic candidates for
+theta_1 (which cover every graph in this package) for an exact zero.
 """
 
 from __future__ import annotations
@@ -21,10 +22,14 @@ from .exact import SqrtVal
 from .graph import Graph, IntersectionArray, adjacency_matrix, eigensystem
 
 DENSE_CAP = 2000
-# the largest n whose dense eigenvectors are computed: up to it the cross-check
-# and the search share graph.eigensystem; above it the cross-check calls
-# eigvalsh and the search takes its theta_1-vectors from distances
+# the largest n whose dense eigenvectors are computed: up to it the search
+# reads its theta_1-vectors from graph.eigensystem (and dense_spectrum its
+# eigenvalues), above it the search takes them from distances
 EIGENVECTOR_CAP = 256
+# spectrum_certified's windows: ends on the grid 2^-30, half-width 2^-27,
+# which with the rounding of a centre to the grid stays below 1e-8
+CERT_SCALE = 1 << 30
+CERT_HALF = 1 << 3
 
 
 @dataclass(frozen=True)
@@ -107,18 +112,52 @@ def cheeger_window(lambda1) -> CheegerWindow:
     return CheegerWindow(lam / 2, math.sqrt(lam * (2 - lam)))
 
 
-# -- exact second eigenvalue ---------------------------------------------------
+# -- exact eigenvalue counts and the exact second eigenvalue -------------------
 
-def _minors(ia: IntersectionArray, x) -> list:
+def _minors(ia: IntersectionArray, p, q: int = 1) -> list:
     """The leading principal minors of xI - L, L the intersection matrix, at
-    a rational or SqrtVal x: f_0 = 1, f_1 = x - a_0 and the three-term
-    recursion f_{i+1} = (x - a_i) f_i - b_{i-1} c_i f_{i-1}.  The last is the
-    monic integer characteristic polynomial of L at x."""
-    minors = [1, x - ia.a(0)]
+    x = p/q, each f_i scaled by q^i: F_0 = 1, F_1 = p - a_0 q and the
+    three-term recursion F_{i+1} = (p - a_i q) F_i - b_{i-1} c_i q^2 F_{i-1}.
+    With q = 1 these are the minors themselves at a rational or SqrtVal p;
+    with integers p and q > 0 they are integers with the minors' signs.  The
+    last is the monic integer characteristic polynomial of L at x."""
+    minors = [1, p - ia.a(0) * q]
+    qq = q * q
     for i in range(1, ia.D + 1):
-        minors.append((x - ia.a(i)) * minors[-1]
-                      - ia.b[i - 1] * ia.c[i - 1] * minors[-2])
+        minors.append((p - ia.a(i) * q) * minors[-1]
+                      - ia.b[i - 1] * ia.c[i - 1] * qq * minors[-2])
     return minors
+
+
+def _above(ia: IntersectionArray, p: int, q: int) -> int:
+    """The number of eigenvalues of L strictly above p/q, for integers p and
+    q > 0: the minors of xI - L form a Sturm sequence, and with its zeros
+    dropped its sign changes count them (Wilkinson, The Algebraic Eigenvalue
+    Problem, 1965)."""
+    signs = [m > 0 for m in _minors(ia, p, q) if m]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def spectrum_certified(ia: IntersectionArray, thetas) -> bool:
+    """Whether the floats thetas are the D + 1 distinct eigenvalues of L, each
+    within 1e-8, decided exactly.
+
+    Each theta is rounded to the grid 1/CERT_SCALE and given the window
+    (c - h, c + h] around its grid point c, h = CERT_HALF/CERT_SCALE.  The
+    windows must be pairwise disjoint and each must hold exactly one
+    eigenvalue, counted by _above at its two ends.  L has D + 1 simple real
+    eigenvalues (it is tridiagonal with b_{i-1} c_i > 0), so D + 1 such
+    windows pair the thetas one to one with them.  Once intersection_array
+    has checked the array on every vertex pair these are the adjacency
+    eigenvalues (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 4.1),
+    so this replaces a dense eigensolve of the graph."""
+    if len(thetas) != ia.D + 1 or not all(math.isfinite(t) for t in thetas):
+        return False
+    centres = sorted(round(t * CERT_SCALE) for t in thetas)
+    if any(b - a < 2 * CERT_HALF for a, b in zip(centres, centres[1:])):
+        return False
+    return all(_above(ia, c - CERT_HALF, CERT_SCALE)
+               - _above(ia, c + CERT_HALF, CERT_SCALE) == 1 for c in centres)
 
 
 def at_most_lambda1(ia: IntersectionArray, r) -> bool:
@@ -126,14 +165,12 @@ def at_most_lambda1(ia: IntersectionArray, r) -> bool:
 
     That holds iff theta_1 <= x = k(1 - r), i.e. iff at most one eigenvalue of
     the intersection matrix lies above x (theta_0 = k is simple and largest).
-    The minors of xI - L form a Sturm sequence: with its zeros dropped, the
-    sign changes count the eigenvalues strictly above x (Wilkinson, The
-    Algebraic Eigenvalue Problem, 1965), so r == lambda_1 is decided exactly
-    too."""
+    _above counts them in integers at x's numerator and denominator, and
+    counts strictly above, so r == lambda_1 is decided exactly too."""
     if not isinstance(r, (int, Fraction)):
         raise TypeError(f"at_most_lambda1 needs a rational, got {r!r}")
-    signs = [m > 0 for m in _minors(ia, ia.k * (1 - Fraction(r))) if m]
-    return sum(s != t for s, t in zip(signs, signs[1:])) <= 1
+    x = ia.k * (1 - Fraction(r))
+    return _above(ia, x.numerator, x.denominator) <= 1
 
 
 def exact_theta1(ia: IntersectionArray) -> SqrtVal | None:

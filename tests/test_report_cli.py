@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from drgc import search, spectral
@@ -175,14 +176,6 @@ def test_verify_all_bad_target_becomes_error_record(monkeypatch, tmp_path, capsy
     assert "ERROR=1" in capsys.readouterr().err
 
 
-def test_dense_cap_is_read_at_call_time(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CAP", 9)   # petersen has n = 10
-    r = verify_one("petersen", FAST)
-    assert r["spectrum_crosscheck"] is None
-    assert r["status"] == "OK"
-    assert verify_all(FAST, targets=["petersen"])["records"] == [r]
-
-
 # -- the Cheeger floor h >= lambda_1/2 and the search skip that rests on it ----
 
 def _resolved(target):
@@ -309,7 +302,7 @@ def test_floor_skip_on_foldedcube_12_runs_no_search(monkeypatch):
     monkeypatch.setattr(search, "local_refine", refuse)
     r = verify_one("foldedcube:12")
     assert r == expect
-    assert r["n"] == 2048 and r["spectrum_crosscheck"] is None
+    assert r["n"] == 2048 and r["spectrum_crosscheck"] is True
     assert (r["best"]["method"], r["best"]["ratio"]["num"],
             r["best"]["ratio"]["den"]) == ("bipartite-half", 1, 6)
     assert r["lambda1"]["u"] == "1/3" and r["lambda1"]["w"] == "0"
@@ -347,6 +340,30 @@ def test_no_eigenvectors_above_the_cap(monkeypatch):
         assert r["best"]["method"] == "refine"
     assert [g.n for g in graphs] == [343, 462]
     assert all(g._eig is None for g in graphs)
+
+
+def test_crosscheck_solves_no_graph_sized_matrix(monkeypatch):
+    """Above EIGENVECTOR_CAP the only eigensolve of verify_one is
+    drg_spectrum's, on the (D + 1) x (D + 1) intersection matrix: the
+    cross-check counts eigenvalues exactly, without dense_spectrum."""
+    monkeypatch.setattr(spectral, "EIGENVECTOR_CAP", 34)
+    graphs = _refuse_eigenvectors(monkeypatch)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense_spectrum called")
+
+    monkeypatch.setattr("numpy.linalg.eigvalsh", recorded)
+    monkeypatch.setattr("drgc.report.dense_spectrum", refuse)
+    monkeypatch.setattr(spectral, "dense_spectrum", refuse)
+    r = verify_one("odd:4", FAST)                # n = 35, D = 3
+    assert r["spectrum_crosscheck"] is True and r["status"] == "OK"
+    assert graphs[0].n == 35 and sizes and set(sizes) == {4}
 
 
 def test_eigenvector_cap_is_read_at_call_time(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from drgc.exact import SqrtVal
 from drgc.families import FamilySpec, construct, default_grid
 from drgc.graph import (Graph, IntersectionArray, adjacency_matrix, g6_decode,
                         g6_encode, intersection_array)
-from drgc.spectral import (Spectrum, at_most_lambda1, dense_spectrum,
+from drgc.spectral import (Spectrum, _minors, at_most_lambda1, dense_spectrum,
                            distinct_values, drg_spectrum, exact_theta1,
-                           srg_eigenvalues, cheeger_window)
+                           spectrum_certified, srg_eigenvalues, cheeger_window)
 
 
 def test_drg_spectrum_heawood():
@@ -215,13 +216,19 @@ def test_srg_eigenvalues():
 
 # -- exact verdicts: the Sturm count against lambda_1 ----------------------------
 
+@functools.cache
+def _default_arrays() -> frozenset:
+    """The arrays of every catalog entry and every default grid graph."""
+    arrays = {e.array for e in catalog_list()}
+    arrays |= {intersection_array(construct(spec)) for spec in default_grid()}
+    return frozenset(arrays)
+
+
 def test_at_most_lambda1_matches_exact_comparison():
     """Every catalog and grid array, at every p/d in [0, 2] with d <= 24,
     against the SqrtVal comparison with (k - theta_1)/k."""
-    arrays = {e.array for e in catalog_list()}
-    arrays |= {intersection_array(construct(spec)) for spec in default_grid()}
     ratios = {Fraction(p, d) for d in range(1, 25) for p in range(2 * d + 1)}
-    for ia in arrays:
+    for ia in _default_arrays():
         t1 = exact_theta1(ia)
         assert t1 is not None, ia
         lam1 = (SqrtVal(ia.k) - t1) / ia.k
@@ -252,9 +259,68 @@ def test_at_most_lambda1_cubic_theta1():
         at_most_lambda1(c7, drg_spectrum(c7).lambda1)
 
 
+def test_scaled_minors_are_the_rational_minors_times_q_powers():
+    """_minors(ia, p, q) is the integer form of _minors at p/q: its i-th
+    entry is q^i times the i-th minor, so the Sturm signs agree."""
+    points = [(0, 1), (1, 1), (-3, 2), (7, 3), (-22, 7), (5, 12), (355, 113),
+              (-(1 << 40) - 1, 1 << 30)]
+    for e in catalog_list():
+        for p, q in points:
+            scaled = _minors(e.array, p, q)
+            exact = _minors(e.array, Fraction(p, q))
+            assert all(type(m) is int for m in scaled)
+            assert scaled == [q ** i * m for i, m in enumerate(exact)], \
+                (e.name, p, q)
+
+
+# -- the spectrum cross-check: one Sturm count per window ----------------------
+
+# J(13, 6): b_i = (6 - i)(7 - i), c_i = i^2 (n = 1716, D = 6)
+JOHNSON_13_6 = IntersectionArray(tuple((6 - i) * (7 - i) for i in range(6)),
+                                 tuple(i * i for i in range(1, 7)))
+
+
+def test_spectrum_certified_on_every_default_array():
+    arrays = _default_arrays() | {JOHNSON_13_6}
+    biggs_smith = next(e.array for e in catalog_list() if e.name == "biggs-smith")
+    assert biggs_smith in arrays and biggs_smith.D == 7
+    for ia in arrays:
+        assert spectrum_certified(ia, drg_spectrum(ia).thetas), str(ia)
+
+
+def test_certified_window_is_within_1e_8():
+    # half-width plus the rounding of a centre to the grid
+    assert (spectral.CERT_HALF + 0.5) / spectral.CERT_SCALE < 1e-8
+    ia = IntersectionArray((3, 2, 2), (1, 1, 3))      # Heawood: +-sqrt 2
+    thetas = list(drg_spectrum(ia).thetas)
+    for shift, ok in ((5e-9, True), (-5e-9, True), (1e-8, False),
+                      (-1e-8, False)):
+        moved = thetas[:1] + [thetas[1] + shift] + thetas[2:]
+        assert spectrum_certified(ia, moved) is ok, shift
+
+
+@pytest.mark.parametrize("name", ["petersen", "biggs-smith", "johnson:13,6"])
+def test_spectrum_certified_refuses_wrong_spectra(name):
+    ia = JOHNSON_13_6 if name == "johnson:13,6" else \
+        next(e.array for e in catalog_list() if e.name == name)
+    thetas = list(drg_spectrum(ia).thetas)
+    assert spectrum_certified(ia, thetas)
+    wrong = [
+        thetas[:1] + [thetas[1] + 1e-6] + thetas[2:],      # theta_1 moved
+        thetas[:1] + [thetas[1] - 1e-6] + thetas[2:],
+        thetas + [thetas[1]],                               # a duplicate added
+        thetas[:2] + [thetas[1]] + thetas[3:],              # theta_2 := theta_1
+        thetas[:2] + [thetas[1] - 4e-9] + thetas[3:],       # two in one window
+        thetas[:1] + [float("nan")] + thetas[2:],
+    ]
+    wrong += [thetas[:i] + thetas[i + 1:] for i in range(len(thetas))]   # dropped
+    for w in wrong:
+        assert not spectrum_certified(ia, w), w
+
+
 @pytest.mark.parametrize("name", ["hamming:3,7", "odd:6"])
 def test_dense_spectrum_above_eigenvector_cap_matches_eigh(name, monkeypatch):
-    """Above EIGENVECTOR_CAP the cross-check's eigenvalues come from eigvalsh,
+    """Above EIGENVECTOR_CAP dense_spectrum's eigenvalues come from eigvalsh,
     agree with eigh's, and leave the graph's eigensystem cache empty."""
     g = construct(FamilySpec.parse(name))
     assert g.n > spectral.EIGENVECTOR_CAP
