@@ -4,6 +4,11 @@ Fields GF(q) for q in {2,3,4,5,7,8,9,11,13,16}; elements are integers
 0..q-1 encoding coefficient vectors base p, so 0 and 1 are the field's zero
 and one.  Extension fields use fixed Conway reduction polynomials, keeping
 element encodings stable across runs.
+
+Subspaces are listed by one numpy generator, _rref_array, whose (N, e, n)
+array of RREF bases is in sorted tuple order.  enumerate_subspaces turns all
+of it into tuples; isotropic_subspaces filters the array first and makes
+tuples only of the subspaces it keeps.
 """
 
 from __future__ import annotations
@@ -13,10 +18,10 @@ from itertools import chain, combinations, product
 
 import numpy as np
 
-from .errors import BadField, RangeError, TooLarge
+from .errors import BadField, RangeError, SelfCheckFailed, TooLarge
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-SUBSPACE_CAP = 10 ** 6   # most subspaces enumerate_subspaces lists
+SUBSPACE_CAP = 10 ** 6   # most subspaces _rref_array lists
 
 # Conway polynomials, ascending coefficients, monic part included.
 _REDUCTION = {
@@ -182,33 +187,44 @@ def matrix_rank(F: FiniteField, rows) -> int:
     return len(rref(F, rows)[0])
 
 
-def enumerate_subspaces(n: int, e: int, F: FiniteField):
-    """All e-subspaces of F^n as sorted RREF tuples, at most SUBSPACE_CAP."""
+def _rref_array(n: int, e: int, q: int) -> np.ndarray:
+    """The RREF bases of all e-subspaces of GF(q)^n as an (N, e, n) uint8
+    array, in sorted tuple order; refuses more than SUBSPACE_CAP subspaces
+    before it allocates.  One block per pivot set: the pivot entries are 1 and
+    the free entries (right of a row's pivot, outside the pivot columns) run
+    through all q^f values in product order; one lexicographic sort of the
+    flattened bases then interleaves the blocks."""
     if not 0 <= e <= n:
         raise RangeError(f"e = {e} out of range for n = {n}")
-    total = gb(n, e, F.q)
+    total = gb(n, e, q)
     if total > SUBSPACE_CAP:
         raise TooLarge(f"{total} subspaces exceeds cap {SUBSPACE_CAP}")
-    if e == 0:
-        return [()]
-    out = []
-    vals = range(F.q)
+    blocks = []
     for pivots in combinations(range(n), e):
-        free_pos = []
-        for i in range(e):
-            for j in range(pivots[i] + 1, n):
-                if j not in pivots:
-                    free_pos.append((i, j))
-        for assignment in product(vals, repeat=len(free_pos)):
-            mat = [[0] * n for _ in range(e)]
-            for i in range(e):
-                mat[i][pivots[i]] = 1
-            for (i, j), v in zip(free_pos, assignment):
-                mat[i][j] = v
-            out.append(tuple(tuple(r) for r in mat))
-    assert len(out) == total
-    out.sort()
-    return out
+        free = [(i, j) for i in range(e) for j in range(pivots[i] + 1, n)
+                if j not in pivots]
+        block = np.zeros((q ** len(free), e, n), dtype=np.uint8)
+        block[:, range(e), list(pivots)] = 1
+        if free:
+            rows, cols = zip(*free)
+            block[:, rows, cols] = np.indices((q,) * len(free)).reshape(len(free), -1).T
+        blocks.append(block)
+    bases = np.concatenate(blocks)
+    if len(bases) != total:
+        raise SelfCheckFailed(f"listed {len(bases)} {e}-subspaces of GF({q})^{n}, "
+                              f"not [{n} {e}]_{q} = {total}")
+    if e == 0:
+        return bases
+    return bases[np.lexsort(bases.reshape(total, e * n).T[::-1])]
+
+
+def _as_tuples(bases: np.ndarray) -> list:
+    return [tuple(map(tuple, U)) for U in bases.tolist()]
+
+
+def enumerate_subspaces(n: int, e: int, F: FiniteField):
+    """All e-subspaces of F^n as sorted RREF tuples, at most SUBSPACE_CAP."""
+    return _as_tuples(_rref_array(n, e, F.q))
 
 
 # -- all given subspaces at once, through the field tables ---------------------
@@ -248,22 +264,23 @@ def isotropic_subspaces(F: FiniteField, n: int, e: int):
     """The e-subspaces of F^n totally isotropic for the symplectic form
     B(x, y) = sum over coordinate pairs (2i, 2i+1) of x_2i y_2i+1 - x_2i+1 y_2i,
     in the sorted order of enumerate_subspaces.  B is evaluated on each pair
-    of basis rows of all subspaces at once, through the field's tables."""
-    subspaces = enumerate_subspaces(n, e, F)
+    of basis rows of all RREF bases at once, through the field's tables, and
+    only the bases kept become tuples."""
+    bases = _rref_array(n, e, F.q)
     if e < 2:
-        return subspaces
+        return _as_tuples(bases)
     if n % 2:
         raise BadField("symplectic form needs even dimension")
     mul, add, neg = _tables(F)
-    rows = _basis_array(subspaces, e, n).transpose(1, 2, 0)   # rows[r, i] = U[r][i]
-    isotropic = np.ones(len(subspaces), dtype=bool)
+    rows = bases.transpose(1, 2, 0)       # rows[r, i] = U[r][i], one column per U
+    isotropic = np.ones(len(bases), dtype=bool)
     for x, y in combinations(rows, 2):
-        acc = np.zeros(len(subspaces), dtype=np.intp)
+        acc = np.zeros(len(bases), dtype=np.intp)
         for i in range(0, n, 2):
             t = add[mul[x[i], y[i + 1]], neg[mul[x[i + 1], y[i]]]]
             acc = add[acc, t]
         isotropic &= acc == 0
-    return [U for U, iso in zip(subspaces, isotropic) if iso]
+    return _as_tuples(bases[isotropic])
 
 
 def nullspace(F: FiniteField, rows, ncols: int):

@@ -81,5 +81,9 @@ class WrongGraph(DrgcError):
     pass
 
 
+class SelfCheckFailed(DrgcError):
+    """Two exact computations of the same quantity disagree."""
+
+
 class SearchFailed(DrgcError):
     """A construction search the source material guarantees to succeed did not."""

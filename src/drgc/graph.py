@@ -1,14 +1,19 @@
 """Core graph representation and metric/structural operations.
 
 Graphs are simple, undirected, with vertices 0..n-1 and sorted adjacency
-lists; they are immutable after construction and safe to share.  Vertex
-subsets are plain frozensets; all cut statistics are exact integer counts.
+lists; they are immutable after construction and safe to share.  The
+constructor builds the ordered edge list as read-only CSR arrays (edge_arrays)
+and validates those in numpy; only an invalid input goes on to the Python
+scan that names its first bad entry.  Vertex subsets are plain frozensets;
+all cut statistics are exact integer counts.
 
 Every stage that allocates an n x n array (adjacency and distance matrices,
 the intersection-array check, the dense eigensystem) refuses graphs with more
 than MAX_VERTICES vertices before it allocates, raising TooLarge.  The
 distance matrix and the intersection-array check gather whole rows through an
-n x k neighbour table: they do O(n^2 k) work and no matrix product.
+n x k neighbour table: they do O(n^2 k) work and no matrix product.  The
+intersection-array check counts and compares one block of rows at a time, a
+block small enough to stay in cache.
 """
 
 from __future__ import annotations
@@ -34,25 +39,36 @@ class Graph:
     __slots__ = ("n", "adj", "name", "num_edges", "_ia", "_eig", "_edges")
 
     def __init__(self, n: int, adj: Iterable[Iterable[int]], name: str = ""):
-        rows = [set(row) for row in adj]
-        adj = tuple(tuple(sorted(row)) for row in rows)
-        if len(adj) != n:
-            raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
-        for u, row in enumerate(adj):
-            for v in row:
-                if v == u:
-                    raise GraphError(f"self-loop at {u}")
-                if not 0 <= v < n:
-                    raise GraphError(f"vertex {v} out of range")
-                if u not in rows[v]:
-                    raise GraphError(f"asymmetric adjacency {u}->{v}")
+        rows = [tuple(row) for row in adj]
+        if len(rows) != n:
+            raise GraphError(f"adjacency has {len(rows)} rows for n={n}")
+        degs = np.fromiter(map(len, rows), dtype=np.intp, count=n)
+        src = np.repeat(np.arange(n), degs)
+        try:
+            dst = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
+                              count=src.size)
+        except OverflowError:
+            _raise_first_bad_entry(n, rows)
+        if ((dst < 0) | (dst >= n) | (dst == src)).any():
+            _raise_first_bad_entry(n, rows)
+        # the forward keys u*n + v, sorted and without repeats, are symmetric
+        # exactly when the reversed keys v*n + u sort to the same array
+        keys = np.sort(src * n + dst)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        src, dst = np.divmod(keys, n)
+        if not np.array_equal(np.sort(dst * n + src), keys):
+            _raise_first_bad_entry(n, rows)
+        first = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+        for a in (src, dst, first):
+            a.flags.writeable = False
+        flat, bounds = dst.tolist(), first.tolist()
         self.n = n
-        self.adj = adj
+        self.adj = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         self.name = name
-        self.num_edges = sum(map(len, adj)) // 2
+        self.num_edges = dst.size // 2
         self._ia = None
         self._eig = None
-        self._edges = None
+        self._edges = EdgeArrays(src, dst, first)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> "Graph":
@@ -66,8 +82,8 @@ class Graph:
         return len(self.adj[v])
 
     def regular_degree(self) -> int | None:
-        degs = {len(r) for r in self.adj}
-        return degs.pop() if len(degs) == 1 else None
+        degs = np.diff(self._edges.first)
+        return int(degs[0]) if degs.size and (degs == degs[0]).all() else None
 
     def edges(self):
         for u in range(self.n):
@@ -93,17 +109,24 @@ class EdgeArrays(NamedTuple):
 
 
 def edge_arrays(g: Graph) -> EdgeArrays:
-    """The ordered edge list as read-only numpy arrays (cached)."""
-    if g._edges is None:
-        degs = np.fromiter(map(len, g.adj), dtype=np.int64, count=g.n)
-        first = np.concatenate(([0], np.cumsum(degs)))
-        src = np.repeat(np.arange(g.n), degs)
-        dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.intp,
-                          count=int(first[-1]))
-        for a in (src, dst, first):
-            a.flags.writeable = False
-        g._edges = EdgeArrays(src, dst, first)
+    """The ordered edge list as read-only numpy arrays, built by Graph."""
     return g._edges
+
+
+def _raise_first_bad_entry(n: int, rows: list) -> None:
+    """GraphError at the first bad entry of the adjacency rows: by row u, then
+    by ascending neighbour v (repeats count once), a self-loop, then an
+    out-of-range vertex, then a v whose row lacks u."""
+    sets = [set(row) for row in rows]
+    for u, row in enumerate(sets):
+        for v in sorted(row):
+            if v == u:
+                raise GraphError(f"self-loop at {u}")
+            if not 0 <= v < n:
+                raise GraphError(f"vertex {v} out of range")
+            if u not in sets[v]:
+                raise GraphError(f"asymmetric adjacency {u}->{v}")
+    raise GraphError("adjacency entries are not vertex numbers")
 
 
 class CutStats(NamedTuple):
@@ -291,20 +314,31 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return dm
 
 
+def _block_rows(n: int) -> int:
+    """Rows per block of the intersection-array check: a block of the n x n
+    int8 distance matrix holds about 2**18 cells, so it stays in cache while
+    its counts are summed and compared."""
+    return max(1, 2 ** 18 // n)
+
+
 def intersection_array(g: Graph) -> IntersectionArray:
     """Extract the intersection array (cached), checking distance-regularity
     over all ordered vertex pairs; this load-time check is what lets embedded
     catalog data be trusted.
 
     Every neighbour z of y has d(x,z) in {d-1, d, d+1} with d = d(x,y).  For
-    each slot s of the neighbour table, the gathered rows dz = dm[N[:, s]]
-    hold dz[y, x] = d(x, z) for the s-th neighbour z of y, so summing
-    dz < dm and dz > dm over the k slots gives C[y, x] = c(x,y) and
-    B[y, x] = b(x,y) for every pair at once (dm is symmetric).  The value of
-    c_i and b_i is read at the first pair in row-major order at distance i,
-    and one pass compares every pair with its distance's values.  Only when
-    that pass finds a mismatch are the checks run by ascending i, c before
-    b, to report the first pair in row-major order that breaks a constant."""
+    each slot s of the neighbour table N (row y lists y's k neighbours), the
+    gathered rows dz = dm[N[:, s]] hold dz[y, x] = d(x, z) for the s-th
+    neighbour z of y, so summing dz < dm and dz > dm over the k slots gives
+    C[y, x] = c(x,y) and B[y, x] = b(x,y) for every pair at once (dm is
+    symmetric).  The value of c_i and b_i is read at the first pair in
+    row-major order at distance i, which is a pair (0, y): c(0, y) and
+    b(0, y) are counted directly from y's neighbours.  C and B are then
+    filled in blocks of rows y, _block_rows(n) at a time, and each block is
+    compared with its distances' values while it is still in cache.  Only
+    when some block has a mismatch are the checks run by ascending i, c
+    before b, to report the first pair in row-major order that breaks a
+    constant."""
     if g._ia is not None:
         return g._ia
     _check_dense(g, "intersection_array")
@@ -313,14 +347,12 @@ def intersection_array(g: Graph) -> IntersectionArray:
         raise NotRegular("graph is not regular")
     if g.n == 1 or k == 0:
         raise NotRegular("trivial graph")
+    n = g.n
     dm = distance_matrix(g)
     diam = int(dm.max())
+    nbrs = edge_arrays(g).dst.reshape(n, k)   # regular, so row v is v's neighbours
     C = np.zeros(dm.shape, dtype=np.min_scalar_type(k))
     B = np.zeros_like(C)
-    for col in _neighbour_table(g).T:
-        dz = dm[col]
-        C += dz < dm
-        B += dz > dm
     counts = {"c": C, "b": B}
     # ref[label][i] is the count at the first pair (0, y) with d(0, y) = i,
     # which is the first pair at distance i in row-major order; the diagonal
@@ -331,8 +363,21 @@ def intersection_array(g: Graph) -> IntersectionArray:
     first = np.zeros(diam + 1, dtype=np.intp)
     at_distance, y = np.unique(dm[0], return_index=True)
     first[at_distance] = y
-    ref = {label: cnt[first, 0] for label, cnt in counts.items()}
-    if any((cnt != ref[label][dm]).any() for label, cnt in counts.items()):
+    around, here = dm[0][nbrs[first]], dm[0][first, None]
+    ref = {"c": (around < here).sum(axis=1).astype(C.dtype),
+           "b": (around > here).sum(axis=1).astype(C.dtype)}
+    mismatch = False
+    step = _block_rows(n)
+    for lo in range(0, n, step):
+        block = slice(lo, lo + step)
+        d, c, b = dm[block], C[block], B[block]
+        for col in nbrs[block].T:
+            dz = dm[col]
+            c += (dz < d).view(np.uint8)
+            b += (dz > d).view(np.uint8)
+        mismatch = mismatch or bool((c != ref["c"][d]).any()
+                                    or (b != ref["b"][d]).any())
+    if mismatch:
         _raise_first_failure(dm, counts, ref)
     b = ref["b"][1:diam].tolist()
     c = ref["c"][1:].tolist()

@@ -86,7 +86,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import spectral
-from .errors import EmptySet, FullSet, NotRegular, TooLarge
+from .errors import (EmptySet, FullSet, NotRegular, SelfCheckFailed,
+                     TooLarge)
 from .graph import (Graph, adjacency_matrix, edge_arrays, eigensystem,
                     intersection_array)
 from .witness import CutCertificate, make_certificate
@@ -415,7 +416,9 @@ def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig(),
     if g.n <= config.exact_cap:
         h, S = exact_cheeger(g, config.exact_cap)
         cert = make_certificate(g, S, "exact")
-        assert cert.ratio == h
+        if cert.ratio != h:
+            raise SelfCheckFailed(f"exact_cheeger gave h = {h}, but its cut "
+                                  f"recounts to {cert.ratio}")
         certs.append(cert)
     else:
         sw = sweep_cut(g)

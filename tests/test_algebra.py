@@ -8,7 +8,8 @@ from drgc import algebra
 from drgc.algebra import (SUPPORTED_Q, enumerate_subspaces, field, gb,
                           isotropic_subspaces, matrix_rank, nullspace, rref,
                           span_rows)
-from drgc.errors import BadField, TooLarge
+from drgc.errors import BadField, RangeError, SelfCheckFailed, TooLarge
+import reference_algebra
 from reference_algebra import form_eval, subspace_elements
 
 
@@ -93,10 +94,67 @@ def test_enumerate_counts_match_gb():
         assert len(set(subs)) == len(subs)
 
 
+def enumerate_or_failure(enumerate, n, e, F):
+    try:
+        return enumerate(n, e, F)
+    except (RangeError, TooLarge) as err:
+        return type(err), str(err)
+
+
+def assert_all_rref_bases(bases, n, e, q):
+    """bases is every e-subspace of GF(q)^n once, in sorted tuple order: the
+    rows are strictly increasing, each is a reduced row-echelon basis (which
+    is unique to its subspace), and there are [n e]_q of them."""
+    N = len(bases)
+    assert bases.shape == (gb(n, e, q), e, n) and bases.max() < q
+    flat = bases.reshape(N, e * n).astype(np.int16)
+    step = flat[1:] - flat[:-1]
+    lead = (step != 0).argmax(axis=1)
+    assert (step[np.arange(N - 1), lead] > 0).all()
+    pivots = (bases != 0).argmax(axis=2)                     # (N, e)
+    assert (np.diff(pivots, axis=1) > 0).all()
+    at_pivots = bases[np.arange(N)[:, None], :, pivots]     # (N, e, e) columns
+    assert (at_pivots == np.eye(e, dtype=bases.dtype)).all()
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_enumerate_subspaces_match_reference(q):
+    # every dimension with q^n <= 1000; at q = 2, n = 9 the middle dimensions
+    # (3309747 subspaces) pass SUBSPACE_CAP, and both refuse them alike.  The
+    # Python oracle takes about 6 us per subspace, so the lists of more than
+    # 40000 subspaces (q = 2, n = 8 and 9, up to 788035) are checked
+    # structurally instead; GF(3)^6's 33880 3-subspaces meet the oracle
+    F = field(q)
+    n = 0
+    while q ** n <= 1000:
+        for e in range(-1, n + 2):
+            if 40000 < gb(n, e, q) <= algebra.SUBSPACE_CAP:
+                assert_all_rref_bases(algebra._rref_array(n, e, q), n, e, q)
+                continue
+            got = enumerate_or_failure(enumerate_subspaces, n, e, F)
+            assert got == enumerate_or_failure(reference_algebra.enumerate_subspaces,
+                                               n, e, F), (n, e)
+        n += 1
+
+
 def test_enumerate_cap(monkeypatch):
     monkeypatch.setattr(algebra, "SUBSPACE_CAP", 1000)
     with pytest.raises(TooLarge):
         enumerate_subspaces(10, 5, field(4))
+    # both entry points refuse before numpy allocates anything
+    monkeypatch.setattr(algebra, "np", None)
+    for call in (lambda: enumerate_subspaces(10, 5, field(4)),
+                 lambda: isotropic_subspaces(field(4), 10, 5)):
+        with pytest.raises(TooLarge, match="subspaces exceeds cap 1000"):
+            call()
+
+
+def test_enumerate_count_check_raises(monkeypatch):
+    # the listed bases are counted against the Gaussian binomial by an
+    # explicit check, which python -O keeps
+    monkeypatch.setattr(algebra, "gb", lambda m, r, q: gb(m, r, q) + 1)
+    with pytest.raises(SelfCheckFailed, match=r"listed 35 2-subspaces of GF\(2\)\^4"):
+        enumerate_subspaces(4, 2, field(2))
 
 
 def test_subspace_elements_and_span():
@@ -151,19 +209,14 @@ def test_isotropic_line_count_w33():
     assert isotropic_subspaces(F, 4, 2) == iso
 
 
-def reference_isotropic_subspaces(F, n, e):
-    """The filter one form_eval call at a time, in Python."""
-    return [U for U in enumerate_subspaces(n, e, F)
-            if all(form_eval("symplectic", F, u, v) == 0 for u, v in combinations(U, 2))]
-
-
-@pytest.mark.parametrize("q,D", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("q,D", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2),
+                                 (5, 2), (7, 2), (8, 2), (9, 2)])
 def test_isotropic_subspaces_match_reference(q, D):
     F = field(q)
     iso = isotropic_subspaces(F, 2 * D, D)
-    assert iso == reference_isotropic_subspaces(F, 2 * D, D)
+    assert iso == reference_algebra.isotropic_subspaces(F, 2 * D, D)
     # the dual polar graph's vertex count, prod (q^i + 1) over i = 1..D
-    assert len(iso) == {(2, 2): 15, (2, 3): 135, (3, 2): 40, (3, 3): 1120}[q, D]
+    assert len(iso) == np.prod([q ** i + 1 for i in range(1, D + 1)])
 
 
 def test_isotropic_subspaces_small_and_odd_dimensions():

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from drgc.errors import (Acyclic, EmptySet, FullSet, GraphError,
                          MalformedGraph6, NotDistanceRegular,
                          NotRegular, TooLarge, Unreachable)
 from drgc.families import FamilySpec, construct, default_grid, theory_values
-from drgc.graph import (Graph, IntersectionArray, adjacency_matrix,
+from drgc.graph import (Graph, IntersectionArray, _block_rows, adjacency_matrix,
                         bfs_distances, bipartite_double, cut_stats,
                         distance_matrix, edge_arrays, eigensystem, g6_decode,
                         g6_encode, girth, intersection_array, line_graph,
@@ -25,6 +25,56 @@ def cycle(n):
 
 def complete(n):
     return Graph.from_edges(n, list(combinations(range(n), 2)))
+
+
+def reference_graph(n, adj):
+    """The earlier constructor, kept as an oracle: (adj, num_edges) after its
+    Python validation loop, which raises at the first bad entry by row, then
+    by ascending neighbour (repeats count once)."""
+    rows = [set(row) for row in adj]
+    adj = tuple(tuple(sorted(row)) for row in rows)
+    if len(adj) != n:
+        raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
+    for u, row in enumerate(adj):
+        for v in row:
+            if v == u:
+                raise GraphError(f"self-loop at {u}")
+            if not 0 <= v < n:
+                raise GraphError(f"vertex {v} out of range")
+            if u not in rows[v]:
+                raise GraphError(f"asymmetric adjacency {u}->{v}")
+    return adj, sum(map(len, adj)) // 2
+
+
+def reference_edge_arrays(adj):
+    """The earlier edge_arrays, built from the adjacency tuples."""
+    n = len(adj)
+    degs = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    first = np.concatenate(([0], np.cumsum(degs)))
+    src = np.repeat(np.arange(n), degs)
+    dst = np.fromiter(chain.from_iterable(adj), dtype=np.intp, count=int(first[-1]))
+    return src, dst, first
+
+
+def reference_regular_degree(adj):
+    degs = {len(r) for r in adj}
+    return degs.pop() if len(degs) == 1 else None
+
+
+def graph_or_failure(n, rows):
+    """(adj, num_edges) of Graph(n, rows), or the class and message it raises."""
+    try:
+        g = Graph(n, rows)
+    except GraphError as err:
+        return type(err), str(err)
+    return g.adj, g.num_edges
+
+
+def reference_or_failure(n, rows):
+    try:
+        return reference_graph(n, rows)
+    except GraphError as err:
+        return type(err), str(err)
 
 
 def generalized_petersen(n, k):
@@ -221,6 +271,35 @@ def test_intersection_array_matches_reference_on_generalized_petersen():
             g = generalized_petersen(n, k)
             assert array_or_failure(intersection_array, g) == \
                 array_or_failure(reference_intersection_array, g), g.name
+
+
+def test_intersection_array_failure_past_the_first_row_block():
+    # one 2-switch among the last vertices of hamming:3,10 (n = 1000, 262
+    # rows per block) keeps the graph 27-regular, and the first pair that
+    # breaks distance-regularity lies past the first block
+    g = construct(FamilySpec("hamming", (3, 10)))
+    n, step = g.n, _block_rows(g.n)
+    assert -(-n // step) >= 3
+    rows = [set(row) for row in g.adj]
+    a = n - 1
+    b = max(rows[a])
+    c = next(v for v in range(n - 2, 0, -1)
+             if v not in rows[a] and v != b and
+             any(w not in rows[b] and w not in (a, b) for w in rows[v]))
+    d = next(w for w in sorted(rows[c], reverse=True)
+             if w not in rows[b] and w not in (a, b))
+    assert min(a, b, c, d) >= 2 * step
+    for u, v in ((a, b), (c, d)):
+        rows[u].discard(v)
+        rows[v].discard(u)
+    for u, v in ((a, c), (b, d)):
+        rows[u].add(v)
+        rows[v].add(u)
+    switched = Graph(n, rows)
+    assert switched.regular_degree() == 27
+    got = array_or_failure(intersection_array, switched)
+    assert got == array_or_failure(reference_intersection_array, switched)
+    assert got[0] is NotDistanceRegular and min(got[2][:2]) >= step
 
 
 def test_intersection_array_when_vertex_0_has_short_eccentricity():
@@ -586,6 +665,83 @@ def test_graph_rejects_bad_adjacency_naming_first_pair():
         Graph(3, [[1], [0, 1], []])
     with pytest.raises(GraphError, match="vertex 3 out of range"):
         Graph(3, [[1], [0, 3], []])
+
+
+def corrupted_rows(rng, n):
+    """Adjacency rows of a random graph on n vertices after a few random
+    corruptions: self-loops, out-of-range and negative ids, one-sided entries
+    and deletions, repeated entries, and a missing or extra row."""
+    rows = [[] for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        if rng.random() < 0.3:
+            rows[u].append(v)
+            rows[v].append(u)
+    for _ in range(rng.randrange(4)):
+        u = rng.randrange(n)
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows[u].append(u)
+        elif kind == 1:
+            rows[u].append(rng.choice([n + rng.randrange(3), -1 - rng.randrange(3)]))
+        elif kind == 2:
+            rows[u].append(rng.randrange(n))
+        elif kind == 3 and rows[u]:
+            rows[u].remove(rng.choice(rows[u]))
+        elif kind == 4 and rows[u]:
+            rows[u].append(rng.choice(rows[u]))
+    if rng.random() < 0.1:
+        if rng.random() < 0.5:
+            rows.pop(rng.randrange(n))
+        else:
+            rows.append([])
+    for row in rows:
+        rng.shuffle(row)
+    return rows
+
+
+def test_graph_validation_matches_reference_on_corrupted_rows():
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(3000):
+        n = rng.randrange(1, 10)
+        rows = corrupted_rows(rng, n)
+        want = reference_or_failure(n, rows)
+        assert graph_or_failure(n, rows) == want, (n, rows)
+        outcomes.add(want[1].split()[0] if want[0] is GraphError else "valid")
+    assert outcomes == {"valid", "self-loop", "vertex", "asymmetric", "adjacency"}
+    # a vertex id too large for int64 is out of range too
+    assert graph_or_failure(2, [[1, 2 ** 70], [0]]) == \
+        (GraphError, f"vertex {2 ** 70} out of range")
+
+
+def assert_graph_matches_reference(h, rows):
+    """h, built from rows, against the earlier constructor and array
+    builders: adjacency, edge count, degree and the three read-only edge
+    arrays."""
+    adj, num_edges = reference_graph(h.n, rows)
+    assert h.adj == adj and h.num_edges == num_edges, h.name
+    assert all(type(v) is int for row in h.adj[:3] for v in row)
+    assert h.regular_degree() == reference_regular_degree(adj)
+    for got, want in zip(edge_arrays(h), reference_edge_arrays(adj)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), h.name
+        assert not got.flags.writeable
+
+
+def test_graph_matches_reference_on_catalog_and_grid():
+    rng = random.Random(5)
+    graphs = [catalog_load(e.name)[0] for e in catalog_list()
+              if e.source != "parameters-only"]
+    graphs += [construct(spec) for spec in default_grid()]
+    graphs += [Graph(0, []), complete(1), cycle(5)]
+    for g in graphs:
+        assert_graph_matches_reference(g, g.adj)
+        # the same graph from shuffled rows with a repeated entry per row
+        rows = [list(row) + list(row[:1]) for row in g.adj]
+        for row in rows:
+            rng.shuffle(row)
+        assert_graph_matches_reference(Graph(g.n, rows, g.name), rows)
+    irregular = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert irregular.regular_degree() is None
 
 
 def test_cut_stats_errors_and_symmetry():

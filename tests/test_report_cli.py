@@ -176,6 +176,26 @@ def test_verify_all_bad_target_becomes_error_record(monkeypatch, tmp_path, capsy
     assert "ERROR=1" in capsys.readouterr().err
 
 
+def test_exact_oracle_disagreement_becomes_error_record(monkeypatch):
+    # the recount of the exact oracle's cut is an explicit check, not an
+    # assert: under python -O it still runs, and it fails one target only
+    exact = search.exact_cheeger
+
+    def wrong_for_petersen(g, cap):
+        h, S = exact(g, cap)
+        return (h + 1 if g.n == 10 else h), S
+
+    monkeypatch.setattr(search, "exact_cheeger", wrong_for_petersen)
+    report = verify_all(FAST, targets=["petersen", "cube"])
+    assert report["records"][0] == {
+        "id": "petersen", "status": "ERROR",
+        "error": "SelfCheckFailed: exact_cheeger gave h = 4/3, but its cut "
+                 "recounts to 1/3"}
+    monkeypatch.setattr(search, "exact_cheeger", exact)
+    assert report["records"][1] == verify_one("cube", FAST)
+    assert report["counts"] == {"OK": 1, "OPEN": 0, "VIOLATION": 0, "ERROR": 1}
+
+
 # -- the Cheeger floor h >= lambda_1/2 and the search skip that rests on it ----
 
 def _resolved(target):
