@@ -2,10 +2,10 @@
 """Regenerate the embedded catalog graph6 files.
 
 Each graph is built from first principles here (LCF words, Kneser restriction,
-generalized Petersen skeleton, affine-plane incidence, and a coset-graph
-search in PSL(2,17) for Biggs-Smith), verified against its intersection
-array, and only then written to src/drgc/data/catalog/.  Run from the repo
-root:  python scripts/gen_catalog_data.py
+generalized Petersen skeleton, the icosahedron's poles and rings, and a
+coset-graph search in PSL(2,17) for Biggs-Smith), verified against its
+intersection array, and only then written to src/drgc/data/catalog/.  Run
+from the repo root:  python scripts/gen_catalog_data.py
 """
 
 import itertools
@@ -14,11 +14,63 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from drgc.constructions import (ag2_minus_parallel_class, coxeter, dodecahedron,
-                                foster, icosahedron, tutte_12_cage)
 from drgc.graph import Graph, g6_encode, intersection_array
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "drgc" / "data" / "catalog"
+
+
+def icosahedron() -> Graph:
+    # poles 0 and 1, upper ring 2..6, lower ring 7..11
+    up = [2 + i for i in range(5)]
+    lo = [7 + i for i in range(5)]
+    edges = [(0, u) for u in up] + [(1, v) for v in lo]
+    for i in range(5):
+        edges.append((up[i], up[(i + 1) % 5]))
+        edges.append((lo[i], lo[(i + 1) % 5]))
+        edges.append((up[i], lo[i]))
+        edges.append((up[i], lo[(i - 1) % 5]))
+    return Graph.from_edges(12, edges, "icosahedron")
+
+
+def dodecahedron() -> Graph:
+    """Generalized Petersen graph GP(10,2)."""
+    edges = []
+    for i in range(10):
+        edges.append((i, (i + 1) % 10))        # outer cycle
+        edges.append((i, 10 + i))              # spokes
+        edges.append((10 + i, 10 + (i + 2) % 10))  # inner pentagram pair
+    return Graph.from_edges(20, edges, "dodecahedron")
+
+
+def coxeter() -> Graph:
+    """Kneser graph of 3-subsets of a 7-set, restricted to non-lines of a
+    Fano plane (each non-line triple is disjoint from exactly one line)."""
+    lines = {frozenset({i % 7, (i + 1) % 7, (i + 3) % 7}) for i in range(7)}
+    keys = [t for t in itertools.combinations(range(7), 3)
+            if frozenset(t) not in lines]
+    idx = {k: i for i, k in enumerate(keys)}
+    edges = [(idx[a], idx[b]) for a, b in itertools.combinations(keys, 2)
+             if not set(a) & set(b)]
+    return Graph.from_edges(28, edges, "coxeter")
+
+
+def lcf_graph(jumps, reps: int, name: str = "") -> Graph:
+    """Hamiltonian cubic graph from LCF notation."""
+    n = len(jumps) * reps
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    for i in range(n):
+        j = (i + jumps[i % len(jumps)]) % n
+        edges.add((min(i, j), max(i, j)))
+    return Graph.from_edges(n, {(min(a, b), max(a, b)) for a, b in edges}, name)
+
+
+def foster() -> Graph:
+    return lcf_graph([17, -9, 37, -37, 9, -17], 15, "foster")
+
+
+def tutte_12_cage() -> Graph:
+    return lcf_graph([17, 27, -13, -59, -35, 35, -11, 13, -53, 53, -27, 21,
+                      57, 11, -21, -57, 59, -17], 7, "tutte-12-cage")
 
 
 def biggs_smith() -> Graph:
@@ -126,7 +178,6 @@ def biggs_smith() -> Graph:
 
 
 TARGETS = {
-    "pappus": (lambda: ag2_minus_parallel_class(3, "pappus"), "{3,2,2,1;1,1,2,3}"),
     "coxeter": (coxeter, "{3,2,2,1;1,1,1,2}"),
     "dodecahedron": (dodecahedron, "{3,2,1,1,1;1,1,1,2,3}"),
     "icosahedron": (icosahedron, "{5,2,1;1,2,5}"),

@@ -147,7 +147,8 @@ def gb(m: int, r: int, q: int) -> int:
     for i in range(r):
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise SelfCheckFailed(f"[{m} {r}]_{q}: {num} is not divisible by {den}")
     return num // den
 
 
@@ -230,7 +231,7 @@ def enumerate_subspaces(n: int, e: int, F: FiniteField):
 # -- all given subspaces at once, through the field tables ---------------------
 
 @lru_cache(maxsize=None)
-def _tables(F: FiniteField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def field_tables(F: FiniteField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The multiplication, addition and negation tables as numpy arrays."""
     return tuple(np.array(t) for t in (F._mul, F._add, F._neg))
 
@@ -248,7 +249,7 @@ def span_rows(F: FiniteField, subspaces) -> np.ndarray:
     one per coefficient tuple c, with c_r U[r] looked up in the multiplication
     table and the sum in the addition table."""
     e, n = len(subspaces[0]), len(subspaces[0][0])
-    mul, add, _ = _tables(F)
+    mul, add, _ = field_tables(F)
     basis = _basis_array(subspaces, e, n)[:, None]            # (N, 1, e, n)
     coeffs = np.array(list(product(range(F.q), repeat=e)), dtype=np.intp)
     vectors = np.zeros((len(subspaces), len(coeffs), n), dtype=np.intp)
@@ -271,7 +272,7 @@ def isotropic_subspaces(F: FiniteField, n: int, e: int):
         return _as_tuples(bases)
     if n % 2:
         raise BadField("symplectic form needs even dimension")
-    mul, add, neg = _tables(F)
+    mul, add, neg = field_tables(F)
     rows = bases.transpose(1, 2, 0)       # rows[r, i] = U[r][i], one column per U
     isotropic = np.ones(len(bases), dtype=bool)
     for x, y in combinations(rows, 2):

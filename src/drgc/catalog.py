@@ -14,8 +14,9 @@ import pathlib
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import constructions as cons
-from .algebra import enumerate_subspaces, field, isotropic_subspaces
+import numpy as np
+
+from .algebra import enumerate_subspaces, field, field_tables, isotropic_subspaces
 from .errors import DataCorrupt, UnknownName
 from .exact import SqrtVal
 from .families import FamilySpec, bipartite_graph, construct, incidence_block
@@ -67,16 +68,28 @@ def _pg22_nonincidence() -> Graph:
     return bipartite_graph(~_points_against(2, lines), "nonincidence-pg22")
 
 
+def _ag2_minus_class(q: int, name: str) -> Graph:
+    """Incidence graph of the affine plane AG(2,q) less its vertical parallel
+    class: point (x, y) is on line (m, b) when y = mx + b.  Points (rows) and
+    lines (columns) are numbered x q + y and m q + b."""
+    mul, add, _ = field_tables(field(q))
+    x, y = np.divmod(np.arange(q * q), q)
+    m, b = x, y
+    return bipartite_graph(add[mul[m, x[:, None]], b] == y[:, None], name)
+
+
 _BUILDERS = {
     "pg2-incidence-2": _family("doubledgrassmann:2,1", "heawood"),
     "pg2-incidence-3": _family("doubledgrassmann:3,1", "incidence-pg23"),
     "nonincidence-pg22": _pg22_nonincidence,
     "gq-incidence-2": lambda: _symplectic_gq(2, "tutte-coxeter"),
     "gq-incidence-3": lambda: _symplectic_gq(3, "incidence-gq33"),
-    "ag24-minus-class": lambda: cons.ag2_minus_parallel_class(4, "incidence-ag24"),
+    "ag24-minus-class": lambda: _ag2_minus_class(4, "incidence-ag24"),
+    "pappus": lambda: _ag2_minus_class(3, "pappus"),
     "petersen": _family("odd:3", "petersen"),
-    "shrikhande": cons.shrikhande,
-    "k55-minus-matching": cons.k55_minus_matching,
+    "shrikhande": _family("doob:1,0", "shrikhande"),
+    "k55-minus-matching": lambda: bipartite_graph(~np.eye(5, dtype=bool),
+                                                  "k55-minus-matching"),
 }
 
 _entries: dict[str, CatalogEntry] | None = None

@@ -20,16 +20,17 @@ import numpy as np
 
 from .algebra import (SUPPORTED_Q, enumerate_subspaces, field,
                       isotropic_subspaces, matrix_rank, nullspace, span_rows)
-from .constructions import shrikhande
-from .errors import NoDescendant, ParamDomain, TooLarge
+from .errors import NoDescendant, ParamDomain, SelfCheckFailed, TooLarge
 from .exact import SqrtVal
-from .graph import MAX_VERTICES, Graph, adjacency_matrix
+from .graph import MAX_VERTICES, Graph
 
 FAMILIES = ("johnson", "hamming", "doob", "halvedcube", "foldedcube",
             "foldedhalvedcube", "odd", "doubledodd", "grassmann",
             "bilinearforms", "alternatingforms", "hermitianforms",
             "quadraticforms", "dualpolarc", "halfdualpolar",
             "doubledgrassmann")
+# families settled analytically, with no explicit descendant subgraph
+NO_DESCENDANT = ("doubledgrassmann", "halfdualpolar")
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,8 @@ def theory_values(spec: FamilySpec) -> TheoryValues:
         v = 1
         for i in range(1, n):
             v *= q ** i + 1
-        assert k.denominator == 1 and t1.denominator == 1
+        if k.denominator != 1 or t1.denominator != 1:
+            raise SelfCheckFailed(f"{spec}: k = {k} or theta_1 = {t1} is not integral")
         return TheoryValues(int(k), v, SqrtVal(t1))
     if fam == "doubledgrassmann":
         q, t = p
@@ -304,6 +306,15 @@ def _side(keys, side: int) -> list:
 # intersection).  The forms families are Cayley graphs: b ~ a when a - b lies
 # in a connection set C, found once with the rank predicate against the zero
 # key.
+
+
+def _shrikhande() -> np.ndarray:
+    """Adjacency of the Shrikhande graph, Doob's factor: the Cayley graph on
+    Z4 x Z4 (vertex 4a + b) with connection set {+-(1,0), +-(0,1), +-(1,1)},
+    whose differences (da, db) have codes 4da + db in {4, 12, 1, 3, 5, 15}."""
+    a, b = np.divmod(np.arange(16), 4)
+    return np.isin(4 * ((a[:, None] - a) % 4) + (b[:, None] - b) % 4,
+                   (4, 12, 1, 3, 5, 15))
 
 
 def _graph_from_adjacency(adj: np.ndarray, name: str) -> Graph:
@@ -418,7 +429,7 @@ def construct(spec: FamilySpec) -> Graph:
         adj = _hamming_distances(keys, q) == 1
     elif fam == "doob":
         d1, d2 = p
-        factors = [adjacency_matrix(shrikhande(), bool)] * d1
+        factors = [_shrikhande()] * d1
         factors += [~np.eye(4, dtype=bool)] * d2
         adj = np.zeros((1, 1), dtype=bool)
         for f in factors:   # Kronecker sum: move in exactly one factor
@@ -515,7 +526,7 @@ def descendant(spec: FamilySpec) -> frozenset:
         if d2 > 0:
             keep = lambda key: key[d1] == 0
         else:   # 6-wheel in the first Shrikhande factor: a vertex and its hexagon
-            wheel = {0} | set(shrikhande().adj[0])
+            wheel = {0} | set(np.flatnonzero(_shrikhande()[0]).tolist())
             keep = lambda key: key[0] in wheel
     elif fam == "foldedhalvedcube":
         keep = lambda key: key[0] == key[1] == 0
@@ -548,7 +559,7 @@ def descendant(spec: FamilySpec) -> frozenset:
         # pivot, so e1 is in U exactly when it is the first row
         e1 = tuple([1] + [0] * (2 * p[1] - 1))
         keep = lambda U: U[0] == e1
-    elif fam in ("doubledgrassmann", "halfdualpolar"):
+    elif fam in NO_DESCENDANT:
         raise NoDescendant(f"{fam}: handled analytically, no explicit descendant")
     else:  # pragma: no cover
         raise NoDescendant(f"no descendant for {fam}")

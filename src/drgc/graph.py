@@ -28,8 +28,6 @@ from .errors import (Acyclic, EmptySet, FullSet, GraphError, MalformedGraph6,
                      NotBipartite, NotDistanceRegular, NotRegular, TooLarge,
                      Unreachable)
 
-VertexSet = frozenset
-
 # the largest graph any n x n stage (and families.construct) accepts; int16
 # distances (used past diameter 127) also rely on n < 2**15
 MAX_VERTICES = 20000

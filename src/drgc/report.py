@@ -20,7 +20,8 @@ from . import __version__
 from .catalog import catalog_entry, catalog_list, catalog_load
 from .errors import DrgcError, UnknownName
 from .exact import SqrtVal
-from .families import FamilySpec, construct, default_grid, descendant, theory_values
+from .families import (NO_DESCENDANT, FamilySpec, construct, default_grid,
+                       descendant, theory_values)
 from .graph import Graph, IntersectionArray, g6_decode, intersection_array
 # exact_cheeger and dense_spectrum are not called here (best_upper_bound
 # already returns the exact certificate, and spectrum_certified checks the
@@ -124,18 +125,15 @@ def _judged(ia: IntersectionArray, c: CutCertificate) -> CutCertificate:
 def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
                   spec: FamilySpec | None):
     """All applicable witness certificates, judged, and analytic bounds;
-    t1_exact is exact_theta1(ia), computed once by the caller."""
+    t1_exact is exact_theta1(ia), computed once by the caller.  Each witness
+    runs only where it applies, so one that raises is an error of the target."""
     certs: list[CutCertificate] = []
     bounds: list[AnalyticBound] = []
     k, D = ia.k, ia.D
 
-    if spec is not None:
-        try:
-            S = descendant(spec)
-            certs.append(avg_valency_certificate(
-                g, S, theory_values(spec).theta1, "descendant"))
-        except DrgcError:
-            pass
+    if spec is not None and spec.family not in NO_DESCENDANT:
+        certs.append(avg_valency_certificate(
+            g, descendant(spec), theory_values(spec).theta1, "descendant"))
     if D == 2:
         bounds.append(srg_certify(ia))
         certs.append(ball_cut(g, 0, 1, "ball"))
@@ -151,18 +149,12 @@ def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
         certs.append(antipodal_fibre_cut(g, ia, t1_exact))
     if D == 3 and t1_exact is not None and t1_exact == ia.a(3):   # Shilla: theta1 = a_3
         certs.append(shilla_cut(g, ia))
-    if k >= 3 and D >= 3:
-        try:
-            certs.append(girth_cycle_cut(g, ia))
-        except DrgcError:
-            pass
+    if k >= 3 and D >= 3 and 2 * ia.girth() <= ia.v:
+        certs.append(girth_cycle_cut(g, ia))
     if k == 4 and ia.a(1) == 1:
-        for builder in (lambda: triangle_chain_cut(g),
-                        lambda: triangle_octagon_cut(g)):
-            try:
-                certs.append(builder())
-            except DrgcError:
-                pass
+        certs.append(triangle_chain_cut(g))
+        if D == 4:
+            certs.append(triangle_octagon_cut(g))
     if ia == TWELVE_CAGE_ARRAY:
         certs.append(twelve_cage_witness(g, ia))
     if ia == GQ33_ARRAY:
@@ -213,7 +205,7 @@ def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
             and at_most_lambda1(ia, 2 * least.ratio)):
         best = least
     else:
-        best = _judged(ia, best_upper_bound(g, config, extra_certs=certs))
+        best = _judged(ia, min([*certs, best_upper_bound(g, config)], key=cert_key))
     all_certs = list(certs)
     if best not in all_certs:
         all_certs.append(best)

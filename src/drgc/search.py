@@ -406,13 +406,12 @@ def cert_key(c: CutCertificate):
     return c.ratio, c.method, c.S
 
 
-def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig(),
-                     extra_certs=()) -> CutCertificate:
+def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig()) -> CutCertificate:
     """Minimum-ratio certificate over exact enumeration (when it fits), the
-    spectral sweep, seeded refinements, and any supplied witness certificates.
-    Above spectral.EIGENVECTOR_CAP vertices the sweeps read the intersection
-    array, so g must be distance-regular there (NotDistanceRegular)."""
-    certs = list(extra_certs)
+    spectral sweep and seeded refinements.  Above spectral.EIGENVECTOR_CAP
+    vertices the sweeps read the intersection array, so g must be
+    distance-regular there (NotDistanceRegular)."""
+    certs = []
     if g.n <= config.exact_cap:
         h, S = exact_cheeger(g, config.exact_cap)
         cert = make_certificate(g, S, "exact")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (DrgcError, GraphError, NotBipartite, ParamDomain,
-                     RangeError, SearchFailed, WrongGraph)
+                     RangeError, SearchFailed, SelfCheckFailed, WrongGraph)
 from .exact import SqrtVal
 from .graph import (CutStats, Graph, IntersectionArray, bfs_distances,
                     cut_stats, girth, two_coloring)
@@ -251,7 +251,8 @@ def doubled_grassmann_verdict(q: int, t: int) -> AnalyticBound:
         if r % 2 == 0:
             raise DrgcError("side size must be odd for q = 4")
         trace.append("q = 4: r odd, lambda1 >= 1/2 + 4^-(t+1) > 1/2 + 1/(2r^2)")
-        assert Fraction(1, 2 * r * r) < Fraction(1, 4 ** (t + 1))
+        if not Fraction(1, 2 * r * r) < Fraction(1, 4 ** (t + 1)):
+            raise SelfCheckFailed(f"1/(2r^2) >= 4^-(t+1) for r={r}, t={t}")
     elif t == 1:
         trace.append("t = 1: incidence graph of a projective plane; half cut decides")
     else:
@@ -355,8 +356,8 @@ def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1) -> CutCertifica
             B = B | Aj
             inside = cut_stats(g, B).inside     # twice the edges inside B
             invariant = Fraction(j * t * c2, k)
-            assert Fraction(inside, len(B)) >= invariant, \
-                f"fibre loop invariant failed at step {j}"
+            if Fraction(inside, len(B)) < invariant:
+                raise SelfCheckFailed(f"fibre loop invariant failed at step {j}")
         notes = (f"fibre branch: |S|=(r+1)t={(r + 1) * t}, "
                  f"avg valency >= (t/k) b1 = {Fraction(t * b1, k)}",)
         return make_certificate(g, B, "antipodal-fibre", notes)
@@ -497,7 +498,8 @@ def twelve_cage_witness(g: Graph, ia: IntersectionArray) -> CutCertificate:
     for interior in path[1:-1]:
         leaf = min(adj6[interior] - S6)
         S6.add(leaf)
-    assert len(S6) == 8
+    if len(S6) != 8:
+        raise SelfCheckFailed(f"the tree in Gamma_6 has {len(S6)} vertices, not 8")
     S5 = {w for v in S6 for w in g.adj[v] if dist[w] == 5}
     S4 = {w for v in S5 for w in g.adj[v] if dist[w] == 4}
     a = len(S4)

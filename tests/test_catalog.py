@@ -1,3 +1,4 @@
+import importlib.util
 import pathlib
 import shutil
 from itertools import combinations
@@ -6,10 +7,12 @@ import pytest
 
 from drgc import catalog as cat
 from drgc.algebra import enumerate_subspaces, field
-from drgc.catalog import catalog_list, catalog_load
+from drgc.catalog import catalog_entry, catalog_list, catalog_load
 from drgc.errors import DataCorrupt, UnknownName
-from drgc.graph import Graph, intersection_array, line_graph
+from drgc.graph import Graph, g6_encode, intersection_array, line_graph
 from reference_algebra import form_eval, subspace_elements
+from reference_graphs import (ag2_minus_parallel_class, k55_minus_matching,
+                              shrikhande)
 
 
 # -- reference builders: the earlier pair-loop incidence constructions, kept as
@@ -78,12 +81,45 @@ REFERENCE_BUILDS = {
     "nonincidence-pg22": pg2_nonincidence,
     "tutte-coxeter": lambda: symplectic_gq_incidence(2),
     "incidence-gq33": lambda: symplectic_gq_incidence(3),
+    "shrikhande": shrikhande,
+    "k55-minus-matching": k55_minus_matching,
+    "incidence-ag24": lambda: ag2_minus_parallel_class(4),
+    "pappus": lambda: ag2_minus_parallel_class(3),
 }
 
 
 @pytest.mark.parametrize("name", REFERENCE_BUILDS)
 def test_builder_entries_match_reference(name):
     assert catalog_load(name)[0].adj == REFERENCE_BUILDS[name]().adj
+
+
+# -- the data script: its generators rebuild every embedded graph6 file ---------
+
+def _load_data_script():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "gen_catalog_data", root / "scripts" / "gen_catalog_data.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DATA_SCRIPT = _load_data_script()
+
+
+def test_data_script_covers_exactly_the_embedded_files():
+    embedded = sorted(e.graphref[len("g6:"):] for e in catalog_list()
+                      if e.graphref.startswith("g6:"))
+    assert embedded == sorted(p.name for p in cat.data_dir().glob("*.g6"))
+    assert embedded == sorted(f"{name}.g6" for name in DATA_SCRIPT.TARGETS)
+
+
+@pytest.mark.parametrize("name", DATA_SCRIPT.TARGETS)
+def test_data_script_reproduces_embedded_file(name):
+    builder, array = DATA_SCRIPT.TARGETS[name]
+    assert str(catalog_entry(name).array) == array
+    embedded = (cat.data_dir() / f"{name}.g6").read_text(encoding="ascii")
+    assert g6_encode(builder()) + "\n" == embedded
 
 
 def test_catalog_size_and_statuses():
@@ -160,8 +196,8 @@ def test_data_corruption_detected(tmp_path, monkeypatch):
     src = pathlib.Path(cat.data_dir())
     work = tmp_path / "catalog"
     shutil.copytree(src, work)
-    # swap the Foster graph's data for the Pappus graph's
-    (work / "foster.g6").write_text((work / "pappus.g6").read_text())
+    # swap the Foster graph's data for the Coxeter graph's
+    (work / "foster.g6").write_text((work / "coxeter.g6").read_text())
     monkeypatch.setenv("DRGC_DATA_DIR", str(work))
     old_entries, old_graphs = cat._entries, dict(cat._graphs)
     cat._entries = None

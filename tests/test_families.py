@@ -4,15 +4,15 @@ from itertools import combinations, product
 import pytest
 
 from drgc.algebra import enumerate_subspaces, field, isotropic_subspaces, matrix_rank
-from drgc.constructions import shrikhande
 from drgc.errors import NoDescendant, ParamDomain, TooLarge
-from drgc.families import (FamilySpec, _alt_full, _even_strings, _hamming_keys,
-                           _quad_rank, _upper_pairs, construct, default_grid,
-                           descendant, half_dual_polar_descendant_check,
-                           theory_values)
+from drgc.families import (FAMILIES, NO_DESCENDANT, FamilySpec, _alt_full,
+                           _even_strings, _hamming_keys, _quad_rank,
+                           _upper_pairs, construct, default_grid, descendant,
+                           half_dual_polar_descendant_check, theory_values)
 from drgc.graph import Graph, bipartite_double, cut_stats, intersection_array
 from drgc.spectral import dense_spectrum, distinct_values, drg_spectrum
 from reference_algebra import form_eval, subspace_elements
+from reference_graphs import shrikhande
 
 
 # -- reference constructions: the earlier pair-predicate builds, kept as oracles
@@ -381,6 +381,11 @@ def test_doubled_grassmann_has_no_descendant():
         descendant(FamilySpec.parse("doubledgrassmann:2,2"))
     with pytest.raises(NoDescendant):
         descendant(FamilySpec.parse("halfdualpolar:2,4"))
+    # report.gather_bounds runs descendant on every family outside
+    # NO_DESCENDANT, and test_descendant_matches_reference covers each of them
+    assert set(NO_DESCENDANT) == {"doubledgrassmann", "halfdualpolar"}
+    assert {spec.family for spec in DESCENDANT_SPECS} == \
+        set(FAMILIES) - set(NO_DESCENDANT)
 
 
 def test_half_dual_polar_is_parameters_only():

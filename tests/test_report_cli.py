@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import math
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,11 +12,12 @@ import pytest
 from drgc import search, spectral
 from drgc.catalog import catalog_list
 from drgc.cli import _config, _parser, main
+from drgc.errors import SearchFailed
 from drgc.families import default_grid, theory_values
 from drgc.graph import bfs_distances, cut_stats, intersection_array
 from drgc.report import (_resolve, default_targets, emit, gather_bounds,
                          verify_all, verify_one)
-from drgc.search import SearchConfig, exact_cheeger
+from drgc.search import SearchConfig, cert_key, exact_cheeger
 from drgc.spectral import _minors, at_most_lambda1, exact_theta1
 
 FAST = SearchConfig(exact_cap=20, seeds=(0, 1), refine_budget=2000)
@@ -196,6 +199,30 @@ def test_exact_oracle_disagreement_becomes_error_record(monkeypatch):
     assert report["counts"] == {"OK": 1, "OPEN": 0, "VIOLATION": 0, "ERROR": 1}
 
 
+@pytest.mark.parametrize("target, witness", [
+    ("cube", "descendant"), ("heawood", "girth_cycle_cut"),
+    ("flag-pg22", "triangle_chain_cut"), ("flag-gq22", "triangle_octagon_cut")])
+def test_raising_witness_becomes_error_record(target, witness, monkeypatch):
+    # gather_bounds runs each witness only where it applies, so a witness
+    # that raises there fails its target instead of dropping its certificate
+    def fail(*args):
+        raise SearchFailed(f"{witness} found no cut")
+
+    monkeypatch.setattr(f"drgc.report.{witness}", fail)
+    assert verify_all(FAST, targets=[target])["records"] == [
+        {"id": target, "status": "ERROR",
+         "error": f"SearchFailed: {witness} found no cut"}]
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert statements, so every self-check is a raise
+    src = pathlib.Path(search.__file__).parent
+    found = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 # -- the Cheeger floor h >= lambda_1/2 and the search skip that rests on it ----
 
 def _resolved(target):
@@ -265,7 +292,7 @@ def test_floor_skip_returns_the_full_search_best(target, monkeypatch):
     r = verify_one(target)
     assert searched == []
     g, ia, certs = _resolved(target)
-    full = search.best_upper_bound(g, SearchConfig(), extra_certs=certs)
+    full = min([*certs, search.best_upper_bound(g, SearchConfig())], key=cert_key)
     best = r["best"]
     assert (best["method"], tuple(best["S"]),
             Fraction(best["ratio"]["num"], best["ratio"]["den"])) == \

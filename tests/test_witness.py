@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from drgc import witness
 from drgc.catalog import catalog_load
-from drgc.errors import DrgcError, InfeasibleParams, ParamDomain
+from drgc.errors import DrgcError, InfeasibleParams, ParamDomain, SelfCheckFailed
 from drgc.exact import SqrtVal
 from drgc.families import FamilySpec, construct, descendant, theory_values
 from drgc.graph import Graph, IntersectionArray, cut_stats, intersection_array
@@ -373,6 +374,16 @@ def test_twelve_cage_witness_expected_counts():
     else:                                    # a = 17: complement side reported
         assert cert.ratio == Fraction(34, 3 * 62)
     assert float(cert.ratio) < 0.183 < float(e.lambda1)
+
+
+def test_twelve_cage_tree_check_is_a_raise(monkeypatch):
+    # a "path" that stays at one vertex grows a tree of 4 vertices, not 8; the
+    # check is an explicit raise, so it survives python -O
+    g, e = catalog_load("tutte-12-cage")
+    monkeypatch.setattr(witness, "_find_path_in",
+                        lambda adj, nverts: [min(adj)] * nverts)
+    with pytest.raises(SelfCheckFailed, match="has 4 vertices, not 8"):
+        twelve_cage_witness(g, e.array)
 
 
 def test_gq33_witness_expected_counts():
