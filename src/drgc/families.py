@@ -318,7 +318,7 @@ def _shrikhande() -> np.ndarray:
 
 
 def _graph_from_adjacency(adj: np.ndarray, name: str) -> Graph:
-    return Graph(len(adj), [np.flatnonzero(row).tolist() for row in adj], name)
+    return Graph.from_edge_arrays(len(adj), *np.nonzero(adj), name)
 
 
 def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Graphs are simple, undirected, with vertices 0..n-1 and sorted adjacency
 lists; they are immutable after construction and safe to share.  The
-constructor builds the ordered edge list as read-only CSR arrays (edge_arrays)
-and validates those in numpy; only an invalid input goes on to the Python
-scan that names its first bad entry.  Vertex subsets are plain frozensets;
+constructor turns adjacency rows into the ordered edge list, and
+Graph.from_edge_arrays takes that list as arrays (np.nonzero of a dense
+adjacency); both validate it in numpy and keep it as read-only CSR arrays
+(edge_arrays).  Only an invalid input goes on to the Python scan that names
+its first bad entry.  Vertex subsets are plain frozensets;
 all cut statistics are exact integer counts.
 
 Every stage that allocates an n x n array (adjacency and distance matrices,
@@ -47,15 +49,31 @@ class Graph:
                               count=src.size)
         except OverflowError:
             _raise_first_bad_entry(n, rows)
+        self._set_edges(n, src, dst, name, rows)
+
+    @staticmethod
+    def from_edge_arrays(n: int, src: np.ndarray, dst: np.ndarray,
+                         name: str = "") -> "Graph":
+        """The graph with the ordered edges (src[i], dst[i]), every src[i] in
+        range(n): for a dense 0/1 adjacency, the two arrays of np.nonzero."""
+        g = Graph.__new__(Graph)
+        g._set_edges(n, src, dst, name)
+        return g
+
+    def _set_edges(self, n: int, src: np.ndarray, dst: np.ndarray, name: str,
+                   rows: list | None = None) -> None:
+        """Validate the ordered edges in numpy and build the graph from them;
+        a bad entry is named from the adjacency rows, which are made from the
+        arrays when not given."""
         if ((dst < 0) | (dst >= n) | (dst == src)).any():
-            _raise_first_bad_entry(n, rows)
+            _raise_first_bad_entry(n, rows or _rows_of(n, src, dst))
         # the forward keys u*n + v, sorted and without repeats, are symmetric
         # exactly when the reversed keys v*n + u sort to the same array
         keys = np.sort(src * n + dst)
         keys = keys[np.diff(keys, prepend=-1) != 0]
         src, dst = np.divmod(keys, n)
         if not np.array_equal(np.sort(dst * n + src), keys):
-            _raise_first_bad_entry(n, rows)
+            _raise_first_bad_entry(n, rows or _rows_of(n, src, dst))
         first = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
         for a in (src, dst, first):
             a.flags.writeable = False
@@ -109,6 +127,14 @@ class EdgeArrays(NamedTuple):
 def edge_arrays(g: Graph) -> EdgeArrays:
     """The ordered edge list as read-only numpy arrays, built by Graph."""
     return g._edges
+
+
+def _rows_of(n: int, src: np.ndarray, dst: np.ndarray) -> list:
+    """The adjacency rows of the ordered edges (src[i], dst[i])."""
+    rows = [[] for _ in range(n)]
+    for u, v in zip(src.tolist(), dst.tolist()):
+        rows[u].append(v)
+    return rows
 
 
 def _raise_first_bad_entry(n: int, rows: list) -> None:

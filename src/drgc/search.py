@@ -32,16 +32,27 @@ the earlier blocks strictly, is the first least set of the whole code.
 
 Local refinement runs on k-regular graphs, where vol(S) = k|S|, and scores
 every candidate move from din, the count of each vertex's neighbours in S,
-in exact integer arithmetic.  A single move leaves one of two volumes,
-k(|S| - 1) or k(|S| + 1), so on each side the best move is a vertex of
-least din (leaving S) or greatest din (joining S), and whether a move beats
-or equals the current ratio is one integer comparison with a threshold.  A
-swap (u out, w in) keeps vol(S) and changes the boundary by
-2 (din[u] - din[w] + A(u, w)).  That key is one small-integer |S| x |S^c|
-array whose A(u, w) term comes from the cut edges, so nothing n x n is
-built; below 0 is strictly better and 0 is equal, and since every swap
-keeps the current denominator, the first least key in row-major order is
-the first least ratio.
+in exact integer arithmetic.  It keeps din as Python ints and every vertex
+in a bucket by side and din: U[d] holds the members of S with din d and W[d]
+the others.  A single move leaves one of two volumes, k(|S| - 1) or
+k(|S| + 1), so on each side the best move is the first vertex of the
+least-din bucket U[a] (leaving S) or of the greatest-din bucket W[b]
+(joining S), and whether a move beats or equals the current ratio is one
+integer comparison with a threshold.  A swap (u out, w in) keeps vol(S) and
+changes the boundary by twice its key din[u] - din[w] + A(u, w); below 0 is
+strictly better and 0 is equal, and since every swap keeps the current
+denominator, the first pair of least key in row-major order over (sorted S,
+sorted S^c) is the first least ratio.  Every key is at least L = a - b, and
+the least key is L or L + 1: a pair of U[a] x W[b] has key L when its ends
+are not adjacent and L + 1 when they are, and every other pair has
+din[u] > a or din[w] < b and so a key of at least L + 1.  So the least key
+is L exactly when some pair of U[a] x W[b] is not adjacent.  A key t <= L + 1
+needs din[u] <= a + 1, so only the rows of U[a] and U[a + 1] can hold a
+strict or an equal swap, and the w of key t in row u are the non-neighbours
+of u in W[din[u] - t] and its neighbours in W[din[u] - t + 1].  Each row's
+count of key-0 swaps is thus an O(k) scan of its neighbours, only the pair
+that the seeded plateau pick lands on is listed, and nothing |S| x |S^c| is
+built.
 
 The prefix sweep orders the vertices by decreasing score (a stable argsort,
 so ties go by vertex) and scores every prefix at once: an edge adds +1 to
@@ -51,9 +62,9 @@ its volume.  The first least float64 ratio boundary / min(vol, total - vol)
 is exact: every ratio lies in [0, 1] with 0 < denominator <= total, so two
 distinct ratios differ by at least 1/total**2, which is 2**-52 or more when
 total <= 2**26 and so more than the rounding error of either; equal ratios
-round to the same double.  The sweep and refinement refuse graphs with
-total > REFINE_TOTAL_CAP, which also keeps k below 2**13, so refinement's
-counts fit int16.
+round to the same double.  The sweep refuses graphs with
+total > REFINE_TOTAL_CAP, and so does refinement, which refines the sweep's
+cuts; its own counts are Python ints and exact at any size.
 
 The sweeps follow theta_1-eigenvectors, from one of two sources split at
 spectral.EIGENVECTOR_CAP vertices, the bound that also starts the search's
@@ -80,8 +91,10 @@ the Cheeger floor no cut goes below, and a method that sorts before
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -95,7 +108,7 @@ from .witness import CutCertificate, make_certificate
 EXACT_CAP_HARD = 30
 EXACT_BLOCK = 2 ** 14      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
-SWAP_CAP = 40_000          # most (u, w) pairs one refinement step scans
+SWAP_CAP = 40_000          # most |S| |S^c| at which refinement tries swaps
 
 
 @dataclass(frozen=True)
@@ -223,36 +236,61 @@ def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
     irregular or edgeless graph, and EmptySet or FullSet when S is empty or
     all of V.
 
-    Every step scores all single moves, and when none improves and
-    |S| |S^c| <= SWAP_CAP, all swaps, by din (the neighbours in S) alone,
-    with exact integer comparisons against the current key (boundary,
-    min(vol, total - vol)); see the module docstring.  The chosen strict
-    move is the first one of least ratio.  Plateau moves are listed in the
-    order singles by vertex, then swaps row-major over (sorted S, sorted
-    S^c), so the seeded pick is reproducible."""
+    Every step tries the single moves, and when none improves and
+    |S| |S^c| <= SWAP_CAP, the swaps, with exact integer comparisons of din
+    (the neighbours in S) against the current key (boundary,
+    min(vol, total - vol)).  The vertices sit in buckets by side and din, so
+    each move is read from the extreme buckets alone (module docstring).
+    The chosen strict move is the first one of least ratio.  Plateau moves
+    are listed in the order singles by vertex, then swaps row-major over
+    (sorted S, sorted S^c), so the seeded pick is reproducible."""
     n = g.n
     total = _exact_total(g, "local_refine")
     k = g.regular_degree()
     if not k:
         raise NotRegular("local_refine: graph is not regular" if k is None
                          else "local_refine: graph has no edges")
-    rng = random.Random(seed)
     half = n // 2
     src, dst, _ = edge_arrays(g)
-    nbrs = dst.reshape(n, k)                # v's neighbours are row v
     inS = np.zeros(n, dtype=bool)
     inS[list(S)] = True
-    size = int(inS.sum())
+    # v sits in bucket slot[v]: din[v] (its neighbours in S) outside S and
+    # top + din[v] inside it, so the module docstring's W[d] and U[d] are
+    # outside(d) and inside(d); only the slots in use get a bucket up front
+    top = k + 1
+    slot = np.bincount(dst[inS[src]], minlength=n)
+    slot[inS] += top
+    used = [(s, c) for s, c in enumerate(np.bincount(slot).tolist()) if c]
+    size = sum(c for s, c in used if s > k)
     if not 0 < size < n:
         raise (FullSet if size else EmptySet)(f"local_refine: |S| = {size}, n = {n}")
-    # neighbours inside S; k < 2**13 since n * k <= REFINE_TOTAL_CAP
-    din = np.bincount(dst[inS[src]], minlength=n).astype(np.int16)
-    boundary = k * size - int(din[inS].sum())
+    boundary = sum((top + k - s) * c for s, c in used if s > k)
+    ends = list(accumulate(c for _, c in used))
+    order = np.argsort(slot).tolist()
+    buckets = defaultdict(set, ((s, set(order[j - c:j]))
+                                for (s, c), j in zip(used, ends)))
+    slot, adj = slot.tolist(), g.adj
+    members = set(order[n - size:])       # S, whose slots sort last
+    none = frozenset()
+
+    def inside(d):
+        return buckets[top + d] if 0 <= d <= k else none
+
+    def outside(d):
+        return buckets[d] if 0 <= d <= k else none
+
+    def swaps(u, t, skip=none):
+        """The w outside S and skip that make (u, w) a swap of key t: the
+        non-neighbours of u at din d = din[u] - t and its neighbours at d + 1."""
+        d, nb = slot[u] - top - t, adj[u]
+        return (outside(d).difference(nb) | outside(d + 1).intersection(nb)) - skip
 
     def side(vol):
         return min(vol, total - vol)
 
     best, best_S = (boundary, side(k * size)), frozenset(S)
+    rng = None                  # made on the first plateau step
+    a, b = 0, k                 # bounds on the least din in S, greatest outside
     tabu: list[int] = []
     stale = 0
     moves = 0
@@ -263,71 +301,101 @@ def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
         # (boundary + k - 2 din[v], dp), better iff 2 cd din[v] > rp
         rm = boundary * dm - (boundary - k) * cd
         rp = (boundary + k) * cd - boundary * dp
+        while not buckets[top + a]:
+            a += 1
+        while not buckets[b]:
+            b -= 1
         moved = None
-        if size > 1:
-            v = int(np.where(inS, din, k + 1).argmin())
-            if 2 * cd * int(din[v]) < rm:
-                moved, b, d = (v,), boundary + 2 * int(din[v]) - k, dm
-        if size < half:
-            w = int(np.where(inS, -1, din).argmax())
-            bw = boundary + k - 2 * int(din[w])
+        if size > 1 and 2 * cd * a < rm:
+            v = min(buckets[top + a])
+            moved, bv, dv = (v,), boundary + 2 * a - k, dm
+        if size < half and 2 * cd * b > rp:
+            w = min(buckets[b])
+            bw = boundary + k - 2 * b
             # the least ratio wins, and the lower vertex on a tie
-            if 2 * cd * int(din[w]) > rp and (moved is None or bw * d < b * dp
-                                              or bw * d == b * dp and w < v):
+            if moved is None or bw * dv < bv * dp or bw * dv == bv * dp and w < v:
                 moved = (w,)
-        swapped = False
-        # swaps only when single moves stall and the pair scan is affordable
-        if moved is None and size * (n - size) <= SWAP_CAP:
-            # a swap keeps vol(S) and changes the boundary by twice
-            # din[u] - din[w] + A(u, w): din[w] still counts u, which has
-            # left S, so +1 per cut edge u-w
-            ins, outs = np.flatnonzero(inS), np.flatnonzero(~inS)
-            key = din[ins][:, None] - din[outs][None, :]
-            pos = np.empty(n, dtype=np.intp)
-            pos[outs] = np.arange(n - size)
-            nb = nbrs[ins]
-            cut = np.flatnonzero(~inS[nb])          # r * k + j for w = nb[r, j]
-            key.ravel()[cut // k * (n - size) + pos[nb.ravel()[cut]]] += 1
-            least = key.argmin()
-            swapped = True
-            if key.flat[least] < 0:
-                r, c = divmod(int(least), n - size)
-                moved = (int(ins[r]), int(outs[c]))
+        least = None
+        # swaps only when single moves stall and |S| |S^c| is within the cap;
+        # a least key above 0 can neither improve nor tie
+        if moved is None and size * (n - size) <= SWAP_CAP and a <= b:
+            # the least key is a - b unless every u in U[a] is adjacent to
+            # every w in W[b], and only rows with din[u] <= a + 1 reach it
+            Ua, Wb = buckets[top + a], buckets[b]
+            least = a - b + (len(Wb) <= k and
+                             all(not Wb.difference(adj[u]) for u in Ua))
+            if least < 0:
+                for u in sorted(Ua | inside(a + 1)):
+                    ws = swaps(u, least)
+                    if ws:
+                        moved = (u, min(ws))
+                        break
         if moved is not None:
             stale = 0
         else:
             # plateau moves in scan order, without tabu vertices
-            free = np.ones(n, dtype=bool)
-            free[tabu] = False
+            skip = set(tabu)
             eqm = rm // (2 * cd) if size > 1 and rm % (2 * cd) == 0 else -1
             eqp = rp // (2 * cd) if size < half and rp % (2 * cd) == 0 else -1
-            singles = np.flatnonzero(free & (din == np.where(inS, eqm, eqp)))
-            pairs = []
-            if swapped and key.flat[least] == 0:
-                pairs = np.flatnonzero((key == 0)
-                                       & free[ins][:, None] & free[outs][None, :])
-            count = len(singles) + len(pairs)
+            singles = (inside(eqm) | outside(eqp)) - skip
+            rows = []               # (u, its count of free zero-key swaps)
+            if least == 0:
+                # the counts of swaps(u, 0, skip), one O(k) scan per row
+                for d in (a, a + 1):
+                    near, far = outside(d) - skip, outside(d + 1) - skip
+                    if near or far:
+                        rows += [(u, len(near) - len(near.intersection(adj[u]))
+                                  + len(far.intersection(adj[u])))
+                                 for u in inside(d) - skip]
+                rows.sort()
+            count = len(singles) + sum(c for _, c in rows)
             if not count:
                 break
+            if rng is None:
+                rng = random.Random(seed)
             pick = rng.randrange(count)
             if pick < len(singles):
-                moved = (int(singles[pick]),)
+                moved = (sorted(singles)[pick],)
             else:
-                r, c = divmod(int(pairs[pick - len(singles)]), n - size)
-                moved = (int(ins[r]), int(outs[c]))
+                pick -= len(singles)
+                for u, c in rows:
+                    if pick < c:
+                        moved = (u, sorted(swaps(u, 0, skip))[pick])
+                        break
+                    pick -= c
             stale += 1
         for m in moved:
-            step = -1 if inS[m] else 1
-            boundary += step * (k - 2 * int(din[m]))
-            inS[m] = step > 0
-            din[nbrs[m]] += step
-            size += step
+            s = slot[m]
+            # a leaving vertex lowers din in S by at most 1 and lands at din
+            # to outside S; a joining one raises din outside S by at most 1
+            if s > k:
+                to = s - top
+                boundary += 2 * to - k
+                size -= 1
+                step = -1
+                members.remove(m)
+                a, b = max(a - 1, 0), max(b, to)
+            else:
+                to = s + top
+                boundary += k - 2 * s
+                size += 1
+                step = 1
+                members.add(m)
+                a, b = min(a, s), min(b + 1, k)
+            buckets[s].remove(m)
+            buckets[to].add(m)
+            slot[m] = to
+            for x in adj[m]:
+                s = slot[x]
+                buckets[s].remove(x)
+                buckets[s + step].add(x)
+                slot[x] = s + step
         tabu.extend(moved)
         del tabu[:-50]
         moves += 1
         cur = (boundary, side(k * size))
         if cur[0] * best[1] < best[0] * cur[1]:
-            best, best_S = cur, frozenset(np.flatnonzero(inS).tolist())
+            best, best_S = cur, frozenset(members)
     return make_certificate(g, best_S, "refine")
 
 
@@ -388,11 +456,11 @@ def _iterated_refine(g: Graph, start, seed: int, budget: int, rounds: int,
             if stale >= 2:
                 break
         base = set(best.S)
-        outs = sorted(base)
-        ins = sorted(v for v in range(g.n) if v not in base)
+        members = sorted(base)
+        others = sorted(v for v in range(g.n) if v not in base)
         for _ in range(4):
-            u = outs[rng.randrange(len(outs))]
-            w = ins[rng.randrange(len(ins))]
+            u = members[rng.randrange(len(members))]
+            w = others[rng.randrange(len(others))]
             if u in base and w not in base:
                 base.discard(u)
                 base.add(w)

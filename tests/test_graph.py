@@ -714,6 +714,37 @@ def test_graph_validation_matches_reference_on_corrupted_rows():
         (GraphError, f"vertex {2 ** 70} out of range")
 
 
+def test_graph_from_edge_arrays_matches_rows():
+    """Graph.from_edge_arrays on np.nonzero of a dense 0/1 matrix against
+    Graph on the matrix's rows: the same graph and edge arrays, or the same
+    first bad entry (a diagonal entry, a one-sided entry, or a column past
+    n)."""
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(500):
+        n = rng.randrange(1, 9)
+        A = np.zeros((n, n + rng.choice((0, 0, 0, 1))), dtype=bool)
+        for u, v in combinations(range(n), 2):
+            if rng.random() < 0.3:
+                A[u, v] = A[v, u] = True
+        for _ in range(rng.randrange(3)):
+            A[rng.randrange(n), rng.randrange(A.shape[1])] ^= True
+        rows = [np.flatnonzero(row).tolist() for row in A]
+        want = graph_or_failure(n, rows)
+        try:
+            g = Graph.from_edge_arrays(n, *np.nonzero(A))
+        except GraphError as err:
+            assert (type(err), str(err)) == want, A
+            outcomes.add(str(err).split()[0])
+            continue
+        assert (g.adj, g.num_edges) == want, A
+        for got, ref in zip(edge_arrays(g), edge_arrays(Graph(n, rows))):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert not got.flags.writeable
+        outcomes.add("valid")
+    assert outcomes == {"valid", "self-loop", "vertex", "asymmetric"}
+
+
 def assert_graph_matches_reference(h, rows):
     """h, built from rows, against the earlier constructor and array
     builders: adjacency, edge count, degree and the three read-only edge

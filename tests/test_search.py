@@ -146,10 +146,17 @@ def test_best_upper_bound_deterministic_on_large():
 
 def reference_local_refine(g, S, budget: int = 100_000, seed: int = 0,
                            tabu_len: int = 50,
-                           plateau_patience: int = 200, swap_cap: int = 40_000):
+                           plateau_patience: int = 200, swap_cap: int = 40_000,
+                           seen: set | None = None):
     """Pure-Python local refinement, one candidate move at a time: the
-    reference the numpy move scan of ``local_refine`` must reproduce exactly
-    (same S, ratio and stats for the same arguments)."""
+    reference the bucketed move scan of ``local_refine`` must reproduce
+    exactly (same S, ratio and stats for the same arguments).
+
+    On a regular graph, ``seen`` collects the cases of the bucket scan that
+    the walk reached, with a the least din in S and b the greatest outside:
+    "least L+1" (a swap scan whose least key din[u] - din[w] + A(u, w) is
+    a - b + 1), "strict swap from a+1" (a chosen swap whose u has din a + 1)
+    and "tabu zero pair" (a plateau step that drops a key-0 swap for tabu)."""
     rng = random.Random(seed)
     n = g.n
     degs = [g.degree(v) for v in range(n)]
@@ -220,6 +227,12 @@ def reference_local_refine(g, S, budget: int = 100_000, seed: int = 0,
         if strict is None and len(S) * (n - len(S)) <= swap_cap:
             Sl = sorted(S)
             out = [v for v in range(n) if not inS[v]]
+            if seen is not None:
+                a = min(din[u] for u in Sl)
+                b = max(din[w] for w in out)
+                if min(din[u] - din[w] + (w in g.adj[u])
+                       for u in Sl for w in out) == a - b + 1:
+                    seen.add("least L+1")
             for u in Sl:
                 b_u = boundary + 2 * din[u] - degs[u]
                 v_u = vol - degs[u]
@@ -234,8 +247,13 @@ def reference_local_refine(g, S, budget: int = 100_000, seed: int = 0,
         if strict is not None:
             _, moved = strict
             stale = 0
+            if seen is not None and len(moved) == 2 and din[moved[0]] == a + 1:
+                seen.add("strict swap from a+1")
         else:
             usable = [pm for pm in plateau if not any(m in tabu for m in pm[1])]
+            if seen is not None and any(len(pm[1]) == 2 and pm not in usable
+                                        for pm in plateau):
+                seen.add("tabu zero pair")
             if not usable:
                 break
             _, moved = usable[rng.randrange(len(usable))]
@@ -281,6 +299,29 @@ def test_refine_matches_reference(name, monkeypatch):
     args = (g, _starts(g.n, rng)[2], 500, 1)
     monkeypatch.setattr(search, "SWAP_CAP", 0)
     assert local_refine(*args) == reference_local_refine(*args, swap_cap=0)
+
+
+def _circulant(n, jumps):
+    return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
+
+
+def test_refine_matches_reference_on_random_circulants():
+    """Regular graphs that are not distance-regular, from many random starts.
+    The walks reach every case of the bucket scan that the catalog walks may
+    miss: a least swap key of L + 1, a strict swap from a row of din a + 1,
+    and key-0 swaps filtered out by the tabu list."""
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(30):
+        n = rng.randrange(8, 28)
+        g = _circulant(n, rng.sample(range(1, n // 2 + 1), rng.randrange(1, 4)))
+        for _ in range(4):
+            start = frozenset(rng.sample(range(n), rng.randrange(1, n)))
+            args = (g, start, 150, rng.randrange(100))
+            assert local_refine(*args, plateau_patience=30) == \
+                reference_local_refine(*args, plateau_patience=30, seen=seen), \
+                (g.adj, start, args[3])
+    assert seen == {"least L+1", "strict swap from a+1", "tabu zero pair"}
 
 
 def test_refine_refuses_inexact_sizes(monkeypatch):
