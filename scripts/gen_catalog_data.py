@@ -29,7 +29,7 @@ def icosahedron() -> Graph:
         edges.append((lo[i], lo[(i + 1) % 5]))
         edges.append((up[i], lo[i]))
         edges.append((up[i], lo[(i - 1) % 5]))
-    return Graph.from_edges(12, edges, "icosahedron")
+    return Graph.from_edges(12, edges)
 
 
 def dodecahedron() -> Graph:
@@ -39,7 +39,7 @@ def dodecahedron() -> Graph:
         edges.append((i, (i + 1) % 10))        # outer cycle
         edges.append((i, 10 + i))              # spokes
         edges.append((10 + i, 10 + (i + 2) % 10))  # inner pentagram pair
-    return Graph.from_edges(20, edges, "dodecahedron")
+    return Graph.from_edges(20, edges)
 
 
 def coxeter() -> Graph:
@@ -51,26 +51,26 @@ def coxeter() -> Graph:
     idx = {k: i for i, k in enumerate(keys)}
     edges = [(idx[a], idx[b]) for a, b in itertools.combinations(keys, 2)
              if not set(a) & set(b)]
-    return Graph.from_edges(28, edges, "coxeter")
+    return Graph.from_edges(28, edges)
 
 
-def lcf_graph(jumps, reps: int, name: str = "") -> Graph:
+def lcf_graph(jumps, reps: int) -> Graph:
     """Hamiltonian cubic graph from LCF notation."""
     n = len(jumps) * reps
     edges = {(i, (i + 1) % n) for i in range(n)}
     for i in range(n):
         j = (i + jumps[i % len(jumps)]) % n
         edges.add((min(i, j), max(i, j)))
-    return Graph.from_edges(n, {(min(a, b), max(a, b)) for a, b in edges}, name)
+    return Graph.from_edges(n, {(min(a, b), max(a, b)) for a, b in edges})
 
 
 def foster() -> Graph:
-    return lcf_graph([17, -9, 37, -37, 9, -17], 15, "foster")
+    return lcf_graph([17, -9, 37, -37, 9, -17], 15)
 
 
 def tutte_12_cage() -> Graph:
     return lcf_graph([17, 27, -13, -59, -35, 35, -11, 13, -53, 53, -27, 21,
-                      57, 11, -21, -57, 59, -17], 7, "tutte-12-cage")
+                      57, 11, -21, -57, 59, -17], 7)
 
 
 def biggs_smith() -> Graph:
@@ -168,7 +168,7 @@ def biggs_smith() -> Graph:
                     edges.update((min(xi, y), max(xi, y)) for y in nbh)
                 if not cubic:
                     continue
-                g102 = Graph.from_edges(102, edges, "biggs-smith")
+                g102 = Graph.from_edges(102, edges)
                 try:
                     if str(intersection_array(g102)) == target:
                         return g102

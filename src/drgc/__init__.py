@@ -4,9 +4,10 @@ __version__ = "0.1.0"
 
 from .exact import SqrtVal
 from .graph import (CutStats, Graph, IntersectionArray, bfs_distances,
-                    bipartite_double, cut_stats, g6_decode, g6_encode, girth,
-                    intersection_array, line_graph)
-from .families import FamilySpec, TheoryValues, construct, descendant, theory_values
+                    cut_stats, g6_decode, g6_encode, girth, intersection_array,
+                    line_graph)
+from .families import (FamilySpec, TheoryValues, bipartite_graph, construct,
+                       descendant, theory_values)
 from .spectral import (CheegerWindow, Spectrum, at_most_lambda1, cheeger_window,
                        dense_spectrum, drg_spectrum, exact_theta1)
 from .search import SearchConfig, best_upper_bound, exact_cheeger, local_refine, sweep_cut

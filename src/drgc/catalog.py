@@ -20,7 +20,7 @@ from .algebra import enumerate_subspaces, field, field_tables, isotropic_subspac
 from .errors import DataCorrupt, UnknownName
 from .exact import SqrtVal
 from .families import FamilySpec, bipartite_graph, construct, incidence_block
-from .graph import (Graph, IntersectionArray, bipartite_double, g6_decode,
+from .graph import (Graph, IntersectionArray, adjacency_matrix, g6_decode,
                     intersection_array, line_graph)
 from .spectral import drg_spectrum, exact_theta1
 
@@ -46,8 +46,8 @@ class CatalogEntry:
         return (SqrtVal(k) - self.theta1) / k
 
 
-def _family(spec: str, name: str):
-    return lambda: construct(FamilySpec.parse(spec)).renamed(name)
+def _family(spec: str):
+    return lambda: construct(FamilySpec.parse(spec))
 
 
 def _points_against(q: int, lines):
@@ -56,40 +56,39 @@ def _points_against(q: int, lines):
     return incidence_block(F, enumerate_subspaces(len(lines[0][0]), 1, F), lines)
 
 
-def _symplectic_gq(q: int, name: str) -> Graph:
+def _symplectic_gq(q: int) -> Graph:
     """Incidence graph of the generalized quadrangle W(3,q): the points of
     PG(3,q) against the totally isotropic lines."""
-    return bipartite_graph(_points_against(q, isotropic_subspaces(field(q), 4, 2)), name)
+    return bipartite_graph(_points_against(q, isotropic_subspaces(field(q), 4, 2)))
 
 
 def _pg22_nonincidence() -> Graph:
     """Points against lines of the Fano plane, adjacent when not incident."""
     lines = enumerate_subspaces(3, 2, field(2))
-    return bipartite_graph(~_points_against(2, lines), "nonincidence-pg22")
+    return bipartite_graph(~_points_against(2, lines))
 
 
-def _ag2_minus_class(q: int, name: str) -> Graph:
+def _ag2_minus_class(q: int) -> Graph:
     """Incidence graph of the affine plane AG(2,q) less its vertical parallel
     class: point (x, y) is on line (m, b) when y = mx + b.  Points (rows) and
     lines (columns) are numbered x q + y and m q + b."""
     mul, add, _ = field_tables(field(q))
     x, y = np.divmod(np.arange(q * q), q)
     m, b = x, y
-    return bipartite_graph(add[mul[m, x[:, None]], b] == y[:, None], name)
+    return bipartite_graph(add[mul[m, x[:, None]], b] == y[:, None])
 
 
 _BUILDERS = {
-    "pg2-incidence-2": _family("doubledgrassmann:2,1", "heawood"),
-    "pg2-incidence-3": _family("doubledgrassmann:3,1", "incidence-pg23"),
+    "pg2-incidence-2": _family("doubledgrassmann:2,1"),
+    "pg2-incidence-3": _family("doubledgrassmann:3,1"),
     "nonincidence-pg22": _pg22_nonincidence,
-    "gq-incidence-2": lambda: _symplectic_gq(2, "tutte-coxeter"),
-    "gq-incidence-3": lambda: _symplectic_gq(3, "incidence-gq33"),
-    "ag24-minus-class": lambda: _ag2_minus_class(4, "incidence-ag24"),
-    "pappus": lambda: _ag2_minus_class(3, "pappus"),
-    "petersen": _family("odd:3", "petersen"),
-    "shrikhande": _family("doob:1,0", "shrikhande"),
-    "k55-minus-matching": lambda: bipartite_graph(~np.eye(5, dtype=bool),
-                                                  "k55-minus-matching"),
+    "gq-incidence-2": lambda: _symplectic_gq(2),
+    "gq-incidence-3": lambda: _symplectic_gq(3),
+    "ag24-minus-class": lambda: _ag2_minus_class(4),
+    "pappus": lambda: _ag2_minus_class(3),
+    "petersen": _family("odd:3"),
+    "shrikhande": _family("doob:1,0"),
+    "k55-minus-matching": lambda: bipartite_graph(~np.eye(5, dtype=bool)),
 }
 
 _entries: dict[str, CatalogEntry] | None = None
@@ -138,15 +137,15 @@ def _build(entry: CatalogEntry) -> Graph:
     kind, _, arg = ref.partition(":")
     if kind == "g6":
         text = (data_dir() / arg).read_text(encoding="ascii")
-        return g6_decode(text, name=entry.name)
+        return g6_decode(text)
     if kind == "builder":
         return _BUILDERS[arg]()
     if kind == "family":
-        return construct(FamilySpec.parse(arg)).renamed(entry.name)
+        return construct(FamilySpec.parse(arg))
     if kind == "line":
-        return line_graph(catalog_load(arg)[0]).renamed(entry.name)
-    if kind == "double":
-        return bipartite_double(catalog_load(arg)[0]).renamed(entry.name)
+        return line_graph(catalog_load(arg)[0])
+    if kind == "double":   # the bipartite double: (u, 0) ~ (v, 1) when u ~ v
+        return bipartite_graph(adjacency_matrix(catalog_load(arg)[0], bool))
     raise DataCorrupt(f"{entry.name}: bad graphref {ref!r}")
 
 

@@ -317,8 +317,8 @@ def _shrikhande() -> np.ndarray:
                    (4, 12, 1, 3, 5, 15))
 
 
-def _graph_from_adjacency(adj: np.ndarray, name: str) -> Graph:
-    return Graph.from_edge_arrays(len(adj), *np.nonzero(adj), name)
+def _graph_from_adjacency(adj: np.ndarray) -> Graph:
+    return Graph.from_edge_arrays(len(adj), *np.nonzero(adj))
 
 
 def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -357,9 +357,9 @@ def incidence_block(F, small, big) -> np.ndarray:
     return inside == F.q ** len(small[0])
 
 
-def bipartite_graph(block: np.ndarray, name: str) -> Graph:
+def bipartite_graph(block: np.ndarray) -> Graph:
     """The bipartite graph with the given biadjacency block."""
-    return _graph_from_adjacency(_bipartite(block), name)
+    return _graph_from_adjacency(_bipartite(block))
 
 
 def _difference_adjacency(F, keys, in_C) -> np.ndarray:
@@ -502,7 +502,7 @@ def construct(spec: FamilySpec) -> Graph:
     else:  # pragma: no cover
         raise ParamDomain(f"no constructor for {fam}")
 
-    g = _graph_from_adjacency(adj, str(spec))
+    g = _graph_from_adjacency(adj)
     k = g.regular_degree()
     if k != tv.k or g.n != tv.v:
         raise ParamDomain(

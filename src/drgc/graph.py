@@ -1,13 +1,14 @@
 """Core graph representation and metric/structural operations.
 
 Graphs are simple, undirected, with vertices 0..n-1 and sorted adjacency
-lists; they are immutable after construction and safe to share.  The
-constructor turns adjacency rows into the ordered edge list, and
-Graph.from_edge_arrays takes that list as arrays (np.nonzero of a dense
-adjacency); both validate it in numpy and keep it as read-only CSR arrays
-(edge_arrays).  Only an invalid input goes on to the Python scan that names
-its first bad entry.  Vertex subsets are plain frozensets;
-all cut statistics are exact integer counts.
+lists; they are immutable after construction and safe to share.  Every graph
+gets its edges through one path: Graph.from_edge_arrays takes the ordered
+edges (src[i], dst[i]) as numpy arrays, validates them in numpy and keeps
+them as read-only CSR arrays (edge_arrays).  The adjacency-rows constructor
+Graph(n, rows), Graph.from_edges, g6_decode and line_graph only build those
+arrays.  Only an invalid input goes on to the Python scan that names its
+first bad entry.  Vertex subsets are plain frozensets; all cut statistics
+are exact integer counts.
 
 Every stage that allocates an n x n array (adjacency and distance matrices,
 the intersection-array check, the dense eigensystem) refuses graphs with more
@@ -20,6 +21,7 @@ block small enough to stay in cache.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, NamedTuple
@@ -36,86 +38,61 @@ MAX_VERTICES = 20000
 
 
 class Graph:
-    __slots__ = ("n", "adj", "name", "num_edges", "_ia", "_eig", "_edges")
+    __slots__ = ("n", "adj", "num_edges", "_degree", "_ia", "_eig", "_edges")
 
-    def __init__(self, n: int, adj: Iterable[Iterable[int]], name: str = ""):
+    def __init__(self, n: int, adj: Iterable[Iterable[int]]):
         rows = [tuple(row) for row in adj]
         if len(rows) != n:
             raise GraphError(f"adjacency has {len(rows)} rows for n={n}")
         degs = np.fromiter(map(len, rows), dtype=np.intp, count=n)
         src = np.repeat(np.arange(n), degs)
-        try:
-            dst = np.fromiter(chain.from_iterable(rows), dtype=np.intp,
-                              count=src.size)
-        except OverflowError:
-            _raise_first_bad_entry(n, rows)
-        self._set_edges(n, src, dst, name, rows)
+        self._set_edges(n, src, _vertex_array(chain.from_iterable(rows)))
 
     @staticmethod
-    def from_edge_arrays(n: int, src: np.ndarray, dst: np.ndarray,
-                         name: str = "") -> "Graph":
+    def from_edge_arrays(n: int, src: np.ndarray, dst: np.ndarray) -> "Graph":
         """The graph with the ordered edges (src[i], dst[i]), every src[i] in
         range(n): for a dense 0/1 adjacency, the two arrays of np.nonzero."""
         g = Graph.__new__(Graph)
-        g._set_edges(n, src, dst, name)
+        g._set_edges(n, src, dst)
         return g
 
-    def _set_edges(self, n: int, src: np.ndarray, dst: np.ndarray, name: str,
-                   rows: list | None = None) -> None:
-        """Validate the ordered edges in numpy and build the graph from them;
-        a bad entry is named from the adjacency rows, which are made from the
-        arrays when not given."""
+    @staticmethod
+    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph with the unordered edges {u, v}."""
+        u, v = _vertex_array(chain.from_iterable(edges)).reshape(-1, 2).T
+        return Graph.from_edge_arrays(n, np.concatenate((u, v)),
+                                      np.concatenate((v, u)))
+
+    def _set_edges(self, n: int, src: np.ndarray, dst: np.ndarray) -> None:
+        """Validate the ordered edges in numpy and build the graph from them."""
         if ((dst < 0) | (dst >= n) | (dst == src)).any():
-            _raise_first_bad_entry(n, rows or _rows_of(n, src, dst))
+            _raise_first_bad_entry(n, src, dst)
         # the forward keys u*n + v, sorted and without repeats, are symmetric
         # exactly when the reversed keys v*n + u sort to the same array
         keys = np.sort(src * n + dst)
         keys = keys[np.diff(keys, prepend=-1) != 0]
         src, dst = np.divmod(keys, n)
         if not np.array_equal(np.sort(dst * n + src), keys):
-            _raise_first_bad_entry(n, rows or _rows_of(n, src, dst))
-        first = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+            _raise_first_bad_entry(n, src, dst)
+        degs = np.bincount(src, minlength=n)
+        first = np.concatenate(([0], np.cumsum(degs)))
         for a in (src, dst, first):
             a.flags.writeable = False
         flat, bounds = dst.tolist(), first.tolist()
         self.n = n
         self.adj = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-        self.name = name
         self.num_edges = dst.size // 2
+        self._degree = int(degs[0]) if n and (degs == degs[0]).all() else None
         self._ia = None
         self._eig = None
         self._edges = EdgeArrays(src, dst, first)
 
-    @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]], name: str = "") -> "Graph":
-        rows = [[] for _ in range(n)]
-        for u, v in edges:
-            rows[u].append(v)
-            rows[v].append(u)
-        return Graph(n, rows, name)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def regular_degree(self) -> int | None:
-        degs = np.diff(self._edges.first)
-        return int(degs[0]) if degs.size and (degs == degs[0]).all() else None
-
-    def edges(self):
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    def renamed(self, name: str) -> "Graph":
-        g = Graph.__new__(Graph)
-        g.n, g.adj, g.name, g.num_edges = self.n, self.adj, name, self.num_edges
-        g._ia, g._eig, g._edges = self._ia, self._eig, self._edges
-        return g
+        """The common degree, or None when the graph is irregular."""
+        return self._degree
 
     def __repr__(self):
-        label = self.name or "graph"
-        return f"<{label}: n={self.n}, m={self.num_edges}>"
+        return f"<graph: n={self.n}, m={self.num_edges}>"
 
 
 class EdgeArrays(NamedTuple):
@@ -129,19 +106,29 @@ def edge_arrays(g: Graph) -> EdgeArrays:
     return g._edges
 
 
-def _rows_of(n: int, src: np.ndarray, dst: np.ndarray) -> list:
-    """The adjacency rows of the ordered edges (src[i], dst[i])."""
-    rows = [[] for _ in range(n)]
-    for u, v in zip(src.tolist(), dst.tolist()):
-        rows[u].append(v)
-    return rows
+def _vertex_array(entries: Iterable) -> np.ndarray:
+    """The entries as an intp array, or as Python ints in an object array when
+    one does not fit in intp (and so is out of range); GraphError when an
+    entry is not an integer."""
+    try:
+        values = list(map(operator.index, entries))
+    except TypeError:
+        raise GraphError("adjacency entries are not vertex numbers") from None
+    try:
+        return np.array(values, dtype=np.intp)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _raise_first_bad_entry(n: int, rows: list) -> None:
-    """GraphError at the first bad entry of the adjacency rows: by row u, then
-    by ascending neighbour v (repeats count once), a self-loop, then an
-    out-of-range vertex, then a v whose row lacks u."""
-    sets = [set(row) for row in rows]
+def _raise_first_bad_entry(n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """GraphError at the first bad entry of the ordered edges (src[i], dst[i])
+    with src[i] in range(n): by row u = src[i], then by ascending neighbour
+    v = dst[i] (repeats count once), a self-loop, then an out-of-range
+    vertex, then a v whose row lacks u."""
+    sets = [set() for _ in range(n)]
+    inside = (src >= 0) & (src < n)
+    for u, v in zip(src[inside].tolist(), dst[inside].tolist()):
+        sets[u].add(v)
     for u, row in enumerate(sets):
         for v in sorted(row):
             if v == u:
@@ -500,28 +487,19 @@ def cut_stats(g: Graph, S) -> CutStats:
 
 
 def line_graph(g: Graph) -> Graph:
-    """Vertices are the edges of g; adjacency is sharing an endpoint."""
-    edges = sorted(g.edges())
-    index = {e: i for i, e in enumerate(edges)}
-    rows = [[] for _ in edges]
-    for u in range(g.n):
-        inc = [index[(min(u, v), max(u, v))] for v in g.adj[u]]
-        for i, e1 in enumerate(inc):
-            for e2 in inc[i + 1:]:
-                rows[e1].append(e2)
-                rows[e2].append(e1)
-    return Graph(len(edges), rows, name=f"L({g.name})" if g.name else "")
-
-
-def bipartite_double(g: Graph) -> Graph:
-    """Two copies of V; (u,0) ~ (v,1) iff u ~ v.  Copy 0 is 0..n-1."""
-    n = g.n
-    rows = [[] for _ in range(2 * n)]
-    for u in range(n):
-        for v in g.adj[u]:
-            rows[u].append(n + v)
-            rows[n + u].append(v)
-    return Graph(2 * n, rows, name=f"double({g.name})" if g.name else "")
+    """Vertices are the edges u < v of g, numbered in sorted order; adjacency
+    is sharing an endpoint.  Two arcs p != q leaving one vertex are two edges
+    meeting there."""
+    src, dst, first = edge_arrays(g)
+    forward = src < dst
+    edge = np.searchsorted(src[forward] * g.n + dst[forward],
+                           np.minimum(src, dst) * g.n + np.maximum(src, dst))
+    # arc p is paired with each arc q = first[src[p]] + i, i < deg(src[p])
+    per = np.diff(first)[src]
+    p = np.repeat(np.arange(src.size), per)
+    q = np.arange(p.size) - np.repeat(np.cumsum(per) - per - first[src], per)
+    p, q = p[p != q], q[p != q]
+    return Graph.from_edge_arrays(int(forward.sum()), edge[p], edge[q])
 
 
 def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
@@ -571,38 +549,36 @@ def g6_encode(g: Graph) -> str:
     return head + "".join(chars)
 
 
-def g6_decode(text: str, name: str = "") -> Graph:
+def g6_decode(text: str) -> Graph:
     text = text.strip()
     if not text:
         raise MalformedGraph6("empty string")
-    pos = 0
     if ord(text[0]) == 126:
         if len(text) < 4 or ord(text[1]) == 126:
             raise MalformedGraph6("unsupported or truncated header")
         n = 0
         for ch in text[1:4]:
             n = (n << 6) | (ord(ch) - 63)
-        pos = 4
+        body = text[4:]
     else:
         n = ord(text[0]) - 63
-        if n < 0:
-            raise MalformedGraph6("bad header byte")
-        pos = 1
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = text[pos:]
+        body = text[1:]
+    if n < 0:   # a header char below "?"
+        raise MalformedGraph6("bad header byte")
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(body) != need:
         raise MalformedGraph6(f"expected {need} body chars, got {len(body)}")
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise MalformedGraph6(f"bad body byte {ch!r}")
-        bits.extend((val >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return Graph.from_edges(n, edges, name=name)
+    # each body char holds six bits of the upper triangle, column by column:
+    # bit j(j-1)/2 + i is the pair i < j
+    codes = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    vals = codes - 63
+    bad = vals > 63   # a code point below 63 wraps around to a large value
+    if bad.any():
+        raise MalformedGraph6(f"bad body byte {body[int(bad.argmax())]!r}")
+    bits = np.unpackbits(vals.astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    at = np.flatnonzero(bits[:pairs])
+    start = np.arange(n) * (np.arange(n) - 1) // 2
+    j = np.searchsorted(start, at, side="right") - 1
+    i = at - start[j]
+    return Graph.from_edge_arrays(n, np.concatenate((i, j)), np.concatenate((j, i)))

@@ -98,7 +98,7 @@ def _resolve(target: str):
     if ":" in target:
         spec = FamilySpec.parse(target)
         return str(spec), construct(spec), spec, None
-    g = g6_decode(target, name="g6-input")
+    g = g6_decode(target)
     return f"g6:{target[:24]}", g, None, None
 
 
@@ -133,7 +133,7 @@ def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
 
     if spec is not None and spec.family not in NO_DESCENDANT:
         certs.append(avg_valency_certificate(
-            g, descendant(spec), theory_values(spec).theta1, "descendant"))
+            g, descendant(spec), theory_values(spec).theta1))
     if D == 2:
         bounds.append(srg_certify(ia))
         certs.append(ball_cut(g, 0, 1, "ball"))

@@ -19,12 +19,12 @@ import numpy as np
 
 from .errors import RangeError, TooLarge
 from .exact import SqrtVal
-from .graph import Graph, IntersectionArray, adjacency_matrix, eigensystem
+from .graph import Graph, IntersectionArray, adjacency_matrix
 
 DENSE_CAP = 2000
-# the largest n whose dense eigenvectors are computed: up to it the search
-# reads its theta_1-vectors from graph.eigensystem (and dense_spectrum its
-# eigenvalues), above it the search takes them from distances
+# the largest n whose dense eigenvectors the search computes: up to it the
+# search reads its theta_1-vectors from graph.eigensystem, above it from
+# distances
 EIGENVECTOR_CAP = 256
 # spectrum_certified's windows: ends on the grid 2^-30, half-width 2^-27,
 # which with the rounding of a centre to the grid stays below 1e-8
@@ -69,13 +69,11 @@ def drg_spectrum(ia: IntersectionArray) -> Spectrum:
 
 
 def dense_spectrum(g: Graph) -> np.ndarray:
-    """All n adjacency eigenvalues (ascending); refuses n > DENSE_CAP.  Up to
-    EIGENVECTOR_CAP they come from the cached eigensystem the search shares,
-    above it from eigvalsh, which computes no eigenvectors."""
+    """All n adjacency eigenvalues (ascending) from eigvalsh, which computes
+    no eigenvectors and never reads the search's cached eigensystem; refuses
+    n > DENSE_CAP."""
     if g.n > DENSE_CAP:
         raise TooLarge(f"n = {g.n} exceeds dense cap {DENSE_CAP}")
-    if g.n <= EIGENVECTOR_CAP:
-        return eigensystem(g)[0]
     return np.linalg.eigvalsh(adjacency_matrix(g))
 
 

@@ -72,7 +72,7 @@ def make_certificate(g: Graph, S, method: str, notes=()) -> CutCertificate:
 
 # -- generic subgraph certificate (average-valency lemma) -----------------------
 
-def avg_valency_certificate(g: Graph, S, theta1, method="descendant") -> CutCertificate:
+def avg_valency_certificate(g: Graph, S, theta1) -> CutCertificate:
     """Certificate from an induced subgraph on at most half the vertices:
     ratio = (k - k')/k with k' the average valency of the subgraph; the bound
     is at most lambda_1 exactly when k' >= theta_1 (theta1 feeds the note)."""
@@ -83,7 +83,7 @@ def avg_valency_certificate(g: Graph, S, theta1, method="descendant") -> CutCert
     kprime = Fraction(st.inside, st.size)
     hyp_ok = theta1 is not None and SqrtVal.of(theta1) <= kprime
     notes = (f"avg valency k' = {kprime} {'>=' if hyp_ok else '<'} theta1",)
-    return make_certificate(g, S, method, notes)
+    return make_certificate(g, S, "descendant", notes)
 
 
 # -- ball / sphere cuts ----------------------------------------------------------

@@ -11,8 +11,8 @@ from drgc.catalog import catalog_entry, catalog_list, catalog_load
 from drgc.errors import DataCorrupt, UnknownName
 from drgc.graph import Graph, g6_encode, intersection_array, line_graph
 from reference_algebra import form_eval, subspace_elements
-from reference_graphs import (ag2_minus_parallel_class, k55_minus_matching,
-                              shrikhande)
+from reference_graphs import (ag2_minus_parallel_class, bipartite_double,
+                              k55_minus_matching, shrikhande)
 
 
 # -- reference builders: the earlier pair-loop incidence constructions, kept as
@@ -23,7 +23,7 @@ def petersen():
     idx = {k: i for i, k in enumerate(keys)}
     edges = [(idx[a], idx[b]) for a, b in combinations(keys, 2)
              if not set(a) & set(b)]
-    return Graph.from_edges(10, edges, "petersen")
+    return Graph.from_edges(10, edges)
 
 
 def _pg2_points_lines(q):
@@ -91,6 +91,13 @@ REFERENCE_BUILDS = {
 @pytest.mark.parametrize("name", REFERENCE_BUILDS)
 def test_builder_entries_match_reference(name):
     assert catalog_load(name)[0].adj == REFERENCE_BUILDS[name]().adj
+
+
+def test_double_entry_matches_reference():
+    """desargues, the catalog's double: rule on petersen, against the
+    row-loop bipartite double."""
+    pet, _ = catalog_load("petersen")
+    assert catalog_load("desargues")[0].adj == bipartite_double(pet).adj
 
 
 # -- the data script: its generators rebuild every embedded graph6 file ---------

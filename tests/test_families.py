@@ -9,15 +9,15 @@ from drgc.families import (FAMILIES, NO_DESCENDANT, FamilySpec, _alt_full,
                            _even_strings, _hamming_keys, _quad_rank,
                            _upper_pairs, construct, default_grid, descendant,
                            half_dual_polar_descendant_check, theory_values)
-from drgc.graph import Graph, bipartite_double, cut_stats, intersection_array
+from drgc.graph import Graph, cut_stats, intersection_array
 from drgc.spectral import dense_spectrum, distinct_values, drg_spectrum
 from reference_algebra import form_eval, subspace_elements
-from reference_graphs import shrikhande
+from reference_graphs import bipartite_double, shrikhande
 
 
 # -- reference constructions: the earlier pair-predicate builds, kept as oracles
 
-def reference_graph(keys, adjacent, name=""):
+def reference_graph(keys, adjacent):
     """Test adjacent(a, b) on every unordered pair of keys."""
     rows = [[] for _ in keys]
     for i, a in enumerate(keys):
@@ -25,7 +25,7 @@ def reference_graph(keys, adjacent, name=""):
             if adjacent(a, keys[j]):
                 rows[i].append(j)
                 rows[j].append(i)
-    return Graph(len(keys), rows, name)
+    return Graph(len(keys), rows)
 
 
 def hdist(a, b):
@@ -321,7 +321,6 @@ def test_doob_same_array_as_hamming():
 
 
 def test_doubledodd_is_double_of_odd():
-    from drgc.graph import bipartite_double
     g = construct(FamilySpec.parse("doubledodd:4"))
     o4 = construct(FamilySpec.parse("odd:4"))
     assert intersection_array(g) == intersection_array(bipartite_double(o4))

@@ -1,22 +1,34 @@
+import math
 import random
 from itertools import chain, combinations
 
 import numpy as np
 import pytest
 
+import drgc.catalog
 import drgc.families
 import drgc.graph
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import (Acyclic, EmptySet, FullSet, GraphError,
                          MalformedGraph6, NotDistanceRegular,
                          NotRegular, TooLarge, Unreachable)
-from drgc.families import FamilySpec, construct, default_grid, theory_values
+from drgc.families import (FamilySpec, bipartite_graph, construct, default_grid,
+                           theory_values)
 from drgc.graph import (Graph, IntersectionArray, _block_rows, adjacency_matrix,
-                        bfs_distances, bipartite_double, cut_stats,
-                        distance_matrix, edge_arrays, eigensystem, g6_decode,
-                        g6_encode, girth, intersection_array, line_graph,
-                        two_coloring)
+                        bfs_distances, cut_stats, distance_matrix, edge_arrays,
+                        eigensystem, g6_decode, g6_encode, girth,
+                        intersection_array, line_graph, two_coloring)
 from drgc.report import _resolve, default_targets, verify_one
+import reference_graphs
+
+
+def catalog_and_grid(max_n=math.inf):
+    """(name, graph) for every catalog entry with a graph and every grid
+    spec with at most max_n vertices."""
+    return ([(e.name, catalog_load(e.name)[0]) for e in catalog_list()
+             if e.source != "parameters-only" and e.array.v <= max_n] +
+            [(str(spec), construct(spec)) for spec in default_grid()
+             if theory_values(spec).v <= max_n])
 
 
 def cycle(n):
@@ -80,7 +92,7 @@ def reference_or_failure(n, rows):
 def generalized_petersen(n, k):
     edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
     edges += [(n + i, n + (i + k) % n) for i in range(n)]
-    return Graph.from_edges(2 * n, edges, f"GP({n},{k})")
+    return Graph.from_edges(2 * n, edges)
 
 
 def reference_distance_matrix(g):
@@ -160,7 +172,8 @@ def array_or_failure(check, g):
 def girth_oracle(g):
     """Shortest cycle by edge removal + BFS: independent of the implementation."""
     best = None
-    for u, v in g.edges():
+    edges = [(u, v) for u in range(g.n) for v in g.adj[u] if u < v]
+    for u, v in edges:
         rows = [[w for w in g.adj[x] if (x, w) not in ((u, v), (v, u))]
                 for x in range(g.n)]
         h = Graph(g.n, rows)
@@ -256,12 +269,11 @@ def test_intersection_array_constant_c_varying_b():
 
 
 def test_intersection_array_matches_reference_on_catalog_and_grid():
-    graphs = [catalog_load(e.name)[0] for e in catalog_list()
-              if e.source != "parameters-only"]
-    graphs += [construct(spec) for spec in default_grid()]
-    graphs += [cycle(7), cycle(8), complete(5), line_graph(cycle(9))]
-    for g in graphs:
-        assert intersection_array(g) == reference_intersection_array(g), g.name
+    graphs = catalog_and_grid() + [
+        ("C7", cycle(7)), ("C8", cycle(8)), ("K5", complete(5)),
+        ("L(C9)", line_graph(cycle(9)))]
+    for name, g in graphs:
+        assert intersection_array(g) == reference_intersection_array(g), name
 
 
 def test_intersection_array_matches_reference_on_generalized_petersen():
@@ -270,7 +282,7 @@ def test_intersection_array_matches_reference_on_generalized_petersen():
         for k in range(1, n // 2 + 1):
             g = generalized_petersen(n, k)
             assert array_or_failure(intersection_array, g) == \
-                array_or_failure(reference_intersection_array, g), g.name
+                array_or_failure(reference_intersection_array, g), (n, k)
 
 
 def test_intersection_array_failure_past_the_first_row_block():
@@ -351,11 +363,10 @@ def test_distance_matrix_matches_reference():
     assert distance_matrix(cycle(300)).max() == 150
 
 
-def test_intersection_array_cached_and_shared_by_renamed():
+def test_intersection_array_cached():
     g = generalized_petersen(5, 2)
     ia = intersection_array(g)
     assert intersection_array(g) is ia
-    assert intersection_array(g.renamed("petersen")) is ia
 
 
 def test_dense_stages_refuse_graphs_over_the_vertex_limit(monkeypatch):
@@ -398,15 +409,11 @@ def test_array_antipodal_predicate():
 def test_antipodal_predicate_matches_distance_d_fibres():
     """The array predicate agrees with the graph: 'equal or at distance D'
     is an equivalence relation, for every catalog and grid graph, n <= 256."""
-    graphs = [catalog_load(e.name)[0] for e in catalog_list()
-              if e.source != "parameters-only" and e.array.v <= 256]
-    graphs += [construct(spec) for spec in default_grid()
-               if theory_values(spec).v <= 256]
-    for g in graphs:
+    for name, g in catalog_and_grid(256):
         dm = distance_matrix(g)
         fibre = (dm == dm.max()) | np.eye(g.n, dtype=bool)
         antipodal = all((fibre[fibre[x]] == fibre[x]).all() for x in range(g.n))
-        assert intersection_array(g).is_antipodal() == antipodal, g.name
+        assert intersection_array(g).is_antipodal() == antipodal, name
 
 
 # -- girth --------------------------------------------------------------------------
@@ -527,12 +534,8 @@ def test_girth_matches_oracle_on_catalog():
 def test_girth_matches_reference_on_default_targets():
     """One BFS per root gives the same (length, cycle) as the earlier
     length-then-recover pair, on every default target with n <= 256."""
-    graphs = [catalog_load(e.name)[0] for e in catalog_list()
-              if e.source != "parameters-only" and e.array.v <= 256]
-    graphs += [construct(spec) for spec in default_grid()
-               if theory_values(spec).v <= 256]
-    for g in graphs:
-        assert girth(g) == reference_girth(g, with_cycle=True), g.name
+    for name, g in catalog_and_grid(256):
+        assert girth(g) == reference_girth(g, with_cycle=True), name
 
 
 def test_girth_matches_reference_off_the_catalog():
@@ -648,14 +651,14 @@ def test_cut_stats_matches_adjacency_list_recount():
         cut_stats(g, {-1})
 
 
-def test_edge_arrays_cached_and_shared_by_renamed():
+def test_edge_arrays_cached():
     g, _ = catalog_load("heawood")
     src, dst, first = edge_arrays(g)
     assert list(zip(src.tolist(), dst.tolist())) == \
         [(u, v) for u in range(g.n) for v in g.adj[u]]
     assert all(tuple(dst[first[v]:first[v + 1]]) == g.adj[v] for v in range(g.n))
     assert not dst.flags.writeable
-    assert edge_arrays(g) is edge_arrays(g) is edge_arrays(g.renamed("h"))
+    assert edge_arrays(g) is edge_arrays(g)
 
 
 def test_graph_rejects_bad_adjacency_naming_first_pair():
@@ -665,6 +668,28 @@ def test_graph_rejects_bad_adjacency_naming_first_pair():
         Graph(3, [[1], [0, 1], []])
     with pytest.raises(GraphError, match="vertex 3 out of range"):
         Graph(3, [[1], [0, 3], []])
+
+
+def test_graph_rejects_entries_that_are_not_vertex_numbers():
+    for rows in ([[1.5], [0]], [["1"], [0]], [[1.0], [0]], [[1], [None]]):
+        with pytest.raises(GraphError, match="not vertex numbers"):
+            Graph(2, rows)
+    with pytest.raises(GraphError, match="not vertex numbers"):
+        Graph.from_edges(2, [(0, 1.0)])
+    # Python and numpy integers are vertex numbers
+    g = Graph(3, [[np.int64(1)], [0, np.uint8(2)], [np.int32(1)]])
+    assert g.adj == ((1,), (0, 2), (1,))
+    assert all(type(v) is int for row in g.adj for v in row)
+    assert Graph.from_edges(3, np.array([[0, 1], [1, 2]])).adj == g.adj
+
+
+def test_from_edges_names_an_out_of_range_vertex():
+    for bad in (5, 3, -1, 2 ** 63, 2 ** 70):
+        for edge in ((0, bad), (bad, 0)):
+            with pytest.raises(GraphError, match=f"vertex {bad} out of range"):
+                Graph.from_edges(3, [(0, 1), edge])
+    with pytest.raises(GraphError, match="self-loop at 2"):
+        Graph.from_edges(3, [(0, 1), (2, 2)])
 
 
 def corrupted_rows(rng, n):
@@ -750,19 +775,18 @@ def assert_graph_matches_reference(h, rows):
     builders: adjacency, edge count, degree and the three read-only edge
     arrays."""
     adj, num_edges = reference_graph(h.n, rows)
-    assert h.adj == adj and h.num_edges == num_edges, h.name
+    assert h.adj == adj and h.num_edges == num_edges
     assert all(type(v) is int for row in h.adj[:3] for v in row)
-    assert h.regular_degree() == reference_regular_degree(adj)
+    k = h.regular_degree()
+    assert k == reference_regular_degree(adj) and type(k) in (int, type(None))
     for got, want in zip(edge_arrays(h), reference_edge_arrays(adj)):
-        assert got.dtype == want.dtype and np.array_equal(got, want), h.name
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         assert not got.flags.writeable
 
 
 def test_graph_matches_reference_on_catalog_and_grid():
     rng = random.Random(5)
-    graphs = [catalog_load(e.name)[0] for e in catalog_list()
-              if e.source != "parameters-only"]
-    graphs += [construct(spec) for spec in default_grid()]
+    graphs = [g for _, g in catalog_and_grid()]
     graphs += [Graph(0, []), complete(1), cycle(5)]
     for g in graphs:
         assert_graph_matches_reference(g, g.adj)
@@ -770,7 +794,7 @@ def test_graph_matches_reference_on_catalog_and_grid():
         rows = [list(row) + list(row[:1]) for row in g.adj]
         for row in rows:
             rng.shuffle(row)
-        assert_graph_matches_reference(Graph(g.n, rows, g.name), rows)
+        assert_graph_matches_reference(Graph(g.n, rows), rows)
     irregular = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert irregular.regular_degree() is None
 
@@ -814,14 +838,20 @@ def test_line_graph_regularity():
 
 
 def test_bipartite_double_examples():
+    """The catalog's double: rule, bipartite_graph on the boolean adjacency,
+    against the row-loop double."""
+    def double(g):
+        h = bipartite_graph(adjacency_matrix(g, bool))
+        assert h.adj == reference_graphs.bipartite_double(g).adj
+        return h
+
     pet, _ = catalog_load("petersen")
-    assert str(intersection_array(bipartite_double(pet))) == "{3,2,2,1,1;1,1,2,2,3}"
+    assert str(intersection_array(double(pet))) == "{3,2,2,1,1;1,1,2,2,3}"
     o4 = construct(FamilySpec("odd", (4,)))
-    assert str(intersection_array(bipartite_double(o4))) == \
+    assert str(intersection_array(double(o4))) == \
         "{4,3,3,2,2,1,1;1,1,2,2,3,3,4}"
     # the double of a bipartite graph splits into two copies
-    k2 = Graph.from_edges(2, [(0, 1)])
-    dk2 = bipartite_double(k2)
+    dk2 = double(Graph.from_edges(2, [(0, 1)]))
     assert dk2.n == 4 and dk2.num_edges == 2
     assert all(len(r) == 1 for r in dk2.adj)
 
@@ -852,6 +882,33 @@ def test_g6_malformed():
         g6_decode("I?")      # truncated body
     with pytest.raises(MalformedGraph6):
         g6_decode("I?LRCecq?extra")
+    # n = 4 takes one body char in "?" .. "~"
+    for text in ("C\u20ac", "C\u00e9", "C>", "C", "C??", "C\ud800"):
+        with pytest.raises(MalformedGraph6, match="body"):
+            g6_decode(text)
+    with pytest.raises(MalformedGraph6, match="bad body byte '>'"):
+        g6_decode("I?>RCecq?")   # the first bad char is named
+    for text in ("~??>?", "~?>??", ">"):
+        with pytest.raises(MalformedGraph6, match="bad header byte"):
+            g6_decode(text)
+
+
+def test_g6_decode_matches_bit_loop_reference():
+    """The array decoder against the earlier bit-by-bit one, on every
+    embedded graph6 file and on random graphs with short (n <= 62) and long
+    headers."""
+    texts = [path.read_text(encoding="ascii")
+             for path in sorted(drgc.catalog.data_dir().glob("*.g6"))]
+    assert len(texts) == 6
+    rng = random.Random(17)
+    for n in range(71):
+        p = rng.random()
+        texts.append(g6_encode(Graph.from_edges(
+            n, [e for e in combinations(range(n), 2) if rng.random() < p])))
+    for text in texts:
+        got, want = g6_decode(text), reference_graphs.g6_decode(text)
+        assert (got.n, got.adj) == (want.n, want.adj), text
+        assert g6_encode(got) == text.strip()
 
 
 def test_foster_g6_decodes_to_90_vertices():

@@ -159,7 +159,7 @@ def reference_local_refine(g, S, budget: int = 100_000, seed: int = 0,
     and "tabu zero pair" (a plateau step that drops a key-0 swap for tabu)."""
     rng = random.Random(seed)
     n = g.n
-    degs = [g.degree(v) for v in range(n)]
+    degs = [len(g.adj[v]) for v in range(n)]
     total = 2 * g.num_edges
     half = n // 2
     inS = [False] * n
@@ -351,7 +351,7 @@ def test_refine_refuses_irregular_graphs_and_trivial_sets():
 
 def reference_sweep_order(g, x) -> frozenset:
     """Best prefix cut for an arbitrary vertex scoring vector."""
-    degs = [g.degree(v) for v in range(g.n)]
+    degs = [len(g.adj[v]) for v in range(g.n)]
     total = 2 * g.num_edges
     order = sorted(range(g.n), key=lambda v: (-x[v], v))
     in_S = [False] * g.n
@@ -415,7 +415,7 @@ def reference_exact_cheeger(g, exact_cap: int = 24):
     n = g.n
     if n > exact_cap:
         raise TooLarge(f"n = {n} exceeds exact cap {exact_cap}")
-    degs = [g.degree(v) for v in range(n)]
+    degs = [len(g.adj[v]) for v in range(n)]
     nbr_mask = [0] * n
     for u in range(n):
         for w in g.adj[u]:

@@ -320,8 +320,9 @@ def test_spectrum_certified_refuses_wrong_spectra(name):
 
 @pytest.mark.parametrize("name", ["hamming:3,7", "odd:6"])
 def test_dense_spectrum_above_eigenvector_cap_matches_eigh(name, monkeypatch):
-    """Above EIGENVECTOR_CAP dense_spectrum's eigenvalues come from eigvalsh,
-    agree with eigh's, and leave the graph's eigensystem cache empty."""
+    """Above EIGENVECTOR_CAP, as below it, dense_spectrum's eigenvalues come
+    from eigvalsh, agree with eigh's, and leave the graph's eigensystem cache
+    empty."""
     g = construct(FamilySpec.parse(name))
     assert g.n > spectral.EIGENVECTOR_CAP
     want = distinct_values(np.linalg.eigh(adjacency_matrix(g))[0])
@@ -334,3 +335,15 @@ def test_dense_spectrum_above_eigenvector_cap_matches_eigh(name, monkeypatch):
     assert g._eig is None
     assert len(got) == len(want) == intersection_array(g).D + 1
     assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_dense_spectrum_never_reads_the_eigensystem_cache():
+    """Below EIGENVECTOR_CAP too, the test oracle dense_spectrum solves the
+    adjacency matrix itself: a poisoned eigensystem cache does not reach it,
+    and it fills no cache."""
+    g = construct(FamilySpec.parse("odd:3"))
+    assert g.n <= spectral.EIGENVECTOR_CAP and g._eig is None
+    assert np.allclose(dense_spectrum(g), [-2] * 4 + [1] * 5 + [3])
+    assert g._eig is None
+    g._eig = (np.zeros(g.n), np.eye(g.n))
+    assert np.allclose(dense_spectrum(g), [-2] * 4 + [1] * 5 + [3])
