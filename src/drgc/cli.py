@@ -16,6 +16,7 @@ rest, and then exits 1 (2 if it also found a violation).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .catalog import catalog_list
@@ -77,6 +78,18 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as in `drgc list | head`: send what
+        # is still buffered to devnull so that the flush at exit prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _main(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help

@@ -22,7 +22,7 @@ from .algebra import (SUPPORTED_Q, enumerate_subspaces, field,
                       isotropic_subspaces, matrix_rank, nullspace, span_rows)
 from .errors import NoDescendant, ParamDomain, SelfCheckFailed, TooLarge
 from .exact import SqrtVal
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, _block_rows
 
 FAMILIES = ("johnson", "hamming", "doob", "halvedcube", "foldedcube",
             "foldedhalvedcube", "odd", "doubledodd", "grassmann",
@@ -297,15 +297,18 @@ def _side(keys, side: int) -> list:
 
 # -- constructors ---------------------------------------------------------------
 #
-# Every family computes its adjacency as one boolean n x n numpy expression
-# over its keys and hands it to _graph_from_adjacency.  Most are a test on the
-# Gram matrix X @ X.T of a 0/1 incidence matrix X, computed in float32 by
-# _inner, which is exact for these counts (all below 2**24): set-membership
-# rows count common elements, one-hot digit rows count agreeing digits, and
+# Every family describes its adjacency by a function rows(lo, hi) that
+# returns rows lo..hi-1 of the boolean n x n matrix as one numpy expression
+# over its keys, and _graph_from_rows asks for one block of
+# graph._block_rows(n) rows at a time and keeps only the arcs (np.nonzero), so
+# construction holds no n x n array.  Most families test the inner products
+# X @ X.T of a 0/1 incidence matrix X (_gram_rows): set-membership rows count
+# common elements, one-hot digit rows count agreeing digits, and
 # subspace-element indicator rows count common vectors (q^dim of the
 # intersection).  The forms families are Cayley graphs: b ~ a when a - b lies
 # in a connection set C, found once with the rank predicate against the zero
-# key.
+# key.  Doob graphs move in exactly one factor coordinate.  The bipartite
+# doubles give rows of their biadjacency block to _bipartite_from_rows.
 
 
 def _shrikhande() -> np.ndarray:
@@ -317,21 +320,44 @@ def _shrikhande() -> np.ndarray:
                    (4, 12, 1, 3, 5, 15))
 
 
-def _graph_from_adjacency(adj: np.ndarray) -> Graph:
-    return Graph.from_edge_arrays(len(adj), *np.nonzero(adj))
+def _nonzero_rows(r: int, c: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """np.nonzero of the boolean r x c matrix whose rows lo..hi-1 are
+    rows(lo, hi), asked for one block of _block_rows(c) rows at a time."""
+    step = _block_rows(c)
+    src, dst = [], []
+    for lo in range(0, r, step):
+        i, j = np.nonzero(rows(lo, min(lo + step, r)))
+        src.append(i + lo)
+        dst.append(j)
+    return np.concatenate(src), np.concatenate(dst)
 
 
-def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-by-row inner products of two 0/1 matrices."""
-    return X.astype(np.float32) @ Y.T.astype(np.float32)
+def _graph_from_rows(n: int, rows) -> Graph:
+    """The graph whose adjacency rows lo..hi-1 are rows(lo, hi)."""
+    return Graph.from_edge_arrays(n, *_nonzero_rows(n, n, rows))
 
 
-def _bipartite(block: np.ndarray) -> np.ndarray:
-    """Adjacency of the bipartite graph with biadjacency block: the block's
-    rows are the first vertices, its columns the rest."""
-    r, c = block.shape
-    return np.block([[np.zeros((r, r), dtype=bool), block],
-                     [block.T, np.zeros((c, c), dtype=bool)]])
+def _bipartite_from_rows(r: int, c: int, rows) -> Graph:
+    """The bipartite graph whose biadjacency rows lo..hi-1 are rows(lo, hi):
+    the block's r rows are the first vertices, its c columns the rest."""
+    i, j = _nonzero_rows(r, c, rows)
+    j = j + r
+    return Graph.from_edge_arrays(r + c, np.concatenate((i, j)),
+                                  np.concatenate((j, i)))
+
+
+def bipartite_graph(block: np.ndarray) -> Graph:
+    """The bipartite graph with the given biadjacency block."""
+    return _bipartite_from_rows(*block.shape, lambda lo, hi: block[lo:hi])
+
+
+def _gram_rows(X: np.ndarray, Y: np.ndarray, test):
+    """rows(lo, hi) of test(X @ Y.T) for two 0/1 matrices.  The inner
+    products are computed in float32, exact for these counts (all below
+    2**24), with X and Y cast once."""
+    Xf = X.astype(np.float32)
+    Yf = Xf if Y is X else Y.astype(np.float32)
+    return lambda lo, hi: test(Xf[lo:hi] @ Yf.T)
 
 
 def _set_rows(ground: int, keys) -> np.ndarray:
@@ -342,29 +368,49 @@ def _set_rows(ground: int, keys) -> np.ndarray:
     return X
 
 
-def _hamming_distances(keys, q: int) -> np.ndarray:
-    """Hamming distances between digit strings: length minus the agreements
-    counted by the Gram matrix of one-hot digit rows."""
+def _hamming_rows(keys, q: int, distances):
+    """rows(lo, hi) of the digit strings at one of the given Hamming
+    distances, that is with the length minus that many agreeing digits; the
+    inner products of one-hot digit rows count the agreements."""
     K = np.array(keys, dtype=np.intp)
     onehot = (K[:, :, None] == np.arange(q)).reshape(len(K), -1)
-    return K.shape[1] - _inner(onehot, onehot)
+    agreements = [K.shape[1] - dist for dist in distances]
+    return _gram_rows(onehot, onehot, lambda agree: np.isin(agree, agreements))
+
+
+def _incidence_rows(F, small, big):
+    """rows(lo, hi) of small[i] <= big[j], for subspaces of one F^n: exactly
+    when all q^dim vectors of small[i] lie in big[j]."""
+    full = F.q ** len(small[0])
+    return _gram_rows(span_rows(F, small), span_rows(F, big),
+                      lambda inside: inside == full)
 
 
 def incidence_block(F, small, big) -> np.ndarray:
-    """small[i] <= big[j], for subspaces of one F^n: exactly when all q^dim
-    vectors of small[i] lie in big[j]."""
-    inside = _inner(span_rows(F, small), span_rows(F, big))
-    return inside == F.q ** len(small[0])
+    """The whole small x big incidence block of _incidence_rows."""
+    return _incidence_rows(F, small, big)(0, len(small))
 
 
-def bipartite_graph(block: np.ndarray) -> Graph:
-    """The bipartite graph with the given biadjacency block."""
-    return _graph_from_adjacency(_bipartite(block))
+def _doob_rows(keys, factors):
+    """rows(lo, hi) of the keys that differ in exactly one coordinate, by a
+    step of that coordinate's factor graph (adjacency matrix)."""
+    K = np.array(keys, dtype=np.intp)
+
+    def rows(lo, hi):
+        differ = np.zeros((hi - lo, len(K)), dtype=np.uint8)
+        edge = np.zeros((hi - lo, len(K)), dtype=bool)
+        for f, col in zip(factors, K.T):
+            differ += col[lo:hi, None] != col
+            edge |= f[col[lo:hi, None], col]
+        return (differ == 1) & edge
+
+    return rows
 
 
-def _difference_adjacency(F, keys, in_C) -> np.ndarray:
-    """a ~ b when the coordinatewise difference a - b lies in C, the keys
-    accepted by in_C.  Every forms family has C = -C, so this is symmetric."""
+def _difference_rows(F, keys, in_C):
+    """rows(lo, hi) of a ~ b when the coordinatewise difference a - b lies in
+    C, the keys accepted by in_C.  Every forms family has C = -C, so this is
+    symmetric."""
     q = F.q
     K = np.array(keys, dtype=np.intp).reshape(len(keys), -1)
     length = K.shape[1]
@@ -372,11 +418,16 @@ def _difference_adjacency(F, keys, in_C) -> np.ndarray:
                    dtype=np.uint8)
     member = np.zeros(q ** length, dtype=bool)
     member[K @ (q ** np.arange(length - 1, -1, -1))] = [in_C(key) for key in keys]
-    code = np.zeros((len(K), len(K)), dtype=np.min_scalar_type(q ** length - 1))
-    for col in K.T:
-        code *= q
-        code += sub[col[:, None], col[None, :]]
-    return member[code]
+    dtype = np.min_scalar_type(q ** length - 1)
+
+    def rows(lo, hi):
+        code = np.zeros((hi - lo, len(K)), dtype=dtype)
+        for col in K.T:
+            code *= q
+            code += sub[col[lo:hi, None], col[None, :]]
+        return member[code]
+
+    return rows
 
 
 def _alt_full(F, n, upper):
@@ -423,44 +474,37 @@ def construct(spec: FamilySpec) -> Graph:
     if fam == "johnson":
         n, e = p
         X = _set_rows(n, keys)
-        adj = _inner(X, X) == e - 1
+        rows = _gram_rows(X, X, lambda common: common == e - 1)
     elif fam == "hamming":
         d, q = p
-        adj = _hamming_distances(keys, q) == 1
+        rows = _hamming_rows(keys, q, (1,))
     elif fam == "doob":
         d1, d2 = p
-        factors = [_shrikhande()] * d1
-        factors += [~np.eye(4, dtype=bool)] * d2
-        adj = np.zeros((1, 1), dtype=bool)
-        for f in factors:   # Kronecker sum: move in exactly one factor
-            adj = np.kron(adj, np.eye(len(f), dtype=bool)) \
-                | np.kron(np.eye(len(adj), dtype=bool), f)
+        rows = _doob_rows(keys, [_shrikhande()] * d1 + [~np.eye(4, dtype=bool)] * d2)
     elif fam == "halvedcube":
-        adj = _hamming_distances(keys, 2) == 2
+        rows = _hamming_rows(keys, 2, (2,))
     elif fam == "foldedcube":
         (n,) = p
-        dist = _hamming_distances(keys, 2)
-        adj = (dist == 1) | (dist == n - 1)
+        rows = _hamming_rows(keys, 2, (1, n - 1))
     elif fam == "foldedhalvedcube":
         (n,) = p
-        dist = _hamming_distances(keys, 2)
-        adj = (dist == 2) | (dist == 2 * n - 2)
+        rows = _hamming_rows(keys, 2, (2, 2 * n - 2))
     elif fam == "odd":
         (k,) = p
         X = _set_rows(2 * k - 1, keys)
-        adj = _inner(X, X) == 0
+        rows = _gram_rows(X, X, lambda common: common == 0)
     elif fam == "doubledodd":
         (m,) = p
         X = _set_rows(2 * m - 1, _side(keys, 0))
-        adj = _bipartite(_inner(X, X) == 0)
+        rows = _gram_rows(X, X, lambda common: common == 0)
     elif fam == "grassmann":
         q, n, e = p
         X = span_rows(field(q), keys)
-        adj = _inner(X, X) == q ** (e - 1)
+        rows = _gram_rows(X, X, lambda common: common == q ** (e - 1))
     elif fam == "bilinearforms":
         q, D, e = p
         F = field(q)
-        adj = _difference_adjacency(F, keys, lambda M: matrix_rank(F, M) == 1)
+        rows = _difference_rows(F, keys, lambda M: matrix_rank(F, M) == 1)
     elif fam == "alternatingforms":
         q, n = p
         F = field(q)
@@ -470,7 +514,7 @@ def construct(spec: FamilySpec) -> Graph:
             M = _alt_full(F, n, dict(zip(pairs, key)))
             return matrix_rank(F, [tuple(r) for r in M]) == 2
 
-        adj = _difference_adjacency(F, keys, rank2)
+        rows = _difference_rows(F, keys, rank2)
     elif fam == "hermitianforms":
         r, D = p
         F = field(r * r)
@@ -485,24 +529,27 @@ def construct(spec: FamilySpec) -> Graph:
                 M[j][i] = F.conj(key[D + t])
             return matrix_rank(F, [tuple(row) for row in M]) == 1
 
-        adj = _difference_adjacency(F, keys, rank1)
+        rows = _difference_rows(F, keys, rank1)
     elif fam == "quadraticforms":
         q, n = p
         F = field(q)
         monos = _monomials(n)
-        adj = _difference_adjacency(
+        rows = _difference_rows(
             F, keys, lambda key: _quad_rank(F, dict(zip(monos, key)), n) in (1, 2))
     elif fam == "dualpolarc":
         q, D = p
         X = span_rows(field(q), keys)
-        adj = _inner(X, X) == q ** (D - 1)
+        rows = _gram_rows(X, X, lambda common: common == q ** (D - 1))
     elif fam == "doubledgrassmann":
         q, t = p
-        adj = _bipartite(incidence_block(field(q), _side(keys, 0), _side(keys, 1)))
+        rows = _incidence_rows(field(q), _side(keys, 0), _side(keys, 1))
     else:  # pragma: no cover
         raise ParamDomain(f"no constructor for {fam}")
 
-    g = _graph_from_adjacency(adj)
+    if fam in ("doubledodd", "doubledgrassmann"):
+        g = _bipartite_from_rows(len(keys) // 2, len(keys) // 2, rows)
+    else:
+        g = _graph_from_rows(len(keys), rows)
     k = g.regular_degree()
     if k != tv.k or g.n != tv.v:
         raise ParamDomain(

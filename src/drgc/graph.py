@@ -14,9 +14,13 @@ Every stage that allocates an n x n array (adjacency and distance matrices,
 the intersection-array check, the dense eigensystem) refuses graphs with more
 than MAX_VERTICES vertices before it allocates, raising TooLarge.  The
 distance matrix and the intersection-array check gather whole rows through an
-n x k neighbour table: they do O(n^2 k) work and no matrix product.  The
-intersection-array check counts and compares one block of rows at a time, a
-block small enough to stay in cache.
+n x k neighbour table: they do O(n^2 k) work and no matrix product.  The int8
+distance matrix is the only n x n array they hold: the breadth-first search
+keeps its frontier bit-packed (n x n/8 bytes) and adds each level into the
+distances, and the intersection-array check counts and compares its pairs,
+one block of rows at a time.  A block holds about BLOCK_CELLS cells
+(_block_rows), small enough to stay in cache; families.construct builds its
+adjacency in the same blocks.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ from .errors import (Acyclic, EmptySet, FullSet, GraphError, MalformedGraph6,
 # the largest graph any n x n stage (and families.construct) accepts; int16
 # distances (used past diameter 127) also rely on n < 2**15
 MAX_VERTICES = 20000
+# cells per row block of the blocked n x n stages (_block_rows): family
+# construction, the distance matrix's level counts and the
+# intersection-array check
+BLOCK_CELLS = 2 ** 18
 
 
 class Graph:
@@ -78,7 +86,9 @@ class Graph:
         first = np.concatenate(([0], np.cumsum(degs)))
         for a in (src, dst, first):
             a.flags.writeable = False
-        flat, bounds = dst.tolist(), first.tolist()
+        # one int object per vertex, shared by every row that lists it
+        flat = np.array(range(n), dtype=object)[dst].tolist()
+        bounds = first.tolist()
         self.n = n
         self.adj = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
         self.num_edges = dst.size // 2
@@ -304,14 +314,17 @@ def distance_matrix(g: Graph) -> np.ndarray:
     _check_dense(g, "distance_matrix")
     n = g.n
     table = _neighbour_table(g)
-    frontier = np.packbits(np.eye(n, dtype=bool), axis=1)
+    frontier = np.zeros((n, -(-n // 8)), dtype=np.uint8)
+    frontier[np.arange(n), np.arange(n) // 8] = 0x80 >> (np.arange(n) % 8)
     reached = frontier.copy()
     dm = np.zeros((n, n), dtype=np.int8)
+    step = _block_rows(n)
     for d in count():
         if d == np.iinfo(np.int8).max:
             dm = dm.astype(np.int16)
         unreached = ~reached
-        dm += np.unpackbits(unreached, axis=1, count=n)
+        for lo in range(0, n, step):
+            dm[lo:lo + step] += np.unpackbits(unreached[lo:lo + step], axis=1, count=n)
         nxt = np.zeros_like(frontier)
         for col in table.T:
             nxt |= frontier[col]
@@ -326,10 +339,9 @@ def distance_matrix(g: Graph) -> np.ndarray:
 
 
 def _block_rows(n: int) -> int:
-    """Rows per block of the intersection-array check: a block of the n x n
-    int8 distance matrix holds about 2**18 cells, so it stays in cache while
-    its counts are summed and compared."""
-    return max(1, 2 ** 18 // n)
+    """Rows per block of the n x n stages that work one block of rows at a
+    time: a block holds about BLOCK_CELLS cells, so it stays in cache."""
+    return max(1, BLOCK_CELLS // n)
 
 
 def intersection_array(g: Graph) -> IntersectionArray:
@@ -341,15 +353,15 @@ def intersection_array(g: Graph) -> IntersectionArray:
     each slot s of the neighbour table N (row y lists y's k neighbours), the
     gathered rows dz = dm[N[:, s]] hold dz[y, x] = d(x, z) for the s-th
     neighbour z of y, so summing dz < dm and dz > dm over the k slots gives
-    C[y, x] = c(x,y) and B[y, x] = b(x,y) for every pair at once (dm is
-    symmetric).  The value of c_i and b_i is read at the first pair in
-    row-major order at distance i, which is a pair (0, y): c(0, y) and
-    b(0, y) are counted directly from y's neighbours.  C and B are then
-    filled in blocks of rows y, _block_rows(n) at a time, and each block is
-    compared with its distances' values while it is still in cache.  Only
-    when some block has a mismatch are the checks run by ascending i, c
-    before b, to report the first pair in row-major order that breaks a
-    constant."""
+    C[y, x] = c(x,y) and B[y, x] = b(x,y) (dm is symmetric).  The value of
+    c_i and b_i is read at the first pair in row-major order at distance i,
+    which is a pair (0, y): c(0, y) and b(0, y) are counted directly from
+    y's neighbours.  C and B are counted one block of rows y at a time,
+    _block_rows(n) rows, and each block is compared with its distances'
+    values while it is still in cache and then dropped.  Only when a block
+    has a mismatch are the full C and B counted, and the checks run by
+    ascending i, c before b, to report the first pair in row-major order
+    that breaks a constant."""
     if g._ia is not None:
         return g._ia
     _check_dense(g, "intersection_array")
@@ -362,9 +374,6 @@ def intersection_array(g: Graph) -> IntersectionArray:
     dm = distance_matrix(g)
     diam = int(dm.max())
     nbrs = edge_arrays(g).dst.reshape(n, k)   # regular, so row v is v's neighbours
-    C = np.zeros(dm.shape, dtype=np.min_scalar_type(k))
-    B = np.zeros_like(C)
-    counts = {"c": C, "b": B}
     # ref[label][i] is the count at the first pair (0, y) with d(0, y) = i,
     # which is the first pair at distance i in row-major order; the diagonal
     # (i = 0) gives c = 0 and b = k.  Distances beyond e = ecc(0) read the
@@ -375,21 +384,16 @@ def intersection_array(g: Graph) -> IntersectionArray:
     at_distance, y = np.unique(dm[0], return_index=True)
     first[at_distance] = y
     around, here = dm[0][nbrs[first]], dm[0][first, None]
-    ref = {"c": (around < here).sum(axis=1).astype(C.dtype),
-           "b": (around > here).sum(axis=1).astype(C.dtype)}
-    mismatch = False
+    dtype = np.min_scalar_type(k)
+    ref = {"c": (around < here).sum(axis=1).astype(dtype),
+           "b": (around > here).sum(axis=1).astype(dtype)}
     step = _block_rows(n)
     for lo in range(0, n, step):
-        block = slice(lo, lo + step)
-        d, c, b = dm[block], C[block], B[block]
-        for col in nbrs[block].T:
-            dz = dm[col]
-            c += (dz < d).view(np.uint8)
-            b += (dz > d).view(np.uint8)
-        mismatch = mismatch or bool((c != ref["c"][d]).any()
-                                    or (b != ref["b"][d]).any())
-    if mismatch:
-        _raise_first_failure(dm, counts, ref)
+        rows = slice(lo, lo + step)
+        c, b = _pair_counts(dm, nbrs, rows)
+        d = dm[rows]
+        if (c != ref["c"][d]).any() or (b != ref["b"][d]).any():
+            _raise_first_failure(dm, nbrs, ref)
     b = ref["b"][1:diam].tolist()
     c = ref["c"][1:].tolist()
     ia = IntersectionArray((k, *b), tuple(c))
@@ -399,10 +403,25 @@ def intersection_array(g: Graph) -> IntersectionArray:
     return ia
 
 
-def _raise_first_failure(dm: np.ndarray, counts: dict, ref: dict) -> None:
+def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, rows: slice):
+    """The counts (c, b) of the rows y of dm in rows: c[y - lo, x] = c(x, y)
+    and b[y - lo, x] = b(x, y), summed over the neighbour slots of nbrs."""
+    d = dm[rows]
+    c = np.zeros(d.shape, dtype=np.min_scalar_type(nbrs.shape[1]))
+    b = np.zeros_like(c)
+    for col in nbrs[rows].T:
+        dz = dm[col]
+        c += (dz < d).view(np.uint8)
+        b += (dz > d).view(np.uint8)
+    return c, b
+
+
+def _raise_first_failure(dm: np.ndarray, nbrs: np.ndarray, ref: dict) -> None:
     """NotDistanceRegular at the first failing (i, label, pair): ascending i,
-    c before b, then the first (x, y) in row-major order.  counts[label][y, x]
-    is the count of the pair (x, y)."""
+    c before b, then the first (x, y) in row-major order.  The counts of
+    every pair are taken over all rows at once; counts[label][y, x] is the
+    count of the pair (x, y)."""
+    counts = dict(zip(("c", "b"), _pair_counts(dm, nbrs, slice(None))))
     for i in range(1, len(ref["c"])):
         for label in ("c", "b"):
             bad = ((dm == i) & (counts[label] != ref[label][i])).T

@@ -423,17 +423,22 @@ def _eigenspace_starts(g: Graph, seeds) -> list[frozenset]:
     eigenspace (high multiplicity in distance-regular graphs): combinations
     of the dense eigenbasis up to spectral.EIGENVECTOR_CAP vertices, and
     above it E R, whose column per seed is a Gaussian projected onto the
-    eigenspace."""
+    eigenspace.  One generator is reseeded per seed, which draws what a
+    fresh RandomState(seed) would."""
+    rs = np.random.RandomState()
     if g.n <= spectral.EIGENVECTOR_CAP:
         vals, vecs = eigensystem(g)
         theta1 = vals[-2]
         basis = vecs[:, np.abs(vals - theta1) < 1e-8]
-        xs = [basis @ np.random.RandomState(seed).randn(basis.shape[1])
-              for seed in seeds]
+        xs = []
+        for seed in seeds:
+            rs.seed(seed)
+            xs.append(basis @ rs.randn(basis.shape[1]))
     else:
         R = np.empty((g.n, len(seeds)))
         for j, seed in enumerate(seeds):
-            R[:, j] = np.random.RandomState(seed).randn(g.n)
+            rs.seed(seed)
+            R[:, j] = rs.randn(g.n)
         xs = _theta1_vectors(g, R).T
     return [_sweep_order(g, x) for x in xs]
 

@@ -1,12 +1,18 @@
 """The earlier edge-loop builds of three catalog graphs, the row-loop
-bipartite double and the bit-loop graph6 decoder, used by the tests as
-oracles for the catalog's numpy builders, Doob's Shrikhande factor, the
-catalog's double: rule and graph.g6_decode."""
+bipartite double, the bit-loop graph6 decoder and the dense family builds
+(one boolean n x n expression per graph), used by the tests as oracles for
+the catalog's numpy builders, Doob's Shrikhande factor, the catalog's
+double: rule, graph.g6_decode and the row-blocked families.construct and
+families.bipartite_graph."""
 
 from itertools import product
 
-from drgc.algebra import field
+import numpy as np
+
+from drgc.algebra import field, matrix_rank, span_rows
 from drgc.errors import MalformedGraph6
+from drgc.families import (_alt_full, _monomials, _quad_rank, _set_rows,
+                           _shrikhande, _side, _upper_pairs, _vertex_keys)
 from drgc.graph import Graph
 
 
@@ -88,3 +94,128 @@ def g6_decode(text: str) -> Graph:
                 edges.append((i, j))
             idx += 1
     return Graph.from_edges(n, edges)
+
+
+# -- dense family builds: the adjacency as one boolean n x n expression --------
+
+def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row-by-row inner products of two 0/1 matrices."""
+    return X.astype(np.float32) @ Y.T.astype(np.float32)
+
+
+def _bipartite(block: np.ndarray) -> np.ndarray:
+    """Adjacency of the bipartite graph with biadjacency block."""
+    r, c = block.shape
+    return np.block([[np.zeros((r, r), dtype=bool), block],
+                     [block.T, np.zeros((c, c), dtype=bool)]])
+
+
+def _hamming_distances(keys, q: int) -> np.ndarray:
+    K = np.array(keys, dtype=np.intp)
+    onehot = (K[:, :, None] == np.arange(q)).reshape(len(K), -1)
+    return K.shape[1] - _inner(onehot, onehot)
+
+
+def _incidence(F, small, big) -> np.ndarray:
+    return _inner(span_rows(F, small), span_rows(F, big)) == F.q ** len(small[0])
+
+
+def _difference_adjacency(F, keys, in_C) -> np.ndarray:
+    q = F.q
+    K = np.array(keys, dtype=np.intp).reshape(len(keys), -1)
+    length = K.shape[1]
+    sub = np.array([[F.sub(x, y) for y in range(q)] for x in range(q)],
+                   dtype=np.uint8)
+    member = np.zeros(q ** length, dtype=bool)
+    member[K @ (q ** np.arange(length - 1, -1, -1))] = [in_C(key) for key in keys]
+    code = np.zeros((len(K), len(K)), dtype=np.min_scalar_type(q ** length - 1))
+    for col in K.T:
+        code *= q
+        code += sub[col[:, None], col[None, :]]
+    return member[code]
+
+
+def dense_bipartite_graph(block: np.ndarray) -> Graph:
+    return Graph.from_edge_arrays(sum(block.shape), *np.nonzero(_bipartite(block)))
+
+
+def dense_construct(spec) -> Graph:
+    """The family graph from its whole n x n adjacency, as construct built
+    it before it worked in row blocks."""
+    fam, p = spec.family, spec.params
+    keys = _vertex_keys(spec)
+    if fam == "johnson":
+        n, e = p
+        X = _set_rows(n, keys)
+        adj = _inner(X, X) == e - 1
+    elif fam == "hamming":
+        d, q = p
+        adj = _hamming_distances(keys, q) == 1
+    elif fam == "doob":
+        d1, d2 = p
+        factors = [_shrikhande()] * d1 + [~np.eye(4, dtype=bool)] * d2
+        adj = np.zeros((1, 1), dtype=bool)
+        for f in factors:   # Kronecker sum: move in exactly one factor
+            adj = np.kron(adj, np.eye(len(f), dtype=bool)) \
+                | np.kron(np.eye(len(adj), dtype=bool), f)
+    elif fam == "halvedcube":
+        adj = _hamming_distances(keys, 2) == 2
+    elif fam == "foldedcube":
+        (n,) = p
+        dist = _hamming_distances(keys, 2)
+        adj = (dist == 1) | (dist == n - 1)
+    elif fam == "foldedhalvedcube":
+        (n,) = p
+        dist = _hamming_distances(keys, 2)
+        adj = (dist == 2) | (dist == 2 * n - 2)
+    elif fam == "odd":
+        (k,) = p
+        X = _set_rows(2 * k - 1, keys)
+        adj = _inner(X, X) == 0
+    elif fam == "doubledodd":
+        (m,) = p
+        X = _set_rows(2 * m - 1, _side(keys, 0))
+        adj = _bipartite(_inner(X, X) == 0)
+    elif fam in ("grassmann", "dualpolarc"):
+        q, e = p[0], p[-1]
+        X = span_rows(field(q), keys)
+        adj = _inner(X, X) == q ** (e - 1)
+    elif fam == "bilinearforms":
+        F = field(p[0])
+        adj = _difference_adjacency(F, keys, lambda M: matrix_rank(F, M) == 1)
+    elif fam == "alternatingforms":
+        q, n = p
+        F = field(q)
+        pairs = _upper_pairs(n)
+
+        def rank2(key):
+            M = _alt_full(F, n, dict(zip(pairs, key)))
+            return matrix_rank(F, [tuple(r) for r in M]) == 2
+
+        adj = _difference_adjacency(F, keys, rank2)
+    elif fam == "hermitianforms":
+        r, D = p
+        F = field(r * r)
+        pairs = _upper_pairs(D)
+
+        def rank1(key):
+            M = [[0] * D for _ in range(D)]
+            for i in range(D):
+                M[i][i] = key[i]
+            for t, (i, j) in enumerate(pairs):
+                M[i][j] = key[D + t]
+                M[j][i] = F.conj(key[D + t])
+            return matrix_rank(F, [tuple(row) for row in M]) == 1
+
+        adj = _difference_adjacency(F, keys, rank1)
+    elif fam == "quadraticforms":
+        q, n = p
+        F = field(q)
+        monos = _monomials(n)
+        adj = _difference_adjacency(
+            F, keys, lambda key: _quad_rank(F, dict(zip(monos, key)), n) in (1, 2))
+    elif fam == "doubledgrassmann":
+        adj = _bipartite(_incidence(field(p[0]), _side(keys, 0), _side(keys, 1)))
+    else:
+        raise ValueError(f"no dense build for {fam}")
+    return Graph.from_edge_arrays(len(adj), *np.nonzero(adj))

@@ -3,16 +3,21 @@ import pathlib
 import shutil
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+import drgc.graph
 from drgc import catalog as cat
+from drgc import families
 from drgc.algebra import enumerate_subspaces, field
 from drgc.catalog import catalog_entry, catalog_list, catalog_load
 from drgc.errors import DataCorrupt, UnknownName
-from drgc.graph import Graph, g6_encode, intersection_array, line_graph
+from drgc.graph import (Graph, _block_rows, edge_arrays, g6_encode,
+                        intersection_array, line_graph)
 from reference_algebra import form_eval, subspace_elements
 from reference_graphs import (ag2_minus_parallel_class, bipartite_double,
-                              k55_minus_matching, shrikhande)
+                              dense_bipartite_graph, k55_minus_matching,
+                              shrikhande)
 
 
 # -- reference builders: the earlier pair-loop incidence constructions, kept as
@@ -98,6 +103,29 @@ def test_double_entry_matches_reference():
     row-loop bipartite double."""
     pet, _ = catalog_load("petersen")
     assert catalog_load("desargues")[0].adj == bipartite_double(pet).adj
+
+
+def test_bipartite_builders_in_row_blocks_match_dense_build(monkeypatch):
+    """Every bipartite_graph call of the catalog's builders and its double:
+    rule, with BLOCK_CELLS patched so that every biadjacency block spans
+    several row blocks, against the whole n x n adjacency."""
+    monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", 12)
+    checked = []
+
+    def bipartite_graph(block):
+        g = families.bipartite_graph(block)
+        assert -(-block.shape[0] // _block_rows(block.shape[1])) >= 2
+        for got, want in zip(edge_arrays(g),
+                             edge_arrays(dense_bipartite_graph(block))):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        checked.append(g.n)
+        return g
+
+    monkeypatch.setattr(cat, "bipartite_graph", bipartite_graph)
+    for build in cat._BUILDERS.values():
+        build()
+    cat._build(catalog_entry("desargues"))
+    assert sorted(checked) == [10, 14, 18, 20, 30, 32, 80]
 
 
 # -- the data script: its generators rebuild every embedded graph6 file ---------

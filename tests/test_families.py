@@ -1,18 +1,21 @@
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+import drgc.graph
 from drgc.algebra import enumerate_subspaces, field, isotropic_subspaces, matrix_rank
 from drgc.errors import NoDescendant, ParamDomain, TooLarge
 from drgc.families import (FAMILIES, NO_DESCENDANT, FamilySpec, _alt_full,
                            _even_strings, _hamming_keys, _quad_rank,
                            _upper_pairs, construct, default_grid, descendant,
                            half_dual_polar_descendant_check, theory_values)
-from drgc.graph import Graph, cut_stats, intersection_array
+from drgc.graph import (Graph, _block_rows, cut_stats, edge_arrays,
+                        intersection_array)
 from drgc.spectral import dense_spectrum, distinct_values, drg_spectrum
 from reference_algebra import form_eval, subspace_elements
-from reference_graphs import bipartite_double, shrikhande
+from reference_graphs import bipartite_double, dense_construct, shrikhande
 
 
 # -- reference constructions: the earlier pair-predicate builds, kept as oracles
@@ -142,6 +145,17 @@ CONSTRUCT_SPECS = default_grid() + [FamilySpec.parse(s) for s in (
 @pytest.mark.parametrize("spec", CONSTRUCT_SPECS, ids=str)
 def test_construct_matches_pair_predicate_reference(spec):
     assert construct(spec).adj == reference_construct(spec).adj
+
+
+@pytest.mark.parametrize("spec", CONSTRUCT_SPECS, ids=str)
+def test_construct_in_row_blocks_matches_dense_build(spec, monkeypatch):
+    """construct with BLOCK_CELLS patched so that every graph spans several
+    row blocks: the same edge arrays as the whole n x n expression."""
+    monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", 12)
+    g = construct(spec)
+    assert -(-g.n // _block_rows(g.n)) >= 2
+    for got, want in zip(edge_arrays(g), edge_arrays(dense_construct(spec))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # -- reference descendants: the earlier per-family key enumeration, kept as an

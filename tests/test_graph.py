@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import chain, combinations
 
 import numpy as np
@@ -285,13 +286,11 @@ def test_intersection_array_matches_reference_on_generalized_petersen():
                 array_or_failure(reference_intersection_array, g), (n, k)
 
 
-def test_intersection_array_failure_past_the_first_row_block():
-    # one 2-switch among the last vertices of hamming:3,10 (n = 1000, 262
-    # rows per block) keeps the graph 27-regular, and the first pair that
-    # breaks distance-regularity lies past the first block
+def switched_hamming_3_10():
+    """hamming:3,10 (n = 1000) after one 2-switch among its last vertices,
+    a, b, c, d >= 700: still 27-regular, no longer distance-regular."""
     g = construct(FamilySpec("hamming", (3, 10)))
-    n, step = g.n, _block_rows(g.n)
-    assert -(-n // step) >= 3
+    n = g.n
     rows = [set(row) for row in g.adj]
     a = n - 1
     b = max(rows[a])
@@ -300,14 +299,22 @@ def test_intersection_array_failure_past_the_first_row_block():
              any(w not in rows[b] and w not in (a, b) for w in rows[v]))
     d = next(w for w in sorted(rows[c], reverse=True)
              if w not in rows[b] and w not in (a, b))
-    assert min(a, b, c, d) >= 2 * step
+    assert min(a, b, c, d) >= 700
     for u, v in ((a, b), (c, d)):
         rows[u].discard(v)
         rows[v].discard(u)
     for u, v in ((a, c), (b, d)):
         rows[u].add(v)
         rows[v].add(u)
-    switched = Graph(n, rows)
+    return Graph(n, rows)
+
+
+def test_intersection_array_failure_past_the_first_row_block():
+    # the switch keeps the graph 27-regular, and the first pair that breaks
+    # distance-regularity lies past the first two blocks (262 rows each)
+    switched = switched_hamming_3_10()
+    step = _block_rows(switched.n)
+    assert -(-switched.n // step) >= 3 and 700 >= 2 * step
     assert switched.regular_degree() == 27
     got = array_or_failure(intersection_array, switched)
     assert got == array_or_failure(reference_intersection_array, switched)
@@ -361,6 +368,51 @@ def test_distance_matrix_matches_reference():
         else:
             assert np.array_equal(got, want)
     assert distance_matrix(cycle(300)).max() == 150
+
+
+def test_blocked_stages_match_reference_in_small_row_blocks(monkeypatch):
+    """The distance matrix and the intersection-array check with BLOCK_CELLS
+    patched so that every graph spans several row blocks: the comparisons
+    above, on their graphs, give the same results."""
+    monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", 12)
+    triangular_prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4),
+                                            (4, 5), (3, 5), (0, 3), (1, 4),
+                                            (2, 5)])
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                         (3, 4), (4, 5), (3, 5)])
+    graphs = [generalized_petersen(n, k) for n in range(3, 21)
+              for k in range(1, n // 2 + 1)]
+    graphs += [triangular_prism, two_triangles, cycle(7), cycle(300),
+               complete(5), line_graph(cycle(9)), switched_hamming_3_10()]
+    graphs += [g for _, g in catalog_and_grid(max_n=256)]
+    for g in graphs:
+        # a copy, without the array a catalog graph cached when it loaded
+        g = Graph.from_edge_arrays(g.n, *edge_arrays(g)[:2])
+        assert -(-g.n // _block_rows(g.n)) >= 2
+        assert array_or_failure(intersection_array, g) == \
+            array_or_failure(reference_intersection_array, g)
+        got = array_or_failure(distance_matrix, g)
+        want = array_or_failure(reference_distance_matrix, g)
+        assert got == want if isinstance(want, tuple) else np.array_equal(got, want)
+
+
+def test_construct_and_check_hold_no_other_n_by_n_array():
+    """On foldedcube:12 (n = 2048) construct's traced peak stays below n^2
+    bytes, and intersection_array's peak above what was held before it
+    below 2 n^2: the int8 distance matrix and blocks of rows."""
+    drgc.families._vertex_keys.cache_clear()
+    tracemalloc.start()
+    try:
+        g = construct(FamilySpec("foldedcube", (12,)))
+        construct_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        intersection_array(g)
+        check_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert g.n == 2048
+    assert construct_peak < g.n ** 2 and check_peak < 2 * g.n ** 2
 
 
 def test_intersection_array_cached():

@@ -2,7 +2,10 @@ import ast
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -105,6 +108,32 @@ def test_cli_spectrum(capsys):
     assert main(["spectrum", "heawood"]) == 0
     out = capsys.readouterr().out
     assert "{3,2,2;1,1,3}" in out and "1.41421356237" in out
+
+
+@pytest.mark.parametrize("argv", (["list"], ["spectrum", "heawood"],
+                                  ["verify", "petersen", "--exact-cap", "12"]),
+                         ids=("list", "spectrum", "verify"))
+def test_cli_closed_stdout_exits_without_traceback(argv):
+    """A reader that closes the pipe before the command writes, as in
+    `drgc list | head`: exit 1 with nothing on stderr, whether the output
+    is still buffered at the end (the default for a pipe) or each write
+    fails at once (PYTHONUNBUFFERED)."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "drgc.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env={**env, **unbuffered},
+                                  timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, ""), unbuffered
 
 
 def test_cli_verify_json(tmp_path):

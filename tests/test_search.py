@@ -525,3 +525,33 @@ def test_theta1_vectors_are_eigenvectors(name):
     u = spectral.standard_sequence(ia, theta1)
     x0 = search._theta1_vectors(g, np.eye(g.n, 1))[:, 0]
     assert np.array_equal(x0, np.array(u)[bfs_distances(g, 0)])
+
+
+def test_eigenspace_starts_match_fresh_generators(monkeypatch):
+    """One generator reseeded per seed gives the starts that a fresh
+    RandomState(seed) per seed gave, on both sources of theta_1-vectors.
+    johnson:8,3's theta_1 has multiplicity 7 and johnson:7,3 has 35
+    vertices: an odd number of draws leaves a cached Gaussian behind, which
+    reseeding must drop."""
+    seeds = (0, 1, 9, 12345, 2 ** 31 - 1)
+
+    def fresh_starts(g):
+        if g.n <= spectral.EIGENVECTOR_CAP:
+            vals, vecs = eigensystem(g)
+            basis = vecs[:, np.abs(vals - vals[-2]) < 1e-8]
+            xs = [basis @ np.random.RandomState(s).randn(basis.shape[1])
+                  for s in seeds]
+        else:
+            R = np.column_stack([np.random.RandomState(s).randn(g.n)
+                                 for s in seeds])
+            xs = search._theta1_vectors(g, R).T
+        return [search._sweep_order(g, x) for x in xs]
+
+    g = construct(FamilySpec("johnson", (8, 3)))
+    vals = eigensystem(g)[0]
+    assert (np.abs(vals - vals[-2]) < 1e-8).sum() == 7
+    assert search._eigenspace_starts(g, seeds) == fresh_starts(g)
+    monkeypatch.setattr(spectral, "EIGENVECTOR_CAP", 34)
+    g = construct(FamilySpec("johnson", (7, 3)))
+    assert g.n == 35
+    assert search._eigenspace_starts(g, seeds) == fresh_starts(g)
