@@ -4,7 +4,8 @@ loaded from embedded graph6 data otherwise.
 Trust is established exclusively at load time: every graph must reproduce the
 manifest's intersection array and second eigenvalue, so embedded data can
 never silently drift.  One entry (gh33-incidence) is parameters-only and has
-no graph.
+no graph: its manifest theta_1 is checked against its array, and the report
+gives it the same array-level bounds as a graph with that array.
 """
 
 from __future__ import annotations
@@ -151,10 +152,7 @@ def _build(entry: CatalogEntry) -> Graph:
 
 def catalog_load(name: str):
     """Verified (Graph, CatalogEntry) pair; raises for the parameters-only entry."""
-    entries = _load_manifest()
-    if name not in entries:
-        raise UnknownName(f"no catalog entry {name!r}")
-    entry = entries[name]
+    entry = catalog_entry(name)
     if entry.source == "parameters-only":
         raise UnknownName(f"{name} is parameters-only (no graph)")
     if name not in _graphs:
@@ -162,14 +160,23 @@ def catalog_load(name: str):
         ia = intersection_array(g)
         if ia != entry.array:
             raise DataCorrupt(f"{name}: array {ia} != expected {entry.array}")
-        t1 = drg_spectrum(ia).theta1
-        if abs(t1 - float(entry.theta1)) > 1e-9:
-            raise DataCorrupt(f"{name}: theta1 {t1} != expected {float(entry.theta1)}")
-        exact = exact_theta1(ia)
-        if exact is not None and exact != entry.theta1:
-            raise DataCorrupt(f"{name}: exact theta1 {exact} != {entry.theta1}")
+        checked_array(name)
         _graphs[name] = g
     return _graphs[name], entry
+
+
+def checked_array(name: str) -> IntersectionArray:
+    """The manifest's intersection array of an entry, once the manifest's
+    theta_1 is that array's: to 1e-9, and exactly where exact_theta1 finds
+    it.  catalog_load also checks that a graph has the array."""
+    entry = catalog_entry(name)
+    t1 = drg_spectrum(entry.array).theta1
+    if abs(t1 - float(entry.theta1)) > 1e-9:
+        raise DataCorrupt(f"{name}: theta1 {t1} != expected {float(entry.theta1)}")
+    exact = exact_theta1(entry.array)
+    if exact is not None and exact != entry.theta1:
+        raise DataCorrupt(f"{name}: exact theta1 {exact} != {entry.theta1}")
+    return entry.array
 
 
 def catalog_entry(name: str) -> CatalogEntry:

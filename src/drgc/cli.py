@@ -21,8 +21,9 @@ import sys
 
 from .catalog import catalog_list
 from .errors import DrgcError
-from .report import SCHEMA, emit, verify_all, verify_one
+from .report import SCHEMA, _resolve, emit, verify_all, verify_one
 from .search import EXACT_CAP_HARD, SearchConfig
+from .spectral import drg_spectrum
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
@@ -40,14 +41,12 @@ def _add_common(p):
     p.add_argument("--exact-cap", type=int, default=d.exact_cap,
                    help="max n for exact enumeration (default %(default)s, "
                         f"hard cap {EXACT_CAP_HARD})")
-    p.add_argument("--refine-budget", type=int, default=d.refine_budget)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output", default=None, help="write report to a file")
 
 
 def _config(args) -> SearchConfig:
-    return SearchConfig(exact_cap=args.exact_cap, seeds=args.seeds,
-                        refine_budget=args.refine_budget)
+    return SearchConfig(exact_cap=args.exact_cap, seeds=args.seeds)
 
 
 def _write(data: bytes, output):
@@ -101,11 +100,7 @@ def _main(argv) -> int:
                       f"status={e.status}")
             return 0
         if args.command == "spectrum":
-            from .graph import intersection_array
-            from .report import _resolve
-            from .spectral import drg_spectrum
-            _, g, _, entry = _resolve(args.target)
-            ia = entry.array if g is None else intersection_array(g)
+            ia = _resolve(args.target)[3]
             sp = drg_spectrum(ia)
             print(f"array: {ia}")
             print("thetas:", " ".join(f"{t:.12g}" for t in sp.thetas))

@@ -522,24 +522,15 @@ def line_graph(g: Graph) -> Graph:
 
 
 def two_coloring(g: Graph) -> tuple[list[int], list[int]]:
-    """Bipartition classes (class of vertex 0 first); raises NotBipartite."""
-    color = [-1] * g.n
-    color[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.adj[u]:
-                if color[w] < 0:
-                    color[w] = 1 - color[u]
-                    nxt.append(w)
-                elif color[w] == color[u]:
-                    raise NotBipartite(f"odd cycle through edge ({u},{w})")
-        frontier = nxt
-    if -1 in color:
-        raise Unreachable("graph is disconnected")
-    return ([v for v in range(g.n) if color[v] == 0],
-            [v for v in range(g.n) if color[v] == 1])
+    """Bipartition classes, the vertices at even and at odd distance from
+    vertex 0; raises Unreachable or NotBipartite."""
+    parity = np.array(bfs_distances(g, 0)) % 2
+    src, dst, _ = edge_arrays(g)
+    inner = np.flatnonzero(parity[src] == parity[dst])
+    if inner.size:
+        u, w = src[inner[0]], dst[inner[0]]
+        raise NotBipartite(f"odd cycle through edge ({u},{w})")
+    return np.flatnonzero(parity == 0).tolist(), np.flatnonzero(parity).tolist()
 
 
 # -- graph6 ------------------------------------------------------------------

@@ -16,8 +16,8 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
-from . import __version__
-from .catalog import catalog_entry, catalog_list, catalog_load
+from . import __version__, search
+from .catalog import catalog_entry, catalog_list, catalog_load, checked_array
 from .errors import DrgcError, UnknownName
 from .exact import SqrtVal
 from .families import (NO_DESCENDANT, FamilySpec, construct, default_grid,
@@ -85,36 +85,33 @@ def _bound_json(graph_id: str, b: AnalyticBound):
 
 
 def _resolve(target: str):
-    """Returns (graph_id, Graph | None, FamilySpec | None, catalog status or None)."""
+    """Returns (graph_id, Graph | None, FamilySpec | None, IntersectionArray);
+    the graph is None only for a parameters-only entry (checked_array)."""
     try:
         entry = catalog_entry(target)
     except UnknownName:
         entry = None
     if entry is not None:
         if entry.source == "parameters-only":
-            return target, None, None, entry
-        g, _ = catalog_load(target)
-        return target, g, entry.family, entry
-    if ":" in target:
+            return target, None, None, checked_array(target)
+        graph_id, g, spec = target, catalog_load(target)[0], entry.family
+    elif ":" in target:
         spec = FamilySpec.parse(target)
-        return str(spec), construct(spec), spec, None
-    g = g6_decode(target)
-    return f"g6:{target[:24]}", g, None, None
+        graph_id, g = str(spec), construct(spec)
+    else:
+        graph_id, g, spec = f"g6:{target[:24]}", g6_decode(target), None
+    return graph_id, g, spec, intersection_array(g)
 
 
 def _gq_gh_shape(ia: IntersectionArray):
-    """(kind, q) when the array is a GQ(q,q) or GH(q,q) incidence array."""
-    k = ia.k
-    q = k - 1
-    if q < 2:
+    """(kind, q) when the array is a GQ(q,q) or GH(q,q) incidence array: the
+    array {q+1,q,...,q; 1,...,1,q+1} of diameter 4 or 6, with q >= 2."""
+    k, D = ia.k, ia.D
+    kind = {4: "GQ", 6: "GH"}.get(D)
+    if kind is None or k < 3:
         return None
-    gq = IntersectionArray((k, q, q, q), (1, 1, 1, k))
-    gh = IntersectionArray((k, q, q, q, q, q), (1, 1, 1, 1, 1, k))
-    if ia == gq:
-        return ("GQ", q)
-    if ia == gh:
-        return ("GH", q)
-    return None
+    shape = IntersectionArray((k,) + (k - 1,) * (D - 1), (1,) * (D - 1) + (k,))
+    return (kind, k - 1) if ia == shape else None
 
 
 def _judged(ia: IntersectionArray, c: CutCertificate) -> CutCertificate:
@@ -122,29 +119,38 @@ def _judged(ia: IntersectionArray, c: CutCertificate) -> CutCertificate:
     return replace(c, verdict="ok" if at_most_lambda1(ia, c.ratio) else "open")
 
 
+def array_bounds(ia: IntersectionArray, spec: FamilySpec | None):
+    """The analytic bounds that read only the intersection array (and a
+    doubled Grassmann graph's parameters), so that a parameters-only entry
+    gets the same ones as a graph with its array."""
+    bounds: list[AnalyticBound] = []
+    if ia.D == 2:
+        bounds.append(srg_certify(ia))
+    shape = _gq_gh_shape(ia)
+    if shape is not None:
+        bounds.append(gq_gh_incidence_verdict(*shape))
+    if ia.is_bipartite() and ia.D == 3 and ia.k >= 4:
+        bounds.append(bipartite_diameter3_verdict(ia))
+    if spec is not None and spec.family == "doubledgrassmann":
+        bounds.append(doubled_grassmann_verdict(*spec.params))
+    return bounds
+
+
 def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
                   spec: FamilySpec | None):
-    """All applicable witness certificates, judged, and analytic bounds;
+    """All applicable witness certificates, judged, and the array_bounds;
     t1_exact is exact_theta1(ia), computed once by the caller.  Each witness
     runs only where it applies, so one that raises is an error of the target."""
     certs: list[CutCertificate] = []
-    bounds: list[AnalyticBound] = []
     k, D = ia.k, ia.D
 
     if spec is not None and spec.family not in NO_DESCENDANT:
         certs.append(avg_valency_certificate(
             g, descendant(spec), theory_values(spec).theta1))
     if D == 2:
-        bounds.append(srg_certify(ia))
         certs.append(ball_cut(g, 0, 1, "ball"))
-    shape = _gq_gh_shape(ia)
-    if shape is not None:
-        bounds.append(gq_gh_incidence_verdict(*shape))
-    if ia.is_bipartite():
-        if ia.v % 2 == 0:
-            certs.append(bipartite_half_cut(g))
-        if D == 3 and k >= 4:
-            bounds.append(bipartite_diameter3_verdict(ia))
+    if ia.is_bipartite() and ia.v % 2 == 0:
+        certs.append(bipartite_half_cut(g))
     if D == 3 and ia.is_antipodal() and t1_exact is not None:
         certs.append(antipodal_fibre_cut(g, ia, t1_exact))
     if D == 3 and t1_exact is not None and t1_exact == ia.a(3):   # Shilla: theta1 = a_3
@@ -159,82 +165,64 @@ def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
         certs.append(twelve_cage_witness(g, ia))
     if ia == GQ33_ARRAY:
         certs.append(gq33_incidence_witness(g, ia))
-    if spec is not None and spec.family == "doubledgrassmann":
-        bounds.append(doubled_grassmann_verdict(*spec.params))
-    return [_judged(ia, c) for c in certs], bounds
+    return [_judged(ia, c) for c in certs], array_bounds(ia, spec)
 
 
 def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
-    graph_id, g, spec, entry = _resolve(target)
-
-    if g is None:   # parameters-only entry
-        ia = entry.array
-        lam1 = entry.lambda1
-        shape = _gq_gh_shape(ia)
-        bounds = [gq_gh_incidence_verdict(*shape)] if shape else []
-        status = "OK" if any(b.verdict == "ok" for b in bounds) else "OPEN"
-        return {
-            "id": graph_id, "n": ia.v, "k": ia.k, "D": ia.D,
-            "array": str(ia), "parameters_only": True,
-            "theta1": _val_json(entry.theta1), "lambda1": _val_json(lam1),
-            "window": _window_json(lam1),
-            "spectrum_crosscheck": None,
-            "certificates": [], "bounds": [_bound_json(graph_id, b) for b in bounds],
-            "best": None, "exact_h": None, "status": status,
-        }
-
-    ia = intersection_array(g)
+    """The record of one target.  A parameters-only catalog entry has no
+    graph: it gets the array_bounds and no certificate, search or exact h."""
+    graph_id, g, spec, ia = _resolve(target)
     spectrum = drg_spectrum(ia)
     t1_exact = exact_theta1(ia)
     lam1 = ((SqrtVal(ia.k) - t1_exact) / ia.k) if t1_exact is not None \
         else spectrum.lambda1
+    crosscheck = best = exact_h = None
 
-    # intersection_array has checked the array on every vertex pair, so the
-    # adjacency eigenvalues are the intersection matrix's; the float spectrum
-    # is checked against them exactly, with no n x n matrix
-    crosscheck = spectrum_certified(ia, spectrum.thetas)
-
-    certs, bounds = gather_bounds(g, ia, t1_exact, spec)
-    # h >= lambda_1/2 (Cheeger), so a witness of ratio lambda_1/2 is a global
-    # minimum.  When it is also the least witness under the search's order and
-    # its method sorts before "refine" and "sweep", the search cannot return
-    # anything else, so it is skipped.  Below exact_cap the exact oracle runs
-    # anyway, because exact_h is its own enumeration.
-    least = min(certs, key=cert_key, default=None)
-    if (g.n > config.exact_cap and least is not None and least.method < "refine"
-            and at_most_lambda1(ia, 2 * least.ratio)):
-        best = least
+    if g is None:
+        certs, bounds = [], array_bounds(ia, spec)
     else:
-        best = _judged(ia, min([*certs, best_upper_bound(g, config)], key=cert_key))
-    all_certs = list(certs)
-    if best not in all_certs:
-        all_certs.append(best)
+        # intersection_array has checked the array on every vertex pair, so
+        # the adjacency eigenvalues are the intersection matrix's; the float
+        # spectrum is checked against them exactly, with no n x n matrix
+        crosscheck = spectrum_certified(ia, spectrum.thetas)
+        certs, bounds = gather_bounds(g, ia, t1_exact, spec)
+        # h >= lambda_1/2 (Cheeger), so a witness of ratio lambda_1/2 is a
+        # global minimum.  When it is also the least witness under the
+        # search's order and its method sorts before "refine" and "sweep", the
+        # search cannot return anything else, so it is skipped.  Below
+        # exact_cap the exact oracle runs anyway, because exact_h is its own
+        # enumeration.
+        least = min(certs, key=cert_key, default=None)
+        if (g.n > config.exact_cap and least is not None and least.method < "refine"
+                and at_most_lambda1(ia, 2 * least.ratio)):
+            best = least
+        else:
+            best = _judged(ia, min([*certs, best_upper_bound(g, config)], key=cert_key))
+        if best not in certs:
+            certs.append(best)
+        if g.n <= config.exact_cap:
+            # the floor skip above did not apply, so best_upper_bound ran
+            # exact_cheeger, whose certificate is the global minimum: no
+            # other certificate beats it and best.ratio is h
+            exact_h = best.ratio
 
-    exact_h = None
-    status = "OPEN"
-    if any(c.verdict == "ok" for c in all_certs) or \
-            any(b.verdict == "ok" for b in bounds):
-        status = "OK"
-    if g.n <= config.exact_cap:
-        # n <= exact_cap, so the floor skip above did not apply and
-        # best_upper_bound ran exact_cheeger, whose certificate is the global
-        # minimum: no other certificate beats it and best.ratio is h
-        exact_h = best.ratio
-        if not at_most_lambda1(ia, exact_h):
-            # a polygon (k = 2) has h = 2/n against lambda_1 of about
-            # 2 pi^2 / n^2, so the conjecture is read for k >= 3 only
-            status = "VIOLATION" if ia.k >= 3 else "OUT_OF_SCOPE"
+    status = "OK" if any(c.verdict == "ok" for c in certs) or \
+        any(b.verdict == "ok" for b in bounds) else "OPEN"
+    if exact_h is not None and not at_most_lambda1(ia, exact_h):
+        # a polygon (k = 2) has h = 2/n against lambda_1 of about
+        # 2 pi^2 / n^2, so the conjecture is read for k >= 3 only
+        status = "VIOLATION" if ia.k >= 3 else "OUT_OF_SCOPE"
 
     return {
-        "id": graph_id, "n": g.n, "k": ia.k, "D": ia.D,
-        "array": str(ia), "parameters_only": False,
+        "id": graph_id, "n": ia.v, "k": ia.k, "D": ia.D,
+        "array": str(ia), "parameters_only": g is None,
         "theta1": _val_json(t1_exact if t1_exact is not None else spectrum.theta1),
         "lambda1": _val_json(lam1),
         "window": _window_json(lam1),
         "spectrum_crosscheck": crosscheck,
-        "certificates": [_cert_json(graph_id, c, lam1) for c in all_certs],
+        "certificates": [_cert_json(graph_id, c, lam1) for c in certs],
         "bounds": [_bound_json(graph_id, b) for b in bounds],
-        "best": _cert_json(graph_id, best, lam1),
+        "best": _cert_json(graph_id, best, lam1) if best is not None else None,
         "exact_h": {"num": exact_h.numerator, "den": exact_h.denominator}
         if exact_h is not None else None,
         "status": status,
@@ -270,7 +258,7 @@ def verify_all(config: SearchConfig = SearchConfig(),
         "schema": SCHEMA,
         "tool": f"drgc {__version__}",
         "config": {"exact_cap": config.exact_cap, "seeds": list(config.seeds),
-                   "refine_budget": config.refine_budget},
+                   "refine_budget": search.REFINE_BUDGET},
         "counts": counts,
         "open_graphs": sorted(r["id"] for r in records if r["status"] == "OPEN"),
         "records": records,

@@ -109,13 +109,13 @@ EXACT_CAP_HARD = 30
 EXACT_BLOCK = 2 ** 14      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
 SWAP_CAP = 40_000          # most |S| |S^c| at which refinement tries swaps
+REFINE_BUDGET = 100_000    # most moves of one refinement walk, read per call
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     exact_cap: int = 24
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7)
-    refine_budget: int = 100_000
 
     def __post_init__(self):
         if self.exact_cap > EXACT_CAP_HARD:
@@ -227,7 +227,7 @@ def _exact_total(g: Graph, stage: str) -> int:
     return total
 
 
-def local_refine(g: Graph, S, budget: int = 100_000, seed: int = 0,
+def local_refine(g: Graph, S, budget: int = REFINE_BUDGET, seed: int = 0,
                  plateau_patience: int = 200) -> CutCertificate:
     """Kernighan-Lin style descent on a regular graph: single-vertex moves and
     (u out, w in) swaps, ratio monotonically non-increasing.  Equal-ratio
@@ -443,7 +443,7 @@ def _eigenspace_starts(g: Graph, seeds) -> list[frozenset]:
     return [_sweep_order(g, x) for x in xs]
 
 
-def _iterated_refine(g: Graph, start, seed: int, budget: int, rounds: int,
+def _iterated_refine(g: Graph, start, seed: int, rounds: int,
                      patience: int) -> CutCertificate:
     """Iterated local search: monotone descent, then a seeded perturbation of
     the best set by four random swaps, repeated; stops after two stale rounds."""
@@ -452,7 +452,7 @@ def _iterated_refine(g: Graph, start, seed: int, budget: int, rounds: int,
     stale = 0
     S = start
     for _ in range(rounds):
-        cert = local_refine(g, S, budget, seed, plateau_patience=patience)
+        cert = local_refine(g, S, REFINE_BUDGET, seed, plateau_patience=patience)
         if best is None or cert.ratio < best.ratio:
             best = cert
             stale = 0
@@ -505,6 +505,5 @@ def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig()) -> CutCert
             rounds, patience = 2, 40
         starts = [sw.S] + _eigenspace_starts(g, config.seeds)
         for seed, start in zip((-1,) + tuple(config.seeds), starts):
-            certs.append(_iterated_refine(g, start, max(seed, 0),
-                                          config.refine_budget, rounds, patience))
+            certs.append(_iterated_refine(g, start, max(seed, 0), rounds, patience))
     return min(certs, key=cert_key)

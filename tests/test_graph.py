@@ -11,7 +11,7 @@ import drgc.families
 import drgc.graph
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import (Acyclic, EmptySet, FullSet, GraphError,
-                         MalformedGraph6, NotDistanceRegular,
+                         MalformedGraph6, NotBipartite, NotDistanceRegular,
                          NotRegular, TooLarge, Unreachable)
 from drgc.families import (FamilySpec, bipartite_graph, construct, default_grid,
                            theory_values)
@@ -684,6 +684,40 @@ def test_cut_stats_k55_minus_matching_side():
     sideA, _ = two_coloring(g)
     st = cut_stats(g, sideA)
     assert st.boundary == 20 and st.inside == 0 and st.vol == 20
+
+
+def _reference_two_coloring(g):
+    """Classes of a breadth-first 2-colouring from vertex 0, or None when an
+    edge joins two vertices of one colour."""
+    color = {0: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    nxt.append(w)
+        frontier = nxt
+    if any(color[u] == color[w] for u in range(g.n) for w in g.adj[u]):
+        return None
+    return ([v for v in range(g.n) if color[v] == 0],
+            [v for v in range(g.n) if color[v] == 1])
+
+
+def test_two_coloring_matches_breadth_first_reference():
+    bipartite = 0
+    for name, g in catalog_and_grid(max_n=256) + [("C5", cycle(5))]:
+        expect = _reference_two_coloring(g)
+        if expect is None:
+            with pytest.raises(NotBipartite):
+                two_coloring(g)
+        else:
+            assert two_coloring(g) == expect, name
+            bipartite += 1
+    assert bipartite > 10
+    with pytest.raises(Unreachable):
+        two_coloring(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_cut_stats_matches_adjacency_list_recount():

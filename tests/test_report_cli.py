@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,18 +13,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from drgc import search, spectral
+from drgc import catalog, search, spectral
 from drgc.catalog import catalog_list
 from drgc.cli import _config, _parser, main
-from drgc.errors import SearchFailed
+from drgc.errors import DataCorrupt, SearchFailed
 from drgc.families import default_grid, theory_values
-from drgc.graph import bfs_distances, cut_stats, intersection_array
+from drgc.graph import bfs_distances, cut_stats
 from drgc.report import (_resolve, default_targets, emit, gather_bounds,
                          verify_all, verify_one)
 from drgc.search import SearchConfig, cert_key, exact_cheeger
 from drgc.spectral import _minors, at_most_lambda1, exact_theta1
 
-FAST = SearchConfig(exact_cap=20, seeds=(0, 1), refine_budget=2000)
+FAST = SearchConfig(exact_cap=20, seeds=(0, 1))
 
 
 def test_verify_one_cube():
@@ -70,6 +71,50 @@ def test_verify_one_parameters_only():
     assert r["theta1"]["u"] == "3"
 
 
+def _add_manifest_rows(tmp_path, monkeypatch, rows):
+    """Point the catalog at a copy of its data whose manifest ends in rows;
+    the manifest is read afresh, and the old one is restored afterwards."""
+    work = tmp_path / "catalog"
+    shutil.copytree(catalog.data_dir(), work)
+    with open(work / "manifest.tsv", "a", encoding="utf-8") as fh:
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+    monkeypatch.setenv("DRGC_DATA_DIR", str(work))
+    monkeypatch.setattr(catalog, "_entries", None)
+
+
+@pytest.mark.parametrize("array, theta1, graph", [
+    ("{3,2;1,1}", "1|0|1", "petersen"),                  # srg-local-cut
+    ("{4,3,3;1,1,4}", "0|1|3", "incidence-pg23")],       # bipartite-diam3
+    ids=("petersen", "incidence-pg23"))
+def test_parameters_only_entry_gets_the_array_bounds(array, theta1, graph,
+                                                     tmp_path, monkeypatch):
+    # the paper settles these arrays from their parameters alone, so an entry
+    # without a graph is settled by the same bounds as the graph with its array
+    _add_manifest_rows(tmp_path, monkeypatch,
+                       [("graphless", "parameters-only", array, theta1, "OPEN", "-")])
+    r, ref = verify_one("graphless", FAST), verify_one(graph, FAST)
+    assert r["parameters_only"] and not ref["parameters_only"]
+    assert r["status"] == ref["status"] == "OK"
+    assert r["bounds"] and r["bounds"] == [{**b, "graph": "graphless"}
+                                           for b in ref["bounds"]]
+    for key in ("n", "k", "D", "array", "theta1", "lambda1", "window"):
+        assert r[key] == ref[key], key
+    assert r["certificates"] == []
+    assert r["spectrum_crosscheck"] is r["best"] is r["exact_h"] is None
+
+
+@pytest.mark.parametrize("theta1", ["2|0|1", "1000000000001/1000000000000|0|1"],
+                         ids=("float", "exact"))
+def test_parameters_only_entry_with_wrong_theta1_is_corrupt(theta1, tmp_path,
+                                                            monkeypatch):
+    # theta_1 of {3,2;1,1} is 1; the second value passes the float check
+    _add_manifest_rows(tmp_path, monkeypatch,
+                       [("graphless", "parameters-only", "{3,2;1,1}", theta1, "OPEN", "-")])
+    with pytest.raises(DataCorrupt, match="graphless"):
+        verify_one("graphless", FAST)
+    assert verify_all(FAST, targets=["graphless"])["records"][0]["status"] == "ERROR"
+
+
 def test_heawood_lambda1_serialization():
     r = verify_one("heawood", FAST)
     lam = r["lambda1"]
@@ -108,6 +153,9 @@ def test_cli_spectrum(capsys):
     assert main(["spectrum", "heawood"]) == 0
     out = capsys.readouterr().out
     assert "{3,2,2;1,1,3}" in out and "1.41421356237" in out
+    assert main(["spectrum", "gh33-incidence"]) == 0     # parameters-only
+    out = capsys.readouterr().out
+    assert "{4,3,3,3,3,3;1,1,1,1,1,4}" in out and "thetas: 4 3" in out
 
 
 @pytest.mark.parametrize("argv", (["list"], ["spectrum", "heawood"],
@@ -159,7 +207,8 @@ def test_cli_usage_errors_exit_1(capsys):
     assert "invalid choice: 'xml'" in err and "got '1,,2'" in err
     assert main(["--help"]) == 0
     assert main(["verify", "--help"]) == 0
-    assert "--refine-budget" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--exact-cap" in out and "--refine-budget" not in out
 
 
 def test_cli_defaults_are_search_config():
@@ -202,7 +251,7 @@ def test_verify_all_bad_target_becomes_error_record(monkeypatch, tmp_path, capsy
     monkeypatch.setattr("drgc.report.default_targets", lambda: targets)
     out = tmp_path / "r.json"
     code = main(["verify-all", "--exact-cap", "20", "--seeds", "0,1",
-                 "--refine-budget", "2000", "-o", str(out)])
+                 "-o", str(out)])
     assert code == 1
     assert json.loads(out.read_text()) == json.loads(emit(report, "json"))
     assert "ERROR=1" in capsys.readouterr().err
@@ -255,8 +304,7 @@ def test_no_assert_statements_in_src():
 # -- the Cheeger floor h >= lambda_1/2 and the search skip that rests on it ----
 
 def _resolved(target):
-    _, g, spec, _ = _resolve(target)
-    ia = intersection_array(g)
+    _, g, spec, ia = _resolve(target)
     certs, _ = gather_bounds(g, ia, exact_theta1(ia), spec)
     return g, ia, certs
 
