@@ -92,15 +92,18 @@ _BUILDERS = {
     "k55-minus-matching": lambda: bipartite_graph(~np.eye(5, dtype=bool)),
 }
 
-_entries: dict[str, CatalogEntry] | None = None
-_graphs: dict[str, Graph] = {}
+# both caches are keyed by the data directory, so that a change of
+# DRGC_DATA_DIR reads and checks the files found there
+_manifests: dict[pathlib.Path, dict[str, CatalogEntry]] = {}
+_graphs: dict[tuple[pathlib.Path, str], Graph] = {}
+
+
+_PACKAGED = pathlib.Path(__file__).parent / "data" / "catalog"
 
 
 def data_dir() -> pathlib.Path:
     override = os.environ.get("DRGC_DATA_DIR")
-    if override:
-        return pathlib.Path(override)
-    return pathlib.Path(__file__).parent / "data" / "catalog"
+    return pathlib.Path(override) if override else _PACKAGED
 
 
 def _parse_theta1(text: str) -> SqrtVal:
@@ -109,10 +112,10 @@ def _parse_theta1(text: str) -> SqrtVal:
 
 
 def _load_manifest() -> dict[str, CatalogEntry]:
-    global _entries
-    if _entries is not None:
-        return _entries
-    path = data_dir() / "manifest.tsv"
+    root = data_dir()
+    if root in _manifests:
+        return _manifests[root]
+    path = root / "manifest.tsv"
     entries: dict[str, CatalogEntry] = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -124,7 +127,7 @@ def _load_manifest() -> dict[str, CatalogEntry]:
         name, source, array, theta1, status, graphref = fields
         entries[name] = CatalogEntry(name, source, IntersectionArray.parse(array),
                                      _parse_theta1(theta1), status, graphref)
-    _entries = entries
+    _manifests[root] = entries
     return entries
 
 
@@ -155,14 +158,15 @@ def catalog_load(name: str):
     entry = catalog_entry(name)
     if entry.source == "parameters-only":
         raise UnknownName(f"{name} is parameters-only (no graph)")
-    if name not in _graphs:
+    key = (data_dir(), name)
+    if key not in _graphs:
         g = _build(entry)
         ia = intersection_array(g)
         if ia != entry.array:
             raise DataCorrupt(f"{name}: array {ia} != expected {entry.array}")
         checked_array(name)
-        _graphs[name] = g
-    return _graphs[name], entry
+        _graphs[key] = g
+    return _graphs[key], entry
 
 
 def checked_array(name: str) -> IntersectionArray:

@@ -300,7 +300,8 @@ def _side(keys, side: int) -> list:
 # Every family describes its adjacency by a function rows(lo, hi) that
 # returns rows lo..hi-1 of the boolean n x n matrix as one numpy expression
 # over its keys, and _graph_from_rows asks for one block of
-# graph._block_rows(n) rows at a time and keeps only the arcs (np.nonzero), so
+# graph._block_rows(n) rows at a time and keeps only the arcs, as the sorted
+# keys u*n + v of np.flatnonzero that Graph.from_edge_keys takes, so
 # construction holds no n x n array.  Most families test the inner products
 # X @ X.T of a 0/1 incidence matrix X (_gram_rows): set-membership rows count
 # common elements, one-hot digit rows count agreeing digits, and
@@ -320,30 +321,31 @@ def _shrikhande() -> np.ndarray:
                    (4, 12, 1, 3, 5, 15))
 
 
-def _nonzero_rows(r: int, c: int, rows) -> tuple[np.ndarray, np.ndarray]:
-    """np.nonzero of the boolean r x c matrix whose rows lo..hi-1 are
-    rows(lo, hi), asked for one block of _block_rows(c) rows at a time."""
+def _row_keys(r: int, c: int, rows) -> np.ndarray:
+    """np.flatnonzero of the boolean r x c matrix whose rows lo..hi-1 are
+    rows(lo, hi), asked for one block of _block_rows(c) rows at a time: the
+    sorted keys i*c + j of its True entries (i, j)."""
     step = _block_rows(c)
-    src, dst = [], []
+    keys = []
     for lo in range(0, r, step):
-        i, j = np.nonzero(rows(lo, min(lo + step, r)))
-        src.append(i + lo)
-        dst.append(j)
-    return np.concatenate(src), np.concatenate(dst)
+        block = np.flatnonzero(rows(lo, min(lo + step, r)))
+        block += lo * c
+        keys.append(block)
+    return np.concatenate(keys)
 
 
 def _graph_from_rows(n: int, rows) -> Graph:
     """The graph whose adjacency rows lo..hi-1 are rows(lo, hi)."""
-    return Graph.from_edge_arrays(n, *_nonzero_rows(n, n, rows))
+    return Graph.from_edge_keys(n, _row_keys(n, n, rows))
 
 
 def _bipartite_from_rows(r: int, c: int, rows) -> Graph:
     """The bipartite graph whose biadjacency rows lo..hi-1 are rows(lo, hi):
     the block's r rows are the first vertices, its c columns the rest."""
-    i, j = _nonzero_rows(r, c, rows)
-    j = j + r
-    return Graph.from_edge_arrays(r + c, np.concatenate((i, j)),
-                                  np.concatenate((j, i)))
+    i, j = np.divmod(_row_keys(r, c, rows), c)
+    j += r
+    n = r + c
+    return Graph.from_edge_keys(n, np.concatenate((i * n + j, j * n + i)))
 
 
 def bipartite_graph(block: np.ndarray) -> Graph:

@@ -2,13 +2,15 @@
 
 Graphs are simple, undirected, with vertices 0..n-1 and sorted adjacency
 lists; they are immutable after construction and safe to share.  Every graph
-gets its edges through one path: Graph.from_edge_arrays takes the ordered
-edges (src[i], dst[i]) as numpy arrays, validates them in numpy and keeps
-them as read-only CSR arrays (edge_arrays).  The adjacency-rows constructor
-Graph(n, rows), Graph.from_edges, g6_decode and line_graph only build those
-arrays.  Only an invalid input goes on to the Python scan that names its
-first bad entry.  Vertex subsets are plain frozensets; all cut statistics
-are exact integer counts.
+gets its edges through one path: Graph.from_edge_keys takes the ordered
+edges (u, v) as the intp keys u*n + v, validates them in numpy and keeps
+them as read-only CSR arrays (edge_arrays).  Graph.from_edge_arrays turns
+the edges (src[i], dst[i]) into those keys after a range check, and the
+adjacency-rows constructor Graph(n, rows), Graph.from_edges, g6_decode and
+line_graph only build those arrays; families.construct passes the sorted
+keys of its row blocks directly.  Only an invalid input goes on to the
+Python scan that names its first bad entry.  Vertex subsets are plain
+frozensets; all cut statistics are exact integer counts.
 
 Every stage that allocates an n x n array (adjacency and distance matrices,
 the intersection-array check, the dense eigensystem) refuses graphs with more
@@ -17,10 +19,13 @@ distance matrix and the intersection-array check gather whole rows through an
 n x k neighbour table: they do O(n^2 k) work and no matrix product.  The int8
 distance matrix is the only n x n array they hold: the breadth-first search
 keeps its frontier bit-packed (n x n/8 bytes) and adds each level into the
-distances, and the intersection-array check counts and compares its pairs,
-one block of rows at a time.  A block holds about BLOCK_CELLS cells
-(_block_rows), small enough to stay in cache; families.construct builds its
-adjacency in the same blocks.
+distances, and the intersection-array check gathers, counts and compares its
+pairs one block of rows at a time, in buffers that every neighbour slot and
+every block reuse.  Per slot it makes one gather, one comparison (for c) and
+one running sum of the gathered distances (which gives b modulo 2^bits of
+the count dtype, and so exactly; _pair_counts).  A block holds about
+BLOCK_CELLS cells (_block_rows), small enough to stay in cache;
+families.construct builds its adjacency in the same blocks.
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import (Acyclic, EmptySet, FullSet, GraphError, MalformedGraph6,
-                     NotBipartite, NotDistanceRegular, NotRegular, TooLarge,
-                     Unreachable)
+                     NotBipartite, NotDistanceRegular, NotRegular,
+                     SelfCheckFailed, TooLarge, Unreachable)
 
 # the largest graph any n x n stage (and families.construct) accepts; int16
 # distances (used past diameter 127) also rely on n < 2**15
@@ -54,14 +59,23 @@ class Graph:
             raise GraphError(f"adjacency has {len(rows)} rows for n={n}")
         degs = np.fromiter(map(len, rows), dtype=np.intp, count=n)
         src = np.repeat(np.arange(n), degs)
-        self._set_edges(n, src, _vertex_array(chain.from_iterable(rows)))
+        dst = _vertex_array(chain.from_iterable(rows))
+        self._set_keys(n, _edge_keys(n, src, dst))
 
     @staticmethod
     def from_edge_arrays(n: int, src: np.ndarray, dst: np.ndarray) -> "Graph":
         """The graph with the ordered edges (src[i], dst[i]), every src[i] in
         range(n): for a dense 0/1 adjacency, the two arrays of np.nonzero."""
+        return Graph.from_edge_keys(n, _edge_keys(n, src, dst))
+
+    @staticmethod
+    def from_edge_keys(n: int, keys: np.ndarray) -> "Graph":
+        """The graph with the ordered edges (u, v) given as the keys u*n + v,
+        every key in range(n*n): for a dense 0/1 adjacency, its
+        np.flatnonzero.  Keys that are sorted and distinct are kept as they
+        are; others are sorted and their repeats dropped."""
         g = Graph.__new__(Graph)
-        g._set_edges(n, src, dst)
+        g._set_keys(n, keys)
         return g
 
     @staticmethod
@@ -71,19 +85,24 @@ class Graph:
         return Graph.from_edge_arrays(n, np.concatenate((u, v)),
                                       np.concatenate((v, u)))
 
-    def _set_edges(self, n: int, src: np.ndarray, dst: np.ndarray) -> None:
-        """Validate the ordered edges in numpy and build the graph from them."""
-        if ((dst < 0) | (dst >= n) | (dst == src)).any():
+    def _set_keys(self, n: int, keys: np.ndarray) -> None:
+        """Validate the edge keys in numpy and build the graph from them."""
+        if (keys[1:] <= keys[:-1]).any():   # unsorted, or with repeats
+            keys = np.sort(keys)
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+        # row u holds the keys u*n .. u*n + n - 1
+        first = np.searchsorted(keys, np.arange(n + 1) * n)
+        degs = np.diff(first)
+        src = np.repeat(np.arange(n), degs)
+        dst = src * n
+        np.subtract(keys, dst, out=dst)
+        # the sorted keys are symmetric exactly when the reversed keys v*n + u
+        # sort to the same array; a self-loop u*n + u is its own reverse
+        rev = dst * n
+        rev += src
+        rev.sort()
+        if (src == dst).any() or not np.array_equal(rev, keys):
             _raise_first_bad_entry(n, src, dst)
-        # the forward keys u*n + v, sorted and without repeats, are symmetric
-        # exactly when the reversed keys v*n + u sort to the same array
-        keys = np.sort(src * n + dst)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        src, dst = np.divmod(keys, n)
-        if not np.array_equal(np.sort(dst * n + src), keys):
-            _raise_first_bad_entry(n, src, dst)
-        degs = np.bincount(src, minlength=n)
-        first = np.concatenate(([0], np.cumsum(degs)))
         for a in (src, dst, first):
             a.flags.writeable = False
         # one int object per vertex, shared by every row that lists it
@@ -114,6 +133,14 @@ class EdgeArrays(NamedTuple):
 def edge_arrays(g: Graph) -> EdgeArrays:
     """The ordered edge list as read-only numpy arrays, built by Graph."""
     return g._edges
+
+
+def _edge_keys(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The keys src*n + dst of the ordered edges, every src[i] in range(n),
+    once every dst[i] is in range(n) too."""
+    if dst.size and (dst.min() < 0 or dst.max() >= n):
+        _raise_first_bad_entry(n, src, dst)
+    return src * n + dst
 
 
 def _vertex_array(entries: Iterable) -> np.ndarray:
@@ -317,6 +344,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     frontier = np.zeros((n, -(-n // 8)), dtype=np.uint8)
     frontier[np.arange(n), np.arange(n) // 8] = 0x80 >> (np.arange(n) % 8)
     reached = frontier.copy()
+    near, nxt = np.empty_like(frontier), np.empty_like(frontier)
     dm = np.zeros((n, n), dtype=np.int8)
     step = _block_rows(n)
     for d in count():
@@ -324,15 +352,18 @@ def distance_matrix(g: Graph) -> np.ndarray:
             dm = dm.astype(np.int16)
         unreached = ~reached
         for lo in range(0, n, step):
-            dm[lo:lo + step] += np.unpackbits(unreached[lo:lo + step], axis=1, count=n)
-        nxt = np.zeros_like(frontier)
+            # the bits as int8, so that the add stays in one dtype
+            dm[lo:lo + step] += np.unpackbits(unreached[lo:lo + step], axis=1,
+                                              count=n).view(np.int8)
+        nxt.fill(0)
         for col in table.T:
-            nxt |= frontier[col]
+            frontier.take(col, axis=0, out=near, mode="clip")
+            nxt |= near
         nxt &= unreached
         if not nxt.any():
             break
         reached |= nxt
-        frontier = nxt
+        frontier, nxt = nxt, frontier
     if not np.unpackbits(reached[0], count=n).all():
         raise Unreachable("graph is disconnected")
     return dm
@@ -352,16 +383,18 @@ def intersection_array(g: Graph) -> IntersectionArray:
     Every neighbour z of y has d(x,z) in {d-1, d, d+1} with d = d(x,y).  For
     each slot s of the neighbour table N (row y lists y's k neighbours), the
     gathered rows dz = dm[N[:, s]] hold dz[y, x] = d(x, z) for the s-th
-    neighbour z of y, so summing dz < dm and dz > dm over the k slots gives
-    C[y, x] = c(x,y) and B[y, x] = b(x,y) (dm is symmetric).  The value of
-    c_i and b_i is read at the first pair in row-major order at distance i,
-    which is a pair (0, y): c(0, y) and b(0, y) are counted directly from
-    y's neighbours.  C and B are counted one block of rows y at a time,
-    _block_rows(n) rows, and each block is compared with its distances'
-    values while it is still in cache and then dropped.  Only when a block
-    has a mismatch are the full C and B counted, and the checks run by
-    ascending i, c before b, to report the first pair in row-major order
-    that breaks a constant."""
+    neighbour z of y (dm is symmetric).  Counting dz < dm over the k slots
+    gives C[y, x] = c(x,y), and summing dz gives k d + b - c, from which
+    B[y, x] = b(x,y) follows modulo 2^bits of the count dtype, exactly since
+    0 <= b <= k (_pair_counts).  The value of c_i and b_i is read at the
+    first pair in row-major order at distance i, which is a pair (0, y):
+    c(0, y) and b(0, y) are counted directly from y's neighbours.  C and B
+    are counted one block of rows y at a time, _block_rows(n) rows, and each
+    block is compared with its distances' values while it is still in cache.
+    Only when a block has a mismatch are the full C and B counted, and the
+    checks run by ascending i, c before b, to report the first pair in
+    row-major order that breaks a constant; a mismatch that the full counts
+    do not show raises SelfCheckFailed."""
     if g._ia is not None:
         return g._ia
     _check_dense(g, "intersection_array")
@@ -384,16 +417,17 @@ def intersection_array(g: Graph) -> IntersectionArray:
     at_distance, y = np.unique(dm[0], return_index=True)
     first[at_distance] = y
     around, here = dm[0][nbrs[first]], dm[0][first, None]
-    dtype = np.min_scalar_type(k)
+    dtype = _count_dtype(dm, k)
     ref = {"c": (around < here).sum(axis=1).astype(dtype),
            "b": (around > here).sum(axis=1).astype(dtype)}
     step = _block_rows(n)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        c, b = _pair_counts(dm, nbrs, rows)
-        d = dm[rows]
-        if (c != ref["c"][d]).any() or (b != ref["b"][d]).any():
-            _raise_first_failure(dm, nbrs, ref)
+    expect = np.empty((min(step, n), n), dtype)
+    for lo, c, b in _pair_counts(dm, nbrs, step):
+        d, want = dm[lo:lo + len(c)], expect[:len(c)]
+        for label, got in (("c", c), ("b", b)):
+            ref[label].take(d, out=want, mode="clip")
+            if not np.array_equal(got, want):
+                _raise_first_failure(dm, nbrs, ref)
     b = ref["b"][1:diam].tolist()
     c = ref["c"][1:].tolist()
     ia = IntersectionArray((k, *b), tuple(c))
@@ -403,25 +437,55 @@ def intersection_array(g: Graph) -> IntersectionArray:
     return ia
 
 
-def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, rows: slice):
-    """The counts (c, b) of the rows y of dm in rows: c[y - lo, x] = c(x, y)
-    and b[y - lo, x] = b(x, y), summed over the neighbour slots of nbrs."""
-    d = dm[rows]
-    c = np.zeros(d.shape, dtype=np.min_scalar_type(nbrs.shape[1]))
-    b = np.zeros_like(c)
-    for col in nbrs[rows].T:
-        dz = dm[col]
-        c += (dz < d).view(np.uint8)
-        b += (dz > d).view(np.uint8)
-    return c, b
+def _count_dtype(dm: np.ndarray, k: int) -> np.dtype:
+    """The unsigned dtype of the pair counts: it holds k, and it is at least
+    as wide as the distances."""
+    return np.promote_types(np.min_scalar_type(k), f"u{dm.itemsize}")
+
+
+def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, step: int):
+    """Yield (lo, c, b) for each block of step rows y of dm, from row lo on:
+    c[y - lo, x] = c(x, y) and b[y - lo, x] = b(x, y), over the neighbour
+    slots of nbrs.  c and b are buffers that the next block overwrites.
+
+    Each slot's neighbours z are gathered into one buffer, reused for every
+    slot and block, and c counts d(x, z) < d, where d = d(x, y).  b comes
+    from the sum of the gathered distances: d(x, z) is d - 1 at c
+    neighbours, d + 1 at b and d at the other k - b - c, so their sum is
+    k d + b - c.  The sum starts at -k d and wraps modulo 2^bits of the
+    count dtype, so adding c leaves b modulo 2^bits, which is b itself as
+    0 <= b <= k < 2^bits.  The distances are summed through their unsigned
+    view, which reads the same values since none is negative."""
+    n, k = nbrs.shape
+    dtype = _count_dtype(dm, k)
+    unsigned = dm.view(f"u{dm.itemsize}")
+    minus_k = dtype.type(-k % (int(np.iinfo(dtype).max) + 1))
+    shape = (min(step, n), n)
+    near, less = np.empty(shape, dm.dtype), np.empty(shape, bool)
+    counts, sums = np.empty(shape, dtype), np.empty(shape, dtype)
+    for lo in range(0, n, step):
+        rows = min(step, n - lo)
+        d, z, lt = dm[lo:lo + rows], near[:rows], less[:rows]
+        c, s = counts[:rows], sums[:rows]
+        c.fill(0)
+        np.multiply(unsigned[lo:lo + rows], minus_k, out=s)
+        for col in nbrs[lo:lo + rows].T:
+            dm.take(col, axis=0, out=z, mode="clip")
+            np.less(z, d, out=lt)
+            c += lt.view(np.uint8)
+            s += z.view(unsigned.dtype)
+        s += c
+        yield lo, c, s
 
 
 def _raise_first_failure(dm: np.ndarray, nbrs: np.ndarray, ref: dict) -> None:
     """NotDistanceRegular at the first failing (i, label, pair): ascending i,
     c before b, then the first (x, y) in row-major order.  The counts of
-    every pair are taken over all rows at once; counts[label][y, x] is the
-    count of the pair (x, y)."""
-    counts = dict(zip(("c", "b"), _pair_counts(dm, nbrs, slice(None))))
+    every pair are taken in one block of all rows; counts[label][y, x] is
+    the count of the pair (x, y).  A block that failed the check with no
+    failing pair here is a fault of the check: SelfCheckFailed."""
+    _, c, b = next(_pair_counts(dm, nbrs, len(dm)))
+    counts = {"c": c, "b": b}
     for i in range(1, len(ref["c"])):
         for label in ("c", "b"):
             bad = ((dm == i) & (counts[label] != ref[label][i])).T
@@ -429,6 +493,8 @@ def _raise_first_failure(dm: np.ndarray, nbrs: np.ndarray, ref: dict) -> None:
                 x, y = (int(v) for v in np.argwhere(bad)[0])
                 raise NotDistanceRegular(
                     f"{label}_{i} differs at pair ({x},{y})", witness=(x, y, i))
+    raise SelfCheckFailed("intersection_array: a row block failed the check, "
+                          "but no pair breaks a constant")
 
 
 def girth(g: Graph, least: int = 3) -> tuple[int, frozenset]:
@@ -489,8 +555,10 @@ def _shortest_cycle_through(g, root, cap):
 
 
 def cut_stats(g: Graph, S) -> CutStats:
-    """Exact counts from the adjacency lists: the ordered edges leaving
-    vertices of S, split by whether they end inside S."""
+    """Exact counts from the edge arrays: a boolean mask of the ordered
+    edges leaving vertices of S counts vol(S), and the same mask narrowed to
+    the edges that also end in S counts the inside; the boundary is the
+    rest."""
     S = frozenset(S)
     if not S:
         raise EmptySet("S is empty")
@@ -498,11 +566,16 @@ def cut_stats(g: Graph, S) -> CutStats:
         raise FullSet("S is the whole vertex set")
     if min(S) < 0 or max(S) >= g.n:
         raise IndexError(f"S has a vertex outside range({g.n})")
-    src, dst, _ = edge_arrays(g)
+    _, dst, first = edge_arrays(g)
     inS = np.zeros(g.n, dtype=bool)
-    inS[list(S)] = True
-    boundary, inside = np.bincount(inS[dst[inS[src]]], minlength=2).tolist()
-    return CutStats(len(S), inside, boundary, inside + boundary)
+    inS[np.fromiter(S, np.intp, len(S))] = True
+    # each vertex's flag once per arc leaving it, as the arcs are grouped
+    k = g.regular_degree()
+    out = inS.repeat(np.diff(first) if k is None else k)
+    vol = int(np.count_nonzero(out))
+    out &= inS[dst]
+    inside = int(np.count_nonzero(out))
+    return CutStats(len(S), inside, vol - inside, vol)
 
 
 def line_graph(g: Graph) -> Graph:

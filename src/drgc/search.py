@@ -55,10 +55,13 @@ that the seeded plateau pick lands on is listed, and nothing |S| x |S^c| is
 built.
 
 The prefix sweep orders the vertices by decreasing score (a stable argsort,
-so ties go by vertex) and scores every prefix at once: an edge adds +1 to
-the boundary at the position of its earlier endpoint and -1 at its later
-one, so one cumulative sum gives the boundary of each prefix and another
-its volume.  The first least float64 ratio boundary / min(vol, total - vol)
+so ties go by vertex) and scores every prefix at once.  Adding v to a
+prefix cuts its edges to the later(v) neighbours that come after it and
+joins its deg(v) - later(v) edges to earlier ones, so the boundary changes
+by 2 later(v) - deg(v).  later is one boolean pass over the CSR arcs (head
+after tail) and a cumulative sum of it read at each vertex's first arc, so
+one more cumulative sum gives the boundary of each prefix and another its
+volume.  The first least float64 ratio boundary / min(vol, total - vol)
 is exact: every ratio lies in [0, 1] with 0 < denominator <= total, so two
 distinct ratios differ by at least 1/total**2, which is 2**-52 or more when
 total <= 2**26 and so more than the rounding error of either; equal ratios
@@ -404,16 +407,20 @@ def _sweep_order(g: Graph, x) -> frozenset:
     prefix of least ratio in the order of decreasing x, ties by vertex, with
     every prefix scored at once (module docstring)."""
     total = _exact_total(g, "sweep")
-    src, dst, first = edge_arrays(g)
+    _, dst, first = edge_arrays(g)
     order = np.argsort(-np.asarray(x), kind="stable")
-    pos = np.empty(g.n, dtype=np.intp)
+    # int32 holds a position (below n) and an arc count (at most total <=
+    # REFINE_TOTAL_CAP)
+    pos = np.empty(g.n, dtype=np.int32)
     pos[order] = np.arange(g.n)
-    p, q = pos[src], pos[dst]
-    once = p < q
-    # an edge is cut by the prefixes from its first endpoint up to its second
-    delta = np.bincount(p[once], minlength=g.n) - np.bincount(q[once], minlength=g.n)
-    boundary = np.cumsum(delta)[:-1]
-    vol = np.cumsum(np.diff(first)[order])[:-1]
+    degs = np.diff(first)
+    # later[v]: v's neighbours after v in the order, from a running count of
+    # the arcs whose head comes after their tail, read at the CSR row starts
+    arcs = np.zeros(dst.size + 1, dtype=np.int32)
+    np.cumsum(pos[dst] > np.repeat(pos, degs), out=arcs[1:])
+    later = np.diff(arcs[first])
+    boundary = np.cumsum((2 * later - degs)[order])[:-1]
+    vol = np.cumsum(degs[order])[:-1]
     best = np.argmin(boundary / np.minimum(vol, total - vol))
     return frozenset(order[:best + 1].tolist())
 

@@ -1,19 +1,33 @@
 """The earlier edge-loop builds of three catalog graphs, the row-loop
-bipartite double, the bit-loop graph6 decoder and the dense family builds
-(one boolean n x n expression per graph), used by the tests as oracles for
-the catalog's numpy builders, Doob's Shrikhande factor, the catalog's
-double: rule, graph.g6_decode and the row-blocked families.construct and
-families.bipartite_graph."""
+bipartite double, the bit-loop graph6 decoder, the dense family builds
+(one boolean n x n expression per graph) and the bincount prefix sweep,
+used by the tests as oracles for the catalog's numpy builders, Doob's
+Shrikhande factor, the catalog's double: rule, graph.g6_decode, the
+row-blocked families.construct and families.bipartite_graph, and
+search._sweep_order; and the corpus of catalog and grid graphs that the
+oracles are compared on."""
 
+import math
 from itertools import product
 
 import numpy as np
 
 from drgc.algebra import field, matrix_rank, span_rows
+from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import MalformedGraph6
 from drgc.families import (_alt_full, _monomials, _quad_rank, _set_rows,
-                           _shrikhande, _side, _upper_pairs, _vertex_keys)
-from drgc.graph import Graph
+                           _shrikhande, _side, _upper_pairs, _vertex_keys,
+                           construct, default_grid, theory_values)
+from drgc.graph import Graph, edge_arrays
+
+
+def catalog_and_grid(max_n=math.inf):
+    """(name, graph) for every catalog entry with a graph and every grid
+    spec with at most max_n vertices."""
+    return ([(e.name, catalog_load(e.name)[0]) for e in catalog_list()
+             if e.source != "parameters-only" and e.array.v <= max_n] +
+            [(str(spec), construct(spec)) for spec in default_grid()
+             if theory_values(spec).v <= max_n])
 
 
 def shrikhande() -> Graph:
@@ -219,3 +233,23 @@ def dense_construct(spec) -> Graph:
     else:
         raise ValueError(f"no dense build for {fam}")
     return Graph.from_edge_arrays(len(adj), *np.nonzero(adj))
+
+
+# -- prefix sweep ---------------------------------------------------------------
+
+def bincount_sweep_order(g: Graph, x) -> frozenset:
+    """The earlier prefix sweep: each edge adds +1 to the boundary at the
+    position of its earlier endpoint and -1 at its later one, scattered with
+    two bincounts over the edges' positions."""
+    total = 2 * g.num_edges
+    src, dst, first = edge_arrays(g)
+    order = np.argsort(-np.asarray(x), kind="stable")
+    pos = np.empty(g.n, dtype=np.intp)
+    pos[order] = np.arange(g.n)
+    p, q = pos[src], pos[dst]
+    once = p < q
+    delta = np.bincount(p[once], minlength=g.n) - np.bincount(q[once], minlength=g.n)
+    boundary = np.cumsum(delta)[:-1]
+    vol = np.cumsum(np.diff(first)[order])[:-1]
+    best = np.argmin(boundary / np.minimum(vol, total - vol))
+    return frozenset(order[:best + 1].tolist())

@@ -234,13 +234,20 @@ def test_data_corruption_detected(tmp_path, monkeypatch):
     # swap the Foster graph's data for the Coxeter graph's
     (work / "foster.g6").write_text((work / "coxeter.g6").read_text())
     monkeypatch.setenv("DRGC_DATA_DIR", str(work))
-    old_entries, old_graphs = cat._entries, dict(cat._graphs)
-    cat._entries = None
-    cat._graphs.clear()
-    try:
-        with pytest.raises(DataCorrupt):
-            catalog_load("foster")
-    finally:
-        cat._entries = old_entries
-        cat._graphs.clear()
-        cat._graphs.update(old_graphs)
+    with pytest.raises(DataCorrupt):
+        catalog_load("foster")
+
+
+def test_catalog_cache_follows_the_data_dir(tmp_path, monkeypatch):
+    # the Foster graph is loaded and cached from the packaged data first; a
+    # copy of the data whose foster.g6 holds the Coxeter graph is still read
+    # and checked, and the packaged graph is served again afterwards
+    g, _ = catalog_load("foster")
+    work = tmp_path / "catalog"
+    shutil.copytree(cat.data_dir(), work)
+    (work / "foster.g6").write_text((work / "coxeter.g6").read_text())
+    monkeypatch.setenv("DRGC_DATA_DIR", str(work))
+    with pytest.raises(DataCorrupt, match="foster"):
+        catalog_load("foster")
+    monkeypatch.undo()
+    assert catalog_load("foster")[0] is g

@@ -6,11 +6,12 @@ import pytest
 
 import drgc.graph
 from drgc.algebra import enumerate_subspaces, field, isotropic_subspaces, matrix_rank
-from drgc.errors import NoDescendant, ParamDomain, TooLarge
+from drgc.errors import GraphError, NoDescendant, ParamDomain, TooLarge
 from drgc.families import (FAMILIES, NO_DESCENDANT, FamilySpec, _alt_full,
-                           _even_strings, _hamming_keys, _quad_rank,
-                           _upper_pairs, construct, default_grid, descendant,
-                           half_dual_polar_descendant_check, theory_values)
+                           _even_strings, _graph_from_rows, _hamming_keys,
+                           _quad_rank, _upper_pairs, construct, default_grid,
+                           descendant, half_dual_polar_descendant_check,
+                           theory_values)
 from drgc.graph import (Graph, _block_rows, cut_stats, edge_arrays,
                         intersection_array)
 from drgc.spectral import dense_spectrum, distinct_values, drg_spectrum
@@ -156,6 +157,27 @@ def test_construct_in_row_blocks_matches_dense_build(spec, monkeypatch):
     assert -(-g.n // _block_rows(g.n)) >= 2
     for got, want in zip(edge_arrays(g), edge_arrays(dense_construct(spec))):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cells", [2 ** 18, 12], ids=("one-block", "row-blocks"))
+@pytest.mark.parametrize("entry, message", [
+    ((3, 3), "self-loop at 3"), ((2, 5), "asymmetric adjacency 2->5")],
+    ids=("diagonal", "asymmetric"))
+def test_graph_from_rows_names_a_bad_entry_as_from_edge_arrays(entry, message,
+                                                               cells, monkeypatch):
+    """rows() of an 8-cycle with one entry set on the diagonal or above it
+    alone: the keys builder raises the GraphError that Graph.from_edge_arrays
+    raises on the same matrix, in one block or in several."""
+    monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", cells)
+    A = np.zeros((8, 8), dtype=bool)
+    A[np.arange(8), (np.arange(8) + 1) % 8] = True
+    A |= A.T
+    A[entry] = True
+    with pytest.raises(GraphError) as want:
+        Graph.from_edge_arrays(8, *np.nonzero(A))
+    with pytest.raises(GraphError) as got:
+        _graph_from_rows(8, lambda lo, hi: A[lo:hi])
+    assert str(got.value) == str(want.value) == message
 
 
 # -- reference descendants: the earlier per-family key enumeration, kept as an

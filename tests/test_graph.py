@@ -1,4 +1,3 @@
-import math
 import random
 import tracemalloc
 from itertools import chain, combinations
@@ -9,27 +8,18 @@ import pytest
 import drgc.catalog
 import drgc.families
 import drgc.graph
-from drgc.catalog import catalog_list, catalog_load
+from drgc.catalog import catalog_load
 from drgc.errors import (Acyclic, EmptySet, FullSet, GraphError,
                          MalformedGraph6, NotBipartite, NotDistanceRegular,
-                         NotRegular, TooLarge, Unreachable)
-from drgc.families import (FamilySpec, bipartite_graph, construct, default_grid,
-                           theory_values)
+                         NotRegular, SelfCheckFailed, TooLarge, Unreachable)
+from drgc.families import FamilySpec, bipartite_graph, construct
 from drgc.graph import (Graph, IntersectionArray, _block_rows, adjacency_matrix,
                         bfs_distances, cut_stats, distance_matrix, edge_arrays,
                         eigensystem, g6_decode, g6_encode, girth,
                         intersection_array, line_graph, two_coloring)
 from drgc.report import _resolve, default_targets, verify_one
 import reference_graphs
-
-
-def catalog_and_grid(max_n=math.inf):
-    """(name, graph) for every catalog entry with a graph and every grid
-    spec with at most max_n vertices."""
-    return ([(e.name, catalog_load(e.name)[0]) for e in catalog_list()
-             if e.source != "parameters-only" and e.array.v <= max_n] +
-            [(str(spec), construct(spec)) for spec in default_grid()
-             if theory_values(spec).v <= max_n])
+from reference_graphs import catalog_and_grid
 
 
 def cycle(n):
@@ -88,6 +78,26 @@ def reference_or_failure(n, rows):
         return reference_graph(n, rows)
     except GraphError as err:
         return type(err), str(err)
+
+
+def complete_bipartite(r):
+    """K_{r,r}: distance-regular with k = r."""
+    return Graph.from_edges(2 * r, [(i, r + j) for i in range(r) for j in range(r)])
+
+
+def complete_prism(r):
+    """K_r x K_2, vertex i + r s for i < r and s < 2: r-regular and not
+    distance-regular for r > 2, since an edge of a K_r copy has r - 2 common
+    neighbours and a rung has none."""
+    edges = [(i + r * s, j + r * s) for s in range(2) for i, j in combinations(range(r), 2)]
+    return Graph.from_edges(2 * r, edges + [(i, i + r) for i in range(r)])
+
+
+def cycle_prism(r):
+    """C_r x K_2: 3-regular, and not distance-regular for r > 4."""
+    return Graph.from_edges(2 * r, [(i, (i + 1) % r) for i in range(r)] +
+                            [(r + i, r + (i + 1) % r) for i in range(r)] +
+                            [(i, r + i) for i in range(r)])
 
 
 def generalized_petersen(n, k):
@@ -277,6 +287,18 @@ def test_intersection_array_matches_reference_on_catalog_and_grid():
         assert intersection_array(g) == reference_intersection_array(g), name
 
 
+def test_intersection_array_matches_reference_with_wide_counts():
+    # k = 256 and k = 257 take uint16 counts; K_257 x K_2 breaks b_1, with
+    # 255 common neighbours on a K_257 edge and none on a rung
+    for g in (complete_bipartite(256), complete_prism(257)):
+        assert array_or_failure(intersection_array, g) == \
+            array_or_failure(reference_intersection_array, g)
+    assert intersection_array(complete_bipartite(256)) == \
+        IntersectionArray((256, 255), (1, 256))
+    assert array_or_failure(intersection_array, complete_prism(257))[0] is \
+        NotDistanceRegular
+
+
 def test_intersection_array_matches_reference_on_generalized_petersen():
     # k = n / 2 merges the inner edges, so GP(n, n/2) is not even regular
     for n in range(3, 21):
@@ -335,13 +357,59 @@ def test_intersection_array_when_vertex_0_has_short_eccentricity():
 def test_intersection_array_matches_reference_on_large_diameters():
     # cycle(300) has diameter 150, past the int8 distances; the prism over
     # C_300 is 3-regular and not distance-regular
-    prism = Graph.from_edges(600, [(i, (i + 1) % 300) for i in range(300)] +
-                             [(300 + i, 300 + (i + 1) % 300) for i in range(300)] +
-                             [(i, 300 + i) for i in range(300)])
-    for g in (cycle(300), prism):
+    for g in (cycle(300), cycle_prism(300)):
         assert array_or_failure(intersection_array, g) == \
             array_or_failure(reference_intersection_array, g)
     assert intersection_array(cycle(300)).D == 150
+
+
+@pytest.mark.parametrize("step", [None, 7])
+def test_pair_counts_match_reference_past_distance_127(step):
+    """The check's per-pair counts (c, b) on int16 distances, against a
+    recount that compares each neighbour's distance with d - 1 and d + 1:
+    every pair of cycle(300) and of the prism over C_300, of which those at
+    distance 128 or more read past the int8 range.  step None is one block
+    of all rows; 7 is blocks of 7 rows through reused buffers."""
+    for g in (cycle(300), cycle_prism(300)):
+        n, k = g.n, g.regular_degree()
+        dm = distance_matrix(g)
+        assert dm.dtype == np.int16 and dm.max() >= 128
+        nbrs = edge_arrays(g).dst.reshape(n, k)
+        blocks = [(c.copy(), b.copy()) for _, c, b in
+                  drgc.graph._pair_counts(dm, nbrs, step or n)]
+        c, b = (np.concatenate(part) for part in zip(*blocks))
+        # around[x, y, s] is d(x, z) for the s-th neighbour z of y
+        around = dm.astype(np.int64)[:, nbrs]
+        d = dm.astype(np.int64)[:, :, None]
+        want_c = (around == d - 1).sum(axis=2)
+        want_b = (around == d + 1).sum(axis=2)
+        far = dm >= 128
+        assert far.any()
+        assert np.array_equal(c.T[far], want_c[far])
+        assert np.array_equal(b.T[far], want_b[far])
+        assert np.array_equal(c.T, want_c) and np.array_equal(b.T, want_b)
+
+
+def test_check_fault_without_a_failing_pair_raises(monkeypatch):
+    """A row block that the fast check flags, but where the recount of every
+    pair finds no pair that breaks a constant, is a fault of the check: it
+    raises SelfCheckFailed and does not return the array."""
+    real = drgc.graph._pair_counts
+
+    def false_flag(dm, nbrs, step):
+        for lo, c, b in real(dm, nbrs, step):
+            if step < len(dm):   # the fast check, not the recount of all rows
+                c = c.copy()
+                c[0, 0] += 1
+            yield lo, c, b
+
+    monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", 12)
+    monkeypatch.setattr(drgc.graph, "_pair_counts", false_flag)
+    g = generalized_petersen(5, 2)
+    with pytest.raises(SelfCheckFailed, match="no pair breaks a constant"):
+        intersection_array(g)
+    monkeypatch.setattr(drgc.graph, "_pair_counts", real)
+    assert intersection_array(g) == IntersectionArray((3, 2), (1, 1))
 
 
 def test_intersection_array_disconnected_regular_graph():
@@ -383,7 +451,8 @@ def test_blocked_stages_match_reference_in_small_row_blocks(monkeypatch):
     graphs = [generalized_petersen(n, k) for n in range(3, 21)
               for k in range(1, n // 2 + 1)]
     graphs += [triangular_prism, two_triangles, cycle(7), cycle(300),
-               complete(5), line_graph(cycle(9)), switched_hamming_3_10()]
+               complete(5), line_graph(cycle(9)), switched_hamming_3_10(),
+               complete_bipartite(256), complete_prism(257)]
     graphs += [g for _, g in catalog_and_grid(max_n=256)]
     for g in graphs:
         # a copy, without the array a catalog graph cached when it loaded
@@ -721,9 +790,13 @@ def test_two_coloring_matches_breadth_first_reference():
 
 
 def test_cut_stats_matches_adjacency_list_recount():
+    # GP(8,4) and the path are irregular, so their arcs are not k per vertex
     rng = random.Random(3)
-    for name in ("petersen", "coxeter", "tutte-12-cage"):
-        g, _ = catalog_load(name)
+    graphs = [catalog_load(name)[0] for name in ("petersen", "coxeter", "tutte-12-cage")]
+    graphs += [generalized_petersen(8, 4),
+               Graph.from_edges(7, [(i, i + 1) for i in range(6)])]
+    assert graphs[-2].regular_degree() is graphs[-1].regular_degree() is None
+    for g in graphs:
         for _ in range(20):
             S = set(rng.sample(range(g.n), rng.randrange(1, g.n)))
             inside = sum(w in S for u in S for w in g.adj[u])

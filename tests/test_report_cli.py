@@ -73,13 +73,13 @@ def test_verify_one_parameters_only():
 
 def _add_manifest_rows(tmp_path, monkeypatch, rows):
     """Point the catalog at a copy of its data whose manifest ends in rows;
-    the manifest is read afresh, and the old one is restored afterwards."""
+    the catalog reads the copy's manifest, and the packaged one again once
+    the environment is restored."""
     work = tmp_path / "catalog"
     shutil.copytree(catalog.data_dir(), work)
     with open(work / "manifest.tsv", "a", encoding="utf-8") as fh:
         fh.writelines("\t".join(row) + "\n" for row in rows)
     monkeypatch.setenv("DRGC_DATA_DIR", str(work))
-    monkeypatch.setattr(catalog, "_entries", None)
 
 
 @pytest.mark.parametrize("array, theta1, graph", [

@@ -15,6 +15,7 @@ from drgc.graph import (Graph, adjacency_matrix, bfs_distances, cut_stats,
 from drgc.search import (SearchConfig, best_upper_bound, exact_cheeger,
                          local_refine, sweep_cut)
 from drgc.witness import make_certificate
+from reference_graphs import bincount_sweep_order, catalog_and_grid
 
 
 def brute_force_cheeger(g):
@@ -386,6 +387,30 @@ def test_sweep_matches_reference(name):
                np.array([rng.choice((1.0, 0.0, -0.0)) for _ in range(g.n)])]
     for x in vectors:
         assert search._sweep_order(g, x) == reference_sweep_order(g, x)
+
+
+def test_sweep_matches_bincount_reference():
+    """The later-neighbour sweep against its earlier bincount form, on the
+    catalog and grid graphs up to 256 vertices and two irregular graphs
+    (K_5 with a path of 6 vertices hung on it, and a 30-vertex random graph
+    on a Hamiltonian path), each with seeded Gaussian vectors in which
+    runs of entries are forced to tie."""
+    lollipop = Graph.from_edges(11, list(combinations(range(5), 2)) +
+                                [(i, i + 1) for i in range(4, 10)])
+    rng = random.Random(11)
+    sparse = Graph.from_edges(30, [(i, i + 1) for i in range(29)] +
+                              [e for e in combinations(range(30), 2)
+                               if e[1] > e[0] + 1 and rng.random() < 0.15])
+    assert lollipop.regular_degree() is sparse.regular_degree() is None
+    graphs = catalog_and_grid(max_n=256) + [("lollipop", lollipop), ("sparse", sparse)]
+    rs = np.random.RandomState(5)
+    for name, g in graphs:
+        for _ in range(3):
+            x = rs.randn(g.n)
+            x[rs.randint(g.n, size=g.n // 2)] = x[rs.randint(g.n)]
+            assert search._sweep_order(g, x) == bincount_sweep_order(g, x), name
+        tied = rs.randint(3, size=g.n).astype(float)
+        assert search._sweep_order(g, tied) == bincount_sweep_order(g, tied), name
 
 
 def test_sweep_refuses_inexact_sizes(monkeypatch):
