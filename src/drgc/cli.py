@@ -20,24 +20,29 @@ import os
 import sys
 
 from .catalog import catalog_list
-from .errors import DrgcError
+from .errors import DrgcError, RangeError
 from .report import SCHEMA, _resolve, emit, verify_all, verify_one
-from .search import EXACT_CAP_HARD, SearchConfig
+from .search import EXACT_CAP_HARD, SEED_MAX, SearchConfig
 from .spectral import drg_spectrum
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(s) for s in text.split(","))
+        seeds = tuple(int(s) for s in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
+    try:
+        return SearchConfig(seeds=seeds).seeds
+    except RangeError as exc:   # a seed outside the Mersenne Twister's range
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(p):
     d = SearchConfig()
     p.add_argument("--seeds", type=_seed_list, default=d.seeds,
-                   help="comma-separated RNG seeds (default %(default)s)")
+                   help=f"comma-separated RNG seeds, each 0..{SEED_MAX} "
+                        "(default %(default)s)")
     p.add_argument("--exact-cap", type=int, default=d.exact_cap,
                    help="max n for exact enumeration (default %(default)s, "
                         f"hard cap {EXACT_CAP_HARD})")

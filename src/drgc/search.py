@@ -84,6 +84,16 @@ the dense path's combination.  The products A_i R come from
 A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}: D sums over the
 neighbour slots, with no n x n array and no LAPACK call.
 
+Seed s's Gaussians are the first ones of np.random.RandomState(s)'s legacy
+stream, which NumPy keeps frozen (NEP 19), drawn without numpy.random: a
+Mersenne Twister seeded by init_genrand, uniforms ((a >> 5) 2**26 + (b >> 6))
+/ 2**53 from two 32-bit words (random.Random.random computes NumPy's
+legacy_double), and normals by the polar method, f x2 then f x1 for each
+accepted pair 0 < r2 < 1, with f = sqrt(-2 log(r2) / r2) and the log from
+libm (math.log, as in NumPy's C code).  RandomState(s).randn(m) is the first
+m normals of that stream, so the stream and the normals drawn so far are
+kept per seed (for the last 128 seeds), and each target slices a prefix.
+
 best_upper_bound returns the first certificate under cert_key (ratio, then
 method, then sorted vertex tuple).  The report shares that order: above
 exact_cap it skips the search when the least witness has ratio lambda_1/2,
@@ -93,17 +103,20 @@ the Cheeger floor no cut goes below, and a method that sorts before
 
 from __future__ import annotations
 
+import math
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
 from . import spectral
-from .errors import (EmptySet, FullSet, NotRegular, SelfCheckFailed,
-                     TooLarge)
+from .errors import (EmptySet, FullSet, NotRegular, RangeError,
+                     SelfCheckFailed, TooLarge)
 from .graph import (Graph, adjacency_matrix, edge_arrays, eigensystem,
                     intersection_array)
 from .witness import CutCertificate, make_certificate
@@ -113,6 +126,7 @@ EXACT_BLOCK = 2 ** 14      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
 SWAP_CAP = 40_000          # most |S| |S^c| at which refinement tries swaps
 REFINE_BUDGET = 100_000    # most moves of one refinement walk, read per call
+SEED_MAX = 2 ** 32 - 1     # the largest seed of a Mersenne Twister stream
 
 
 @dataclass(frozen=True)
@@ -123,6 +137,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.exact_cap > EXACT_CAP_HARD:
             raise TooLarge(f"exact_cap {self.exact_cap} exceeds {EXACT_CAP_HARD}")
+        for s in self.seeds:
+            if not 0 <= s <= SEED_MAX:
+                raise RangeError(f"seed {s} outside 0..{SEED_MAX}")
 
 
 def _gray_tables(A, idx):
@@ -425,27 +442,56 @@ def _sweep_order(g: Graph, x) -> frozenset:
     return frozenset(order[:best + 1].tolist())
 
 
+class _NormalStream:
+    """The normals of RandomState(seed)'s legacy stream drawn so far, and a
+    Mersenne Twister in the state that draws the next ones (module
+    docstring).  RandomState seeds by init_genrand; random.Random.seed would
+    use init_by_array, another state."""
+
+    def __init__(self, seed: int):
+        mt = [operator.index(seed)]     # a NumPy integer would wrap
+        for i in range(1, 624):
+            mt.append((1812433253 * (mt[-1] ^ mt[-1] >> 30) + i) & 0xFFFFFFFF)
+        self.rng = random.Random()
+        self.rng.setstate((3, (*mt, 624), None))
+        self.drawn = np.empty(0)
+
+    def first(self, m: int) -> np.ndarray:
+        """np.random.RandomState(seed).randn(m), bit for bit, drawing only
+        the normals that the stream lacks."""
+        uniform, log, sqrt = self.rng.random, math.log, math.sqrt
+        new = []
+        while self.drawn.size + len(new) < m:
+            x1 = 2.0 * uniform() - 1.0
+            x2 = 2.0 * uniform() - 1.0
+            r2 = x1 * x1 + x2 * x2
+            if 0.0 < r2 < 1.0:
+                f = sqrt(-2.0 * log(r2) / r2)
+                new += (f * x2, f * x1)
+        if new:
+            self.drawn = np.concatenate((self.drawn, new))
+        return self.drawn[:m].copy()
+
+
+_normal_stream = lru_cache(maxsize=128)(_NormalStream)
+
+
 def _eigenspace_starts(g: Graph, seeds) -> list[frozenset]:
     """Sweep starts from seeded random vectors inside the second eigenvalue's
     eigenspace (high multiplicity in distance-regular graphs): combinations
     of the dense eigenbasis up to spectral.EIGENVECTOR_CAP vertices, and
     above it E R, whose column per seed is a Gaussian projected onto the
-    eigenspace.  One generator is reseeded per seed, which draws what a
-    fresh RandomState(seed) would."""
-    rs = np.random.RandomState()
+    eigenspace.  Seed s's Gaussians are the first ones of
+    RandomState(s)'s legacy stream, which _normal_stream keeps per seed."""
     if g.n <= spectral.EIGENVECTOR_CAP:
         vals, vecs = eigensystem(g)
-        theta1 = vals[-2]
-        basis = vecs[:, np.abs(vals - theta1) < 1e-8]
-        xs = []
-        for seed in seeds:
-            rs.seed(seed)
-            xs.append(basis @ rs.randn(basis.shape[1]))
+        basis = vecs[:, np.abs(vals - vals[-2]) < 1e-8]
+        xs = [basis @ _normal_stream(seed).first(basis.shape[1])
+              for seed in seeds]
     else:
         R = np.empty((g.n, len(seeds)))
         for j, seed in enumerate(seeds):
-            rs.seed(seed)
-            R[:, j] = rs.randn(g.n)
+            R[:, j] = _normal_stream(seed).first(g.n)
         xs = _theta1_vectors(g, R).T
     return [_sweep_order(g, x) for x in xs]
 
@@ -467,9 +513,9 @@ def _iterated_refine(g: Graph, start, seed: int, rounds: int,
             stale += 1
             if stale >= 2:
                 break
-        base = set(best.S)
-        members = sorted(base)
-        others = sorted(v for v in range(g.n) if v not in base)
+        members = best.S            # sorted
+        base = set(members)
+        others = [v for v in range(g.n) if v not in base]
         for _ in range(4):
             u = members[rng.randrange(len(members))]
             w = others[rng.randrange(len(others))]

@@ -211,6 +211,14 @@ def test_cli_usage_errors_exit_1(capsys):
     assert "--exact-cap" in out and "--refine-budget" not in out
 
 
+@pytest.mark.parametrize("seed", ("-1", "4294967296"))
+def test_cli_seed_out_of_range_is_a_usage_error(seed, capsys):
+    assert main(["verify", "coxeter", "--seeds", f"0,{seed}"]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --seeds: seed {seed} outside 0..4294967295\n" in err
+    assert "Traceback" not in err
+
+
 def test_cli_defaults_are_search_config():
     for command in (["verify", "petersen"], ["verify-all"]):
         assert _config(_parser().parse_args(command)) == SearchConfig()

@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +12,7 @@ import pytest
 
 from drgc import search, spectral
 from drgc.catalog import catalog_list, catalog_load
-from drgc.errors import EmptySet, FullSet, NotRegular, TooLarge
+from drgc.errors import EmptySet, FullSet, NotRegular, RangeError, TooLarge
 from drgc.families import FamilySpec, construct, default_grid, theory_values
 from drgc.graph import (Graph, adjacency_matrix, bfs_distances, cut_stats,
                         eigensystem, intersection_array)
@@ -65,6 +69,13 @@ def test_exact_cap():
         exact_cheeger(g, exact_cap=24)
     with pytest.raises(TooLarge):
         SearchConfig(exact_cap=31)
+
+
+def test_seeds_outside_the_mersenne_twister_range():
+    for seed in (-1, 2 ** 32):
+        with pytest.raises(RangeError, match=f"seed {seed} outside 0..4294967295"):
+            SearchConfig(seeds=(0, seed))
+    assert SearchConfig(seeds=(0, 2 ** 32 - 1)).seeds == (0, 2 ** 32 - 1)
 
 
 def test_exact_reaches_past_default_cap():
@@ -580,3 +591,43 @@ def test_eigenspace_starts_match_fresh_generators(monkeypatch):
     g = construct(FamilySpec("johnson", (7, 3)))
     assert g.n == 35
     assert search._eigenspace_starts(g, seeds) == fresh_starts(g)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 9, 12345, 2 ** 31 - 1, 2 ** 32 - 1))
+def test_gaussians_match_randomstate_bit_for_bit(seed):
+    """Seed's cached stream returns RandomState(seed).randn(m) exactly,
+    whether the lengths grow (the cache draws more) or shrink (it slices a
+    prefix).  An odd m leaves the partner of its last normal in the cache,
+    where the next longer request must find it."""
+    lengths = (0, 1, 2, 7, 35, 1716, 2049)
+    for order in (lengths, lengths[::-1]):
+        search._normal_stream.cache_clear()
+        for m in order:
+            want = np.random.RandomState(seed).randn(m)
+            got = search._normal_stream(seed).first(m)
+            assert got.shape == (m,) and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            got[:] = 0              # a copy: the cached normals stay
+    assert np.array_equal(search._normal_stream(seed).first(7),
+                          np.random.RandomState(seed).randn(7))
+
+
+def test_search_does_not_import_numpy_random():
+    """verify_one draws its seeded Gaussians on both sources of
+    theta_1-vectors, biggs-smith (dense eigenbasis) and hamming:3,7
+    (343 vertices, E R), without importing numpy.random, and the second
+    target reuses the first one's streams."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    code = ("import sys\n"
+            "from drgc import search\n"
+            "from drgc.report import verify_one\n"
+            "for target in ('biggs-smith', 'hamming:3,7'):\n"
+            "    verify_one(target)\n"
+            "info = search._normal_stream.cache_info()\n"
+            "print(info.misses, info.hits, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["8", "8", "False"]   # one stream per seed
