@@ -6,45 +6,27 @@ manifest's intersection array and second eigenvalue, so embedded data can
 never silently drift.  One entry (gh33-incidence) is parameters-only and has
 no graph: its manifest theta_1 is checked against its array, and the report
 gives it the same array-level bounds as a graph with that array.
+
+The manifest itself (CatalogEntry, catalog_list, catalog_entry, data_dir)
+is read by drgc.params, which needs no numpy, and is re-exported here; this
+module builds the graphs and checks them against their entries.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .algebra import enumerate_subspaces, field, field_tables, isotropic_subspaces
 from .errors import DataCorrupt, UnknownName
-from .exact import SqrtVal
 from .families import FamilySpec, bipartite_graph, construct, incidence_block
-from .graph import (Graph, IntersectionArray, adjacency_matrix, g6_decode,
-                    intersection_array, line_graph)
+from .graph import (Graph, adjacency_matrix, g6_decode, intersection_array,
+                    line_graph)
+# catalog_list is re-exported: the manifest half of the catalog is params'
+from .params import (CatalogEntry, IntersectionArray, catalog_entry,  # noqa: F401
+                     catalog_list, data_dir)
 from .spectral import drg_spectrum, exact_theta1
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    source: str                       # constructed | embedded | parameters-only
-    array: IntersectionArray
-    theta1: SqrtVal
-    status: str                       # OK | OPEN
-    graphref: str
-
-    @property
-    def family(self) -> FamilySpec | None:
-        if self.graphref.startswith("family:"):
-            return FamilySpec.parse(self.graphref[len("family:"):])
-        return None
-
-    @property
-    def lambda1(self) -> SqrtVal:
-        k = self.array.k
-        return (SqrtVal(k) - self.theta1) / k
 
 
 def _family(spec: str):
@@ -92,48 +74,9 @@ _BUILDERS = {
     "k55-minus-matching": lambda: bipartite_graph(~np.eye(5, dtype=bool)),
 }
 
-# both caches are keyed by the data directory, so that a change of
-# DRGC_DATA_DIR reads and checks the files found there
-_manifests: dict[pathlib.Path, dict[str, CatalogEntry]] = {}
+# keyed by the data directory, as params' manifest cache is, so that a change
+# of DRGC_DATA_DIR reads and checks the files found there
 _graphs: dict[tuple[pathlib.Path, str], Graph] = {}
-
-
-_PACKAGED = pathlib.Path(__file__).parent / "data" / "catalog"
-
-
-def data_dir() -> pathlib.Path:
-    override = os.environ.get("DRGC_DATA_DIR")
-    return pathlib.Path(override) if override else _PACKAGED
-
-
-def _parse_theta1(text: str) -> SqrtVal:
-    u, w, s = text.split("|")
-    return SqrtVal(Fraction(u), Fraction(w), int(s))
-
-
-def _load_manifest() -> dict[str, CatalogEntry]:
-    root = data_dir()
-    if root in _manifests:
-        return _manifests[root]
-    path = root / "manifest.tsv"
-    entries: dict[str, CatalogEntry] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 6:
-            raise DataCorrupt(f"manifest line has {len(fields)} fields: {line!r}")
-        name, source, array, theta1, status, graphref = fields
-        entries[name] = CatalogEntry(name, source, IntersectionArray.parse(array),
-                                     _parse_theta1(theta1), status, graphref)
-    _manifests[root] = entries
-    return entries
-
-
-def catalog_list() -> list[CatalogEntry]:
-    """All entries in manifest order (including the parameters-only one)."""
-    return list(_load_manifest().values())
 
 
 def _build(entry: CatalogEntry) -> Graph:
@@ -181,10 +124,3 @@ def checked_array(name: str) -> IntersectionArray:
     if exact is not None and exact != entry.theta1:
         raise DataCorrupt(f"{name}: exact theta1 {exact} != {entry.theta1}")
     return entry.array
-
-
-def catalog_entry(name: str) -> CatalogEntry:
-    entries = _load_manifest()
-    if name not in entries:
-        raise UnknownName(f"no catalog entry {name!r}")
-    return entries[name]

@@ -19,11 +19,8 @@ import argparse
 import os
 import sys
 
-from .catalog import catalog_list
 from .errors import DrgcError, RangeError
-from .report import SCHEMA, _resolve, emit, verify_all, verify_one
-from .search import EXACT_CAP_HARD, SEED_MAX, SearchConfig
-from .spectral import drg_spectrum
+from .params import EXACT_CAP_HARD, SEED_MAX, SearchConfig, catalog_list
 
 
 def _seed_list(text: str) -> tuple[int, ...]:
@@ -104,13 +101,17 @@ def _main(argv) -> int:
                 print(f"{e.name:22s} {e.source:16s} {str(e.array):42s} "
                       f"status={e.status}")
             return 0
+        # report and spectral load numpy: only the commands below import them
         if args.command == "spectrum":
+            from .report import _resolve
+            from .spectral import drg_spectrum
             ia = _resolve(args.target)[3]
             sp = drg_spectrum(ia)
             print(f"array: {ia}")
             print("thetas:", " ".join(f"{t:.12g}" for t in sp.thetas))
             print("lambdas:", " ".join(f"{t:.12g}" for t in sp.lambdas))
             return 0
+        from .report import SCHEMA, emit, verify_all, verify_one
         if args.command == "verify":
             record = verify_one(args.target, _config(args))
             report = {"schema": SCHEMA, "records": [record]}

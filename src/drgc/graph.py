@@ -31,7 +31,6 @@ families.construct builds its adjacency in the same blocks.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain, count
 from typing import Iterable, NamedTuple
 
@@ -40,6 +39,7 @@ import numpy as np
 from .errors import (Acyclic, EmptySet, FullSet, GraphError, MalformedGraph6,
                      NotBipartite, NotDistanceRegular, NotRegular,
                      SelfCheckFailed, TooLarge, Unreachable)
+from .params import IntersectionArray
 
 # the largest graph any n x n stage (and families.construct) accepts; int16
 # distances (used past diameter 127) also rely on n < 2**15
@@ -182,97 +182,6 @@ class CutStats(NamedTuple):
     inside: int     # E[S,S], ordered pairs (twice the edge count)
     boundary: int   # E[S,S^c]
     vol: int        # vol(S) = inside + boundary
-
-
-@dataclass(frozen=True)
-class IntersectionArray:
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-
-    def __post_init__(self):
-        b, c = self.b, self.c
-        D = len(b)
-        if len(c) != D or D < 1:
-            raise NotDistanceRegular(f"array length mismatch: {b} {c}")
-        k = b[0]
-        if c[0] != 1:
-            raise NotDistanceRegular(f"c_1 = {c[0]} != 1")
-        for i in range(1, D):
-            if b[i] > b[i - 1] or (i == 1 and b[1] >= b[0]):
-                raise NotDistanceRegular(f"b not decreasing: {b}")
-            if c[i] < c[i - 1]:
-                raise NotDistanceRegular(f"c not increasing: {c}")
-        if b[-1] < 1:
-            raise NotDistanceRegular(f"b_{D-1} = {b[-1]} < 1")
-        for i in range(D):
-            for j in range(1, D + 1):
-                if i + j <= D and b[i] < c[j - 1]:
-                    raise NotDistanceRegular(f"b_{i} < c_{j} with i+j <= D")
-        for i in range(D + 1):
-            if self.a(i) < 0:
-                raise NotDistanceRegular(f"a_{i} = {self.a(i)} < 0")
-        ks = [1]
-        for i in range(D):
-            num = ks[i] * b[i]
-            if num % c[i] != 0:
-                raise NotDistanceRegular(f"sphere size k_{i+1} not integral")
-            ks.append(num // c[i])
-
-    @property
-    def D(self) -> int:
-        return len(self.b)
-
-    @property
-    def k(self) -> int:
-        return self.b[0]
-
-    def bi(self, i: int) -> int:
-        return self.b[i] if i < self.D else 0
-
-    def ci(self, i: int) -> int:
-        return 0 if i == 0 else self.c[i - 1]
-
-    def a(self, i: int) -> int:
-        return self.k - self.bi(i) - self.ci(i)
-
-    def sphere_sizes(self) -> tuple[int, ...]:
-        ks = [1]
-        for i in range(self.D):
-            ks.append(ks[i] * self.b[i] // self.c[i])
-        return tuple(ks)
-
-    @property
-    def v(self) -> int:
-        return sum(self.sphere_sizes())
-
-    def is_bipartite(self) -> bool:
-        return all(self.a(i) == 0 for i in range(self.D + 1))
-
-    def girth(self) -> int:
-        """The girth: the least of 2i + 1 over a_i > 0 (an edge inside a
-        sphere of radius i) and 2i over c_i > 1 (two geodesics to one vertex
-        at distance i); every vertex lies on such a cycle."""
-        for i in range(1, self.D + 1):
-            if self.ci(i) > 1:
-                return 2 * i
-            if self.a(i) > 0:
-                return 2 * i + 1
-        raise Acyclic(f"{self} has no cycle")
-
-    def is_antipodal(self) -> bool:
-        # distance-D fibres: b_i = c_{D-i} for all i except possibly i = floor(D/2)
-        return all(self.bi(i) == self.ci(self.D - i)
-                   for i in range(self.D) if i != self.D // 2)
-
-    def __str__(self):
-        return "{%s;%s}" % (",".join(map(str, self.b)), ",".join(map(str, self.c)))
-
-    @staticmethod
-    def parse(text: str) -> "IntersectionArray":
-        text = text.strip().strip("{}")
-        bs, cs = text.split(";")
-        return IntersectionArray(tuple(int(x) for x in bs.split(",")),
-                                 tuple(int(x) for x in cs.split(",")))
 
 
 def bfs_distances(g: Graph, v: int) -> list[int]:

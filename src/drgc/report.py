@@ -16,9 +16,13 @@ import json
 from dataclasses import replace
 from fractions import Fraction
 
-from . import __version__, search
+from . import __version__
+# catalog before search: without a bytecode cache each import compiles its
+# module, and compiling families.py (the largest, reached through catalog)
+# before search and witness are loaded keeps the peak RSS about 0.5 MiB lower
 from .catalog import catalog_entry, catalog_list, catalog_load, checked_array
-from .errors import DrgcError, UnknownName
+from . import search
+from .errors import DrgcError, MalformedGraph6, UnknownName
 from .exact import SqrtVal
 from .families import (NO_DESCENDANT, FamilySpec, construct, default_grid,
                        descendant, theory_values)
@@ -99,7 +103,14 @@ def _resolve(target: str):
         spec = FamilySpec.parse(target)
         graph_id, g = str(spec), construct(spec)
     else:
-        graph_id, g, spec = f"g6:{target[:24]}", g6_decode(target), None
+        try:
+            g = g6_decode(target)
+        except MalformedGraph6 as exc:   # most often a mistyped catalog name
+            raise MalformedGraph6(
+                f"{target!r} is not a catalog name (see drgc list), a "
+                "family spec such as johnson:6,3, or a graph6 string "
+                f"({exc})") from exc
+        graph_id, spec = f"g6:{target[:24]}", None
     return graph_id, g, spec, intersection_array(g)
 
 

@@ -107,7 +107,6 @@ import math
 import operator
 import random
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -115,31 +114,17 @@ from itertools import accumulate
 import numpy as np
 
 from . import spectral
-from .errors import (EmptySet, FullSet, NotRegular, RangeError,
-                     SelfCheckFailed, TooLarge)
+from .errors import EmptySet, FullSet, NotRegular, SelfCheckFailed, TooLarge
 from .graph import (Graph, adjacency_matrix, edge_arrays, eigensystem,
                     intersection_array)
+# re-exported: SearchConfig and the limits it checks are defined in params
+from .params import EXACT_CAP_HARD, SEED_MAX, SearchConfig  # noqa: F401
 from .witness import CutCertificate, make_certificate
 
-EXACT_CAP_HARD = 30
 EXACT_BLOCK = 2 ** 14      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
 SWAP_CAP = 40_000          # most |S| |S^c| at which refinement tries swaps
 REFINE_BUDGET = 100_000    # most moves of one refinement walk, read per call
-SEED_MAX = 2 ** 32 - 1     # the largest seed of a Mersenne Twister stream
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    exact_cap: int = 24
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7)
-
-    def __post_init__(self):
-        if self.exact_cap > EXACT_CAP_HARD:
-            raise TooLarge(f"exact_cap {self.exact_cap} exceeds {EXACT_CAP_HARD}")
-        for s in self.seeds:
-            if not 0 <= s <= SEED_MAX:
-                raise RangeError(f"seed {s} outside 0..{SEED_MAX}")
 
 
 def _gray_tables(A, idx):

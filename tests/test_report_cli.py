@@ -16,7 +16,7 @@ import pytest
 from drgc import catalog, search, spectral
 from drgc.catalog import catalog_list
 from drgc.cli import _config, _parser, main
-from drgc.errors import DataCorrupt, SearchFailed
+from drgc.errors import DataCorrupt, MalformedGraph6, SearchFailed
 from drgc.families import default_grid, theory_values
 from drgc.graph import bfs_distances, cut_stats
 from drgc.report import (_resolve, default_targets, emit, gather_bounds,
@@ -198,6 +198,19 @@ def test_cli_bad_target(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_mistyped_catalog_name_names_the_target_forms(capsys):
+    """A target that is no catalog name and has no ':' is decoded as graph6;
+    when that fails the error names all three accepted forms."""
+    for command in ("verify", "spectrum"):
+        assert main([command, "petersn"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: 'petersn' is not a catalog name (see drgc list), "
+                       "a family spec such as johnson:6,3, or a graph6 string "
+                       "(expected 196 body chars, got 6)\n")
+    with pytest.raises(MalformedGraph6):
+        _resolve("petersn")
+
+
 def test_cli_usage_errors_exit_1(capsys):
     # argparse's own status 2 would read as "violation found"
     assert main(["verify", "--format", "xml", "petersen"]) == 1
@@ -241,19 +254,18 @@ def test_non_integer_family_parameter_is_an_error_record(capsys):
 def test_verify_all_bad_target_becomes_error_record(monkeypatch, tmp_path, capsys):
     # "C~~" is graph6 for n = 4 with one body character too many
     targets = ["cube", "C~~", "petersen"]
+    error = ("MalformedGraph6: 'C~~' is not a catalog name (see drgc list), a "
+             "family spec such as johnson:6,3, or a graph6 string (expected 1 "
+             "body chars, got 2)")
     report = verify_all(FAST, targets=targets)
     assert [r["id"] for r in report["records"]] == targets
-    assert report["records"][1] == {
-        "id": "C~~", "status": "ERROR",
-        "error": "MalformedGraph6: expected 1 body chars, got 2"}
+    assert report["records"][1] == {"id": "C~~", "status": "ERROR", "error": error}
     assert report["records"][0] == verify_one("cube", FAST)
     assert report["records"][2] == verify_one("petersen", FAST)
     assert report["counts"] == {"OK": 2, "OPEN": 0, "VIOLATION": 0, "ERROR": 1}
     assert "ERROR" not in verify_all(FAST, targets=["cube"])["counts"]
     rows = list(csv.reader(emit(report, "csv").decode().splitlines()[1:]))
-    assert ["C~~", "", "", "", "error",
-            "MalformedGraph6: expected 1 body chars, got 2"] + [""] * 7 + \
-        ["ERROR"] in rows
+    assert ["C~~", "", "", "", "error", error] + [""] * 7 + ["ERROR"] in rows
     assert all(len(row) == len(rows[0]) for row in rows)
     # the command verifies every target and then exits 1
     monkeypatch.setattr("drgc.report.default_targets", lambda: targets)
