@@ -19,11 +19,13 @@ distance matrix and the intersection-array check gather whole rows through an
 n x k neighbour table: they do O(n^2 k) work and no matrix product.  The int8
 distance matrix is the only n x n array they hold: the breadth-first search
 keeps its frontier bit-packed (n x n/8 bytes) and adds each level into the
-distances, and the intersection-array check gathers, counts and compares its
-pairs one block of rows at a time, in buffers that every neighbour slot and
-every block reuse.  Per slot it makes one gather, one comparison (for c) and
-one running sum of the gathered distances (which gives b modulo 2^bits of
-the count dtype, and so exactly; _pair_counts).  A block holds about
+distances, and the intersection-array check, and the recount that names its
+first failing pair, gather and count their pairs one block of rows at a
+time, in buffers that every neighbour slot and every block reuse.  Per slot
+the check makes one gather, one comparison (for c) and one running sum of
+the gathered distances (for b), into counts that start at minus the values
+each pair's distance should have, so that a block passes when both end at
+zero, with no per-cell table lookup (_pair_counts).  A block holds about
 BLOCK_CELLS cells (_block_rows), small enough to stay in cache;
 families.construct builds its adjacency in the same blocks.
 """
@@ -31,7 +33,7 @@ families.construct builds its adjacency in the same blocks.
 from __future__ import annotations
 
 import operator
-from itertools import chain, count
+from itertools import chain, count, product
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -289,21 +291,19 @@ def intersection_array(g: Graph) -> IntersectionArray:
     over all ordered vertex pairs; this load-time check is what lets embedded
     catalog data be trusted.
 
-    Every neighbour z of y has d(x,z) in {d-1, d, d+1} with d = d(x,y).  For
-    each slot s of the neighbour table N (row y lists y's k neighbours), the
-    gathered rows dz = dm[N[:, s]] hold dz[y, x] = d(x, z) for the s-th
-    neighbour z of y (dm is symmetric).  Counting dz < dm over the k slots
-    gives C[y, x] = c(x,y), and summing dz gives k d + b - c, from which
-    B[y, x] = b(x,y) follows modulo 2^bits of the count dtype, exactly since
-    0 <= b <= k (_pair_counts).  The value of c_i and b_i is read at the
-    first pair in row-major order at distance i, which is a pair (0, y):
-    c(0, y) and b(0, y) are counted directly from y's neighbours.  C and B
-    are counted one block of rows y at a time, _block_rows(n) rows, and each
-    block is compared with its distances' values while it is still in cache.
-    Only when a block has a mismatch are the full C and B counted, and the
-    checks run by ascending i, c before b, to report the first pair in
-    row-major order that breaks a constant; a mismatch that the full counts
-    do not show raises SelfCheckFailed."""
+    The values c_i and b_i are read at the first pair in row-major order at
+    distance i, which is a pair (0, y): c(0, y) and b(0, y) are counted
+    directly from y's neighbours.  _pair_counts then counts every pair
+    (x, y), one block of _block_rows(n) rows y at a time, into accumulators
+    that start at minus the values of the pair's distance, so that a block
+    in which every pair has its distance's values ends with both at zero;
+    the check of a block is a test for any nonzero count, with no per-cell
+    lookup of the values.  With diameter D at most 2 every pair at distance
+    1 has c = 1 (its x) and every pair at distance D has b = 0; so do the
+    first pairs from vertex 0, whose eccentricity in a regular graph is D,
+    so the running sum alone decides and c is not counted.  Only a flagged
+    block sends the check to the recount that names the first pair that
+    breaks a constant (_raise_first_failure)."""
     if g._ia is not None:
         return g._ia
     _check_dense(g, "intersection_array")
@@ -316,30 +316,28 @@ def intersection_array(g: Graph) -> IntersectionArray:
     dm = distance_matrix(g)
     diam = int(dm.max())
     nbrs = edge_arrays(g).dst.reshape(n, k)   # regular, so row v is v's neighbours
-    # ref[label][i] is the count at the first pair (0, y) with d(0, y) = i,
-    # which is the first pair at distance i in row-major order; the diagonal
-    # (i = 0) gives c = 0 and b = k.  Distances beyond e = ecc(0) read the
-    # diagonal, which is harmless: the graph then fails at b_e at the latest,
-    # since (0, y) has b = 0 there while a pair (u, w) with w next to last on
-    # a geodesic of length e + 1 from u has b >= 1
+    # c_ref[i], b_ref[i] are the counts at the first pair (0, y) with
+    # d(0, y) = i, which is the first pair at distance i in row-major order;
+    # the diagonal (i = 0) gives c = 0 and b = k.  Distances beyond e =
+    # ecc(0) read the diagonal, which is harmless: the graph then fails at
+    # b_e at the latest, since (0, y) has b = 0 there while a pair (u, w)
+    # with w next to last on a geodesic of length e + 1 from u has b >= 1
     first = np.zeros(diam + 1, dtype=np.intp)
     at_distance, y = np.unique(dm[0], return_index=True)
     first[at_distance] = y
     around, here = dm[0][nbrs[first]], dm[0][first, None]
-    dtype = _count_dtype(dm, k)
-    ref = {"c": (around < here).sum(axis=1).astype(dtype),
-           "b": (around > here).sum(axis=1).astype(dtype)}
-    step = _block_rows(n)
-    expect = np.empty((min(step, n), n), dtype)
-    for lo, c, b in _pair_counts(dm, nbrs, step):
-        d, want = dm[lo:lo + len(c)], expect[:len(c)]
-        for label, got in (("c", c), ("b", b)):
-            ref[label].take(d, out=want, mode="clip")
-            if not np.array_equal(got, want):
-                _raise_first_failure(dm, nbrs, ref)
-    b = ref["b"][1:diam].tolist()
-    c = ref["c"][1:].tolist()
-    ia = IntersectionArray((k, *b), tuple(c))
+    c_ref = (around < here).sum(axis=1).tolist()
+    b_ref = (around > here).sum(axis=1).tolist()
+    # in a distance-regular graph c_i never falls and b_i never rises
+    # (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 4.1.6), so the
+    # starts of _pair_counts take at most 2k steps; values that break this
+    # fail at once
+    monotone = c_ref == sorted(c_ref) and b_ref == sorted(b_ref, reverse=True)
+    if not monotone or any(
+            s.any() or (c is not None and c.any()) for _, c, s in
+            _pair_counts(dm, nbrs, _block_rows(n), c_ref, b_ref, diam > 2)):
+        _raise_first_failure(dm, nbrs, c_ref, b_ref)
+    ia = IntersectionArray((k, *b_ref[1:diam]), tuple(c_ref[1:]))
     if ia.v != g.n:
         raise NotDistanceRegular(f"sphere sizes sum to {ia.v} != n = {g.n}")
     g._ia = ia
@@ -352,58 +350,99 @@ def _count_dtype(dm: np.ndarray, k: int) -> np.dtype:
     return np.promote_types(np.min_scalar_type(k), f"u{dm.itemsize}")
 
 
-def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, step: int):
-    """Yield (lo, c, b) for each block of step rows y of dm, from row lo on:
-    c[y - lo, x] = c(x, y) and b[y - lo, x] = b(x, y), over the neighbour
-    slots of nbrs.  c and b are buffers that the next block overwrites.
+def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, step: int, c_ref, b_ref,
+                 count_c: bool = True):
+    """Yield (lo, c, s) for each block of step rows y of dm, from row lo on,
+    over the neighbour slots of nbrs.  For the pair (x, y) at distance
+    d = d(x, y), modulo 2^bits of the count dtype,
+
+        c[y - lo, x] = c(x, y) - c_ref[d],
+        s[y - lo, x] = (b(x, y) - b_ref[d]) - (c(x, y) - c_ref[d]),
+
+    so both are zero exactly when the pair has the values c_ref[d] and
+    b_ref[d] (each difference is at most k in size, and the dtype holds k).
+    With count_c false, c is None and only s is counted.  c and s are
+    buffers that the next block overwrites.
 
     Each slot's neighbours z are gathered into one buffer, reused for every
-    slot and block, and c counts d(x, z) < d, where d = d(x, y).  b comes
-    from the sum of the gathered distances: d(x, z) is d - 1 at c
-    neighbours, d + 1 at b and d at the other k - b - c, so their sum is
-    k d + b - c.  The sum starts at -k d and wraps modulo 2^bits of the
-    count dtype, so adding c leaves b modulo 2^bits, which is b itself as
-    0 <= b <= k < 2^bits.  The distances are summed through their unsigned
-    view, which reads the same values since none is negative."""
+    slot and block, and c counts d(x, z) < d.  s sums the gathered
+    distances: d(x, z) is d - 1 at c neighbours, d + 1 at b and d at the
+    other k - b - c, so their sum is k d + b - c.  The accumulators start at
+    -c_ref[d] and -k d - b_ref[d] + c_ref[d], each a function of d alone
+    that is built without a lookup (_start): one multiply gives the line
+    through its values at d = 0 and 1, and each distance j >= 2 where the
+    values leave that line adds the difference through one comparison
+    d >= j.  The distances are read through their unsigned view, which
+    gives the same values since none is negative."""
     n, k = nbrs.shape
     dtype = _count_dtype(dm, k)
     unsigned = dm.view(f"u{dm.itemsize}")
-    minus_k = dtype.type(-k % (int(np.iinfo(dtype).max) + 1))
+    starts = [-c for c in c_ref], [c - b - k * d for d, (c, b) in
+                                   enumerate(zip(c_ref, b_ref))]
     shape = (min(step, n), n)
-    near, less = np.empty(shape, dm.dtype), np.empty(shape, bool)
-    counts, sums = np.empty(shape, dtype), np.empty(shape, dtype)
+    near, mask = np.empty(shape, dm.dtype), np.empty(shape, bool)
+    counts, sums, tmp = (np.empty(shape, dtype) for _ in range(3))
     for lo in range(0, n, step):
         rows = min(step, n - lo)
-        d, z, lt = dm[lo:lo + rows], near[:rows], less[:rows]
-        c, s = counts[:rows], sums[:rows]
-        c.fill(0)
-        np.multiply(unsigned[lo:lo + rows], minus_k, out=s)
+        d, z, lt = dm[lo:lo + rows], near[:rows], mask[:rows]
+        c, s = (counts[:rows] if count_c else None), sums[:rows]
+        for acc, values in zip((c, s), starts):
+            if acc is not None:
+                _start(acc, unsigned[lo:lo + rows], values, lt, tmp[:rows])
         for col in nbrs[lo:lo + rows].T:
             dm.take(col, axis=0, out=z, mode="clip")
-            np.less(z, d, out=lt)
-            c += lt.view(np.uint8)
+            if count_c:
+                np.less(z, d, out=lt)
+                c += lt.view(np.uint8)
             s += z.view(unsigned.dtype)
-        s += c
         yield lo, c, s
 
 
-def _raise_first_failure(dm: np.ndarray, nbrs: np.ndarray, ref: dict) -> None:
+def _start(acc, d, values, mask, tmp) -> None:
+    """acc = values[d] modulo 2^bits of acc's dtype, for the distances d
+    (unsigned): the line through values[0] and values[1], plus, wherever
+    d >= j, the amount by which values[j] - values[j - 1] differs from the
+    line's slope."""
+    wrap = 1 << (8 * acc.itemsize)
+    slope = values[1] - values[0]
+    np.multiply(d, acc.dtype.type(slope % wrap), out=acc)
+    if values[0] % wrap:
+        acc += acc.dtype.type(values[0] % wrap)
+    for j in range(2, len(values)):
+        change = (values[j] - values[j - 1] - slope) % wrap
+        if change:
+            np.greater_equal(d, j, out=mask)
+            np.multiply(mask, acc.dtype.type(change), out=tmp)
+            acc += tmp
+
+
+def _raise_first_failure(dm: np.ndarray, nbrs: np.ndarray, c_ref, b_ref) -> None:
     """NotDistanceRegular at the first failing (i, label, pair): ascending i,
-    c before b, then the first (x, y) in row-major order.  The counts of
-    every pair are taken in one block of all rows; counts[label][y, x] is
-    the count of the pair (x, y).  A block that failed the check with no
-    failing pair here is a fault of the check: SelfCheckFailed."""
-    _, c, b = next(_pair_counts(dm, nbrs, len(dm)))
-    counts = {"c": c, "b": b}
-    for i in range(1, len(ref["c"])):
-        for label in ("c", "b"):
-            bad = ((dm == i) & (counts[label] != ref[label][i])).T
+    c before b, then the first (x, y) in row-major order.  The counts c(x, y)
+    and b(x, y) themselves are taken again (_pair_counts against zeros) in
+    the row blocks of the check, and each block is compared with c_ref[i]
+    and b_ref[i] by ascending i up to the first failing distance found so
+    far; the least failure is kept, and nothing larger than a block is
+    made.  A check that flagged a block when no pair breaks a constant is
+    at fault: SelfCheckFailed."""
+    zeros = [0] * len(c_ref)
+    found = []
+    for lo, c, s in _pair_counts(dm, nbrs, _block_rows(len(dm)), zeros, zeros):
+        d = dm[lo:lo + len(c)]
+        s += c   # b(x, y)
+        top = min(found)[0] if found else len(c_ref) - 1
+        for i, rank in product(range(1, top + 1), (0, 1)):
+            bad = (d == i) & ((c, s)[rank] != (c_ref, b_ref)[rank][i])
             if bad.any():
-                x, y = (int(v) for v in np.argwhere(bad)[0])
-                raise NotDistanceRegular(
-                    f"{label}_{i} differs at pair ({x},{y})", witness=(x, y, i))
-    raise SelfCheckFailed("intersection_array: a row block failed the check, "
-                          "but no pair breaks a constant")
+                x = int(bad.any(axis=0).argmax())
+                found.append((i, rank, x, lo + int(bad[:, x].argmax())))
+                break
+    if not found:
+        raise SelfCheckFailed("intersection_array: a row block failed the "
+                              "check, but no pair breaks a constant")
+    i, rank, x, y = min(found)
+    raise NotDistanceRegular(f"{'cb'[rank]}_{i} differs at pair ({x},{y})",
+                             witness=(x, y, i))
 
 
 def girth(g: Graph, least: int = 3) -> tuple[int, frozenset]:

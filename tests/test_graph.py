@@ -299,6 +299,79 @@ def test_intersection_array_matches_reference_with_wide_counts():
         NotDistanceRegular
 
 
+def varying_counts(g):
+    """The (label, i) whose count c(x, y) or b(x, y) takes more than one
+    value over the pairs at distance i, counted pair by pair."""
+    k = g.regular_degree()
+    dm = reference_distance_matrix(g).astype(np.int64)
+    # around[x, y, s] is d(x, z) for the s-th neighbour z of y
+    around = dm[:, edge_arrays(g).dst.reshape(g.n, k)]
+    counts = {"c": (around < dm[:, :, None]).sum(axis=2),
+              "b": (around > dm[:, :, None]).sum(axis=2)}
+    return [(label, i) for i in range(1, dm.max() + 1) for label in "cb"
+            if np.unique(counts[label][dm == i]).size > 1]
+
+
+def prism(g):
+    """g x K_2: vertex v + n s for v < n and s < 2."""
+    n = g.n
+    edges = [(u + n * s, v + n * s) for s in range(2) for u in range(n)
+             for v in g.adj[u] if u < v]
+    return Graph.from_edges(2 * n, edges + [(v, v + n) for v in range(n)])
+
+
+def test_intersection_array_finds_a_single_varying_count():
+    """Graphs whose only fault is one count at one distance: with diameter 2
+    the check counts the running sum alone, and it must see a varying
+    lambda (b_1, on K_4 x K_2) and a varying mu (c_2, on the Moebius ladder
+    C_8(1,4)); with diameter 3, it must see a varying b_2 alone, on the
+    Clebsch graph (the folded 5-cube on 16 vertices, srg(16,5,0,2)) times
+    K_2, where every c_i is constant and b_2 is 1 or 4.  On the Petersen
+    graph times K_2, c_2 and b_2 vary together, (1, 1) or (2, 2), so that
+    the running sum alone misses them at diameter 3 and c must be
+    counted."""
+    wagner = Graph.from_edges(8, [(i, (i + s) % 8) for i in range(8)
+                                  for s in (1, 4)])
+    clebsch = Graph.from_edges(16, [(u, u ^ m) for u in range(16)
+                                    for m in (1, 2, 4, 8, 15) if u < u ^ m])
+    for g, faults, D in ((complete_prism(4), [("b", 1)], 2),
+                         (wagner, [("c", 2)], 2),
+                         (prism(clebsch), [("b", 2)], 3),
+                         (prism(generalized_petersen(5, 2)),
+                          [("c", 2), ("b", 2)], 3)):
+        assert distance_matrix(g).max() == D
+        assert varying_counts(g) == faults
+        got = array_or_failure(intersection_array, g)
+        assert got == array_or_failure(reference_intersection_array, g)
+        assert got[0] is NotDistanceRegular
+        assert got[1].startswith("%s_%d differs" % faults[0])
+
+
+def test_intersection_array_with_wide_counts_at_diameter_3():
+    """k = 256 takes uint16 counts, and at diameter 3 the check counts c as
+    well as the running sum.  K_257,257 less a perfect matching is
+    distance-regular; K_258,258 less the 2-factor {i, (i)'}, {i, (i + 1)'}
+    is not: two vertices on one side have 254 or 255 common neighbours."""
+    r = 257
+    passing = Graph.from_edges(2 * r, [(i, r + j) for i in range(r)
+                                       for j in range(r) if i != j])
+    r = 258
+    failing = Graph.from_edges(2 * r, [(i, r + j) for i in range(r)
+                                       for j in range(r)
+                                       if j not in (i, (i + 1) % r)])
+    for g in (passing, failing):
+        assert g.regular_degree() == 256
+        dm = distance_matrix(g)
+        assert dm.max() == 3
+        assert drgc.graph._count_dtype(dm, 256) == np.uint16
+        assert array_or_failure(intersection_array, g) == \
+            array_or_failure(reference_intersection_array, g)
+    assert intersection_array(passing) == \
+        IntersectionArray((256, 255, 1), (1, 255, 256))
+    got = array_or_failure(intersection_array, failing)
+    assert got[0] is NotDistanceRegular and got[1].startswith("c_2 differs")
+
+
 def test_intersection_array_matches_reference_on_generalized_petersen():
     # k = n / 2 merges the inner edges, so GP(n, n/2) is not even regular
     for n in range(3, 21):
@@ -365,29 +438,44 @@ def test_intersection_array_matches_reference_on_large_diameters():
 
 @pytest.mark.parametrize("step", [None, 7])
 def test_pair_counts_match_reference_past_distance_127(step):
-    """The check's per-pair counts (c, b) on int16 distances, against a
+    """The check's per-pair accumulators on int16 distances, against a
     recount that compares each neighbour's distance with d - 1 and d + 1:
     every pair of cycle(300) and of the prism over C_300, of which those at
-    distance 128 or more read past the int8 range.  step None is one block
-    of all rows; 7 is blocks of 7 rows through reused buffers."""
+    distance 128 or more read past the int8 range.  The expected counts
+    per distance are random values in 0..k, so that the accumulators'
+    starts step by every size, wrapping modulo 2^16; c must read
+    c(x, y) - c_ref[d] and s (b(x, y) - b_ref[d]) - (c(x, y) - c_ref[d]),
+    with and without c counted.  step None is one block of all rows; 7 is
+    blocks of 7 rows through reused buffers."""
+    rng = random.Random(3)
     for g in (cycle(300), cycle_prism(300)):
         n, k = g.n, g.regular_degree()
         dm = distance_matrix(g)
         assert dm.dtype == np.int16 and dm.max() >= 128
         nbrs = edge_arrays(g).dst.reshape(n, k)
-        blocks = [(c.copy(), b.copy()) for _, c, b in
-                  drgc.graph._pair_counts(dm, nbrs, step or n)]
-        c, b = (np.concatenate(part) for part in zip(*blocks))
+        c_ref, b_ref = ([rng.randint(0, k) for _ in range(dm.max() + 1)]
+                        for _ in range(2))
         # around[x, y, s] is d(x, z) for the s-th neighbour z of y
         around = dm.astype(np.int64)[:, nbrs]
         d = dm.astype(np.int64)[:, :, None]
-        want_c = (around == d - 1).sum(axis=2)
-        want_b = (around == d + 1).sum(axis=2)
+        dev_c = (around == d - 1).sum(axis=2) - np.array(c_ref)[dm]
+        dev_b = (around == d + 1).sum(axis=2) - np.array(b_ref)[dm]
+        want_c, want_s = dev_c % 2 ** 16, (dev_b - dev_c) % 2 ** 16
         far = dm >= 128
-        assert far.any()
-        assert np.array_equal(c.T[far], want_c[far])
-        assert np.array_equal(b.T[far], want_b[far])
-        assert np.array_equal(c.T, want_c) and np.array_equal(b.T, want_b)
+        assert far.any() and dev_c[far].any() and dev_b[far].any()
+        for count_c in (True, False):
+            blocks = [(c if c is None else c.copy(), s.copy()) for _, c, s in
+                      drgc.graph._pair_counts(dm, nbrs, step or n, c_ref,
+                                              b_ref, count_c)]
+            s = np.concatenate([s for _, s in blocks]).T
+            assert np.array_equal(s[far], want_s[far])
+            assert np.array_equal(s, want_s)
+            if count_c:
+                c = np.concatenate([c for c, _ in blocks]).T
+                assert np.array_equal(c[far], want_c[far])
+                assert np.array_equal(c, want_c)
+            else:
+                assert all(c is None for c, _ in blocks)
 
 
 def test_check_fault_without_a_failing_pair_raises(monkeypatch):
@@ -395,13 +483,15 @@ def test_check_fault_without_a_failing_pair_raises(monkeypatch):
     pair finds no pair that breaks a constant, is a fault of the check: it
     raises SelfCheckFailed and does not return the array."""
     real = drgc.graph._pair_counts
+    calls = []
 
-    def false_flag(dm, nbrs, step):
-        for lo, c, b in real(dm, nbrs, step):
-            if step < len(dm):   # the fast check, not the recount of all rows
-                c = c.copy()
-                c[0, 0] += 1
-            yield lo, c, b
+    def false_flag(*args):
+        calls.append(args)
+        for lo, c, s in real(*args):
+            if len(calls) == 1:   # the check, not the recount after it
+                s = s.copy()
+                s[0, 0] += 1
+            yield lo, c, s
 
     monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", 12)
     monkeypatch.setattr(drgc.graph, "_pair_counts", false_flag)
@@ -482,6 +572,35 @@ def test_construct_and_check_hold_no_other_n_by_n_array():
         tracemalloc.stop()
     assert g.n == 2048
     assert construct_peak < g.n ** 2 and check_peak < 2 * g.n ** 2
+
+
+def test_failing_check_holds_no_n_by_n_array(monkeypatch):
+    """On the circulant C_2048(1,5), which is not distance-regular, the
+    check and the recount that names its first failing pair walk row
+    blocks: above the int16 distance matrix they read, their traced peak
+    stays below 2 n^2."""
+    n = 2048
+    g = Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, 5)])
+    real = drgc.graph.distance_matrix
+    held = []
+
+    def traced_distance_matrix(g):
+        dm = real(g)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return dm
+
+    monkeypatch.setattr(drgc.graph, "distance_matrix", traced_distance_matrix)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotDistanceRegular) as err:
+            intersection_array(g)
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "c_2 differs at pair (0,4)"
+    assert err.value.witness == (0, 4, 2)
+    assert real(g).dtype == np.int16 and peak < 2 * n ** 2
 
 
 def test_intersection_array_cached():
