@@ -248,19 +248,23 @@ def distance_matrix(g: Graph) -> np.ndarray:
     of S_d(z) over the neighbours z of x, minus the ball B_d(x).  One level is
     therefore a gather of frontier rows per neighbour slot, OR-ed together;
     a padded slot (z = x) adds nothing outside B_d(x).  d(x, y) is the number
-    of levels d with y outside B_d(x)."""
+    of levels d with y outside B_d(x).  The search stops as soon as every
+    ball is the whole graph, without gathering the empty level beyond."""
     _check_dense(g, "distance_matrix")
     n = g.n
     table = _neighbour_table(g)
     frontier = np.zeros((n, -(-n // 8)), dtype=np.uint8)
     frontier[np.arange(n), np.arange(n) // 8] = 0x80 >> (np.arange(n) % 8)
     reached = frontier.copy()
+    whole = np.packbits(np.ones(n, dtype=bool))   # a row with every vertex
     near, nxt = np.empty_like(frontier), np.empty_like(frontier)
     dm = np.zeros((n, n), dtype=np.int8)
     step = _block_rows(n)
     for d in count():
         if d == np.iinfo(np.int8).max:
             dm = dm.astype(np.int16)
+        if (reached == whole).all():
+            return dm
         unreached = ~reached
         for lo in range(0, n, step):
             # the bits as int8, so that the add stays in one dtype
@@ -272,12 +276,9 @@ def distance_matrix(g: Graph) -> np.ndarray:
             nxt |= near
         nxt &= unreached
         if not nxt.any():
-            break
+            raise Unreachable("graph is disconnected")
         reached |= nxt
         frontier, nxt = nxt, frontier
-    if not np.unpackbits(reached[0], count=n).all():
-        raise Unreachable("graph is disconnected")
-    return dm
 
 
 def _block_rows(n: int) -> int:
