@@ -19,13 +19,11 @@ distance matrix and the intersection-array check gather whole rows through an
 n x k neighbour table: they do O(n^2 k) work and no matrix product.  The int8
 distance matrix is the only n x n array they hold: the breadth-first search
 keeps its frontier bit-packed (n x n/8 bytes) and adds each level into the
-distances, and the intersection-array check, and the recount that names its
-first failing pair, gather and count their pairs one block of rows at a
-time, in buffers that every neighbour slot and every block reuse.  Per slot
-the check makes one gather, one comparison (for c) and one running sum of
-the gathered distances (for b), into counts that start at minus the values
-each pair's distance should have, so that a block passes when both end at
-zero, with no per-cell table lookup (_pair_counts).  A block holds about
+distances, and the intersection-array check gathers and counts its pairs
+one block of rows at a time, in buffers that every neighbour slot and every
+block reuse.  Per slot it makes one gather, one comparison (for c) and one
+running sum of the gathered distances (for b), into counts that start at
+minus the values due at each pair's distance (_pair_counts).  A block holds about
 BLOCK_CELLS cells (_block_rows), small enough to stay in cache;
 families.construct builds its adjacency in the same blocks.
 """
@@ -33,6 +31,7 @@ families.construct builds its adjacency in the same blocks.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from itertools import chain, count, product
 from typing import Iterable, NamedTuple
 
@@ -248,8 +247,8 @@ def distance_matrix(g: Graph) -> np.ndarray:
     of S_d(z) over the neighbours z of x, minus the ball B_d(x).  One level is
     therefore a gather of frontier rows per neighbour slot, OR-ed together;
     a padded slot (z = x) adds nothing outside B_d(x).  d(x, y) is the number
-    of levels d with y outside B_d(x).  The search stops as soon as every
-    ball is the whole graph, without gathering the empty level beyond."""
+    of levels d with y outside B_d(x), up to the first level where every
+    ball is the whole graph."""
     _check_dense(g, "distance_matrix")
     n = g.n
     table = _neighbour_table(g)
@@ -292,19 +291,14 @@ def intersection_array(g: Graph) -> IntersectionArray:
     over all ordered vertex pairs; this load-time check is what lets embedded
     catalog data be trusted.
 
-    The values c_i and b_i are read at the first pair in row-major order at
-    distance i, which is a pair (0, y): c(0, y) and b(0, y) are counted
-    directly from y's neighbours.  _pair_counts then counts every pair
-    (x, y), one block of _block_rows(n) rows y at a time, into accumulators
-    that start at minus the values of the pair's distance, so that a block
-    in which every pair has its distance's values ends with both at zero;
-    the check of a block is a test for any nonzero count, with no per-cell
-    lookup of the values.  With diameter D at most 2 every pair at distance
-    1 has c = 1 (its x) and every pair at distance D has b = 0; so do the
-    first pairs from vertex 0, whose eccentricity in a regular graph is D,
-    so the running sum alone decides and c is not counted.  Only a flagged
-    block sends the check to the recount that names the first pair that
-    breaks a constant (_raise_first_failure)."""
+    c_i and b_i are counted at the first pair in row-major order at distance
+    i, a pair (0, y).  _pair_counts counts every pair against them, one
+    block of _block_rows(n) rows y at a time, and a block passes when all
+    its counts are zero.  With diameter D <= 2 every pair has c = 1 at
+    distance 1 and b = 0 at distance D, so the running sum alone decides
+    and c is not counted.  A failing block sends the check to
+    _raise_first_failure, which names the first pair that breaks a
+    constant."""
     if g._ia is not None:
         return g._ia
     _check_dense(g, "intersection_array")
@@ -318,25 +312,19 @@ def intersection_array(g: Graph) -> IntersectionArray:
     diam = int(dm.max())
     nbrs = edge_arrays(g).dst.reshape(n, k)   # regular, so row v is v's neighbours
     # c_ref[i], b_ref[i] are the counts at the first pair (0, y) with
-    # d(0, y) = i, which is the first pair at distance i in row-major order;
-    # the diagonal (i = 0) gives c = 0 and b = k.  Distances beyond e =
-    # ecc(0) read the diagonal, which is harmless: the graph then fails at
-    # b_e at the latest, since (0, y) has b = 0 there while a pair (u, w)
-    # with w next to last on a geodesic of length e + 1 from u has b >= 1
+    # d(0, y) = i; the diagonal (i = 0) gives c = 0 and b = k.  Distances
+    # beyond e = ecc(0) read the diagonal, which is harmless: the graph then
+    # fails at b_e at the latest, since (0, y) has b = 0 there while a pair
+    # (u, w) with w next to last on a geodesic of length e + 1 from u has
+    # b >= 1
     first = np.zeros(diam + 1, dtype=np.intp)
     at_distance, y = np.unique(dm[0], return_index=True)
     first[at_distance] = y
     around, here = dm[0][nbrs[first]], dm[0][first, None]
     c_ref = (around < here).sum(axis=1).tolist()
     b_ref = (around > here).sum(axis=1).tolist()
-    # in a distance-regular graph c_i never falls and b_i never rises
-    # (Brouwer, Cohen and Neumaier, Distance-Regular Graphs, 4.1.6), so the
-    # starts of _pair_counts take at most 2k steps; values that break this
-    # fail at once
-    monotone = c_ref == sorted(c_ref) and b_ref == sorted(b_ref, reverse=True)
-    if not monotone or any(
-            s.any() or (c is not None and c.any()) for _, c, s in
-            _pair_counts(dm, nbrs, _block_rows(n), c_ref, b_ref, diam > 2)):
+    if any(s.any() or (c is not None and c.any()) for _, c, s in
+           _pair_counts(dm, nbrs, _block_rows(n), c_ref, b_ref, diam > 2)):
         _raise_first_failure(dm, nbrs, c_ref, b_ref)
     ia = IntersectionArray((k, *b_ref[1:diam]), tuple(c_ref[1:]))
     if ia.v != g.n:
@@ -354,27 +342,19 @@ def _count_dtype(dm: np.ndarray, k: int) -> np.dtype:
 def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, step: int, c_ref, b_ref,
                  count_c: bool = True):
     """Yield (lo, c, s) for each block of step rows y of dm, from row lo on,
-    over the neighbour slots of nbrs.  For the pair (x, y) at distance
-    d = d(x, y), modulo 2^bits of the count dtype,
+    where for the pair (x, y) at distance d, modulo 2^bits of the count
+    dtype, c[y - lo, x] = c(x, y) - c_ref[d] and s[y - lo, x] = b(x, y) -
+    b_ref[d] - c[y - lo, x]: both are zero exactly when the pair has its
+    distance's values, as each difference is at most k in size and the
+    dtype holds k.  Without count_c, c is None.  c and s are buffers that
+    the next block overwrites.
 
-        c[y - lo, x] = c(x, y) - c_ref[d],
-        s[y - lo, x] = (b(x, y) - b_ref[d]) - (c(x, y) - c_ref[d]),
-
-    so both are zero exactly when the pair has the values c_ref[d] and
-    b_ref[d] (each difference is at most k in size, and the dtype holds k).
-    With count_c false, c is None and only s is counted.  c and s are
-    buffers that the next block overwrites.
-
-    Each slot's neighbours z are gathered into one buffer, reused for every
-    slot and block, and c counts d(x, z) < d.  s sums the gathered
-    distances: d(x, z) is d - 1 at c neighbours, d + 1 at b and d at the
-    other k - b - c, so their sum is k d + b - c.  The accumulators start at
-    -c_ref[d] and -k d - b_ref[d] + c_ref[d], each a function of d alone
-    that is built without a lookup (_start): one multiply gives the line
-    through its values at d = 0 and 1, and each distance j >= 2 where the
-    values leave that line adds the difference through one comparison
-    d >= j.  The distances are read through their unsigned view, which
-    gives the same values since none is negative."""
+    Each slot's neighbours z are gathered into one reused buffer; c counts
+    d(x, z) < d, and s sums d(x, z), which is d - 1 at c neighbours, d + 1
+    at b and d at the others: k d + b - c.  So c starts at -c_ref[d] and s
+    at c_ref[d] - b_ref[d] - k d (_start).  The distances are read through
+    their unsigned view, which gives the same values since none is
+    negative."""
     n, k = nbrs.shape
     dtype = _count_dtype(dm, k)
     unsigned = dm.view(f"u{dm.itemsize}")
@@ -400,32 +380,31 @@ def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, step: int, c_ref, b_ref,
 
 
 def _start(acc, d, values, mask, tmp) -> None:
-    """acc = values[d] modulo 2^bits of acc's dtype, for the distances d
-    (unsigned): the line through values[0] and values[1], plus, wherever
-    d >= j, the amount by which values[j] - values[j - 1] differs from the
-    line's slope."""
+    """acc = values[d] modulo 2^bits of acc's dtype, for the unsigned
+    distances d, without a lookup: the line of the most common step of
+    values, plus, wherever d >= j, the amount by which values[j] -
+    values[j - 1] departs from it.  Values with c_i rising and b_i falling,
+    as in a distance-regular graph, take at most 2k such steps."""
     wrap = 1 << (8 * acc.itemsize)
-    slope = values[1] - values[0]
+    steps = [b - a for a, b in zip(values, values[1:])]
+    slope = Counter(steps).most_common(1)[0][0]
     np.multiply(d, acc.dtype.type(slope % wrap), out=acc)
     if values[0] % wrap:
         acc += acc.dtype.type(values[0] % wrap)
-    for j in range(2, len(values)):
-        change = (values[j] - values[j - 1] - slope) % wrap
-        if change:
+    for j, step in enumerate(steps, 1):
+        if (step - slope) % wrap:
             np.greater_equal(d, j, out=mask)
-            np.multiply(mask, acc.dtype.type(change), out=tmp)
+            np.multiply(mask, acc.dtype.type((step - slope) % wrap), out=tmp)
             acc += tmp
 
 
 def _raise_first_failure(dm: np.ndarray, nbrs: np.ndarray, c_ref, b_ref) -> None:
     """NotDistanceRegular at the first failing (i, label, pair): ascending i,
-    c before b, then the first (x, y) in row-major order.  The counts c(x, y)
-    and b(x, y) themselves are taken again (_pair_counts against zeros) in
-    the row blocks of the check, and each block is compared with c_ref[i]
-    and b_ref[i] by ascending i up to the first failing distance found so
-    far; the least failure is kept, and nothing larger than a block is
-    made.  A check that flagged a block when no pair breaks a constant is
-    at fault: SelfCheckFailed."""
+    c before b, then the first (x, y) in row-major order.  The counts
+    themselves (_pair_counts against zeros) are compared in the check's row
+    blocks, distance by distance up to the least failing one found so far;
+    nothing larger than a block is made.  A flagged check with no failing
+    pair is a fault of the check: SelfCheckFailed."""
     zeros = [0] * len(c_ref)
     found = []
     for lo, c, s in _pair_counts(dm, nbrs, _block_rows(len(dm)), zeros, zeros):
