@@ -387,7 +387,8 @@ def _start(acc, d, values, mask, tmp) -> None:
     as in a distance-regular graph, take at most 2k such steps."""
     wrap = 1 << (8 * acc.itemsize)
     steps = [b - a for a, b in zip(values, values[1:])]
-    slope = Counter(steps).most_common(1)[0][0]
+    tally = Counter(steps)
+    slope = max(tally, key=tally.get)
     np.multiply(d, acc.dtype.type(slope % wrap), out=acc)
     if values[0] % wrap:
         acc += acc.dtype.type(values[0] % wrap)
