@@ -23,8 +23,8 @@ distances, and the intersection-array check gathers and counts its pairs
 one block of rows at a time, in buffers that every neighbour slot and every
 block reuse.  Per slot it makes one gather, one comparison (for c) and one
 running sum of the gathered distances (for b), into counts that start at
-minus the values due at each pair's distance (_pair_counts).  A block holds about
-BLOCK_CELLS cells (_block_rows), small enough to stay in cache;
+minus the values due at each pair's distance (_pair_counts).  A block holds
+about BLOCK_CELLS cells (_block_rows), small enough to stay in cache;
 families.construct builds its adjacency in the same blocks.
 """
 
