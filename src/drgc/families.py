@@ -1,6 +1,16 @@
 """The infinite families at concrete parameters: constructors, descendant
 subgraphs, and closed-form eigenvalue data.
 
+Each family is defined once, by a function of its named parameters
+(_johnson(n, e), _grassmann(q, n, e), ...) that checks them, raising
+ParamDomain, and returns a _Family record: the closed-form TheoryValues, the
+sorted vertex keys, the adjacency rows over those keys, the descendant
+predicate on a key, and whether the rows are a bipartite double's
+biadjacency block.  theory_values, _vertex_keys, construct and descendant
+dispatch over that table, and FAMILIES is its keys.  To add a family, write
+one more definition under @_family, named _<family> and taking the spec's
+parameters in order, and add its instances to default_grid.
+
 Each family's vertex labeling has one owner, _vertex_keys: the natural vertex
 keys (subsets, strings, RREF matrices, coefficient tuples; (side, key) for the
 bipartite doubles) in sorted order, and vertex i of construct(spec) is key i.
@@ -10,25 +20,21 @@ apart, and descendant sets are reproducible across runs.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from .algebra import (SUPPORTED_Q, enumerate_subspaces, field,
+from .algebra import (SUPPORTED_Q, enumerate_subspaces, field, gb,
                       isotropic_subspaces, matrix_rank, nullspace, span_rows)
 from .errors import NoDescendant, ParamDomain, SelfCheckFailed, TooLarge
 from .exact import SqrtVal
 from .graph import MAX_VERTICES, Graph, _block_rows
 
-FAMILIES = ("johnson", "hamming", "doob", "halvedcube", "foldedcube",
-            "foldedhalvedcube", "odd", "doubledodd", "grassmann",
-            "bilinearforms", "alternatingforms", "hermitianforms",
-            "quadraticforms", "dualpolarc", "halfdualpolar",
-            "doubledgrassmann")
 # families settled analytically, with no explicit descendant subgraph
 NO_DESCENDANT = ("doubledgrassmann", "halfdualpolar")
 
@@ -41,7 +47,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParamDomain(f"unknown family {self.family!r}")
-        _validate(self.family, self.params)
+        _define(self)
 
     def __str__(self):
         return f"{self.family}:{','.join(map(str, self.params))}"
@@ -69,149 +75,36 @@ class TheoryValues:
         return (SqrtVal(self.k) - self.theta1) / self.k
 
 
-def _validate(fam: str, p: tuple[int, ...]):
-    def need(cond, msg):
-        if not cond:
-            raise ParamDomain(f"{fam}{p}: {msg}")
+@dataclass(frozen=True)
+class _Family:
+    """One family at concrete parameters.  keys() lists the sorted vertex
+    keys, and rows(keys) returns the rows(lo, hi) of the adjacency matrix
+    over them, or of the biadjacency block of side 0 against side 1 when
+    bipartite; both are None for a parameters-only family.  keep is the
+    descendant predicate on a key, None for a family settled analytically."""
+    theory: TheoryValues
+    keys: Callable[[], list] | None
+    rows: Callable[[list], Callable] | None
+    keep: Callable[[tuple], bool] | None
+    bipartite: bool = False
 
-    if fam == "johnson":
-        need(len(p) == 2 and p[0] >= 2 * p[1] >= 2, "need n >= 2e >= 2")
-    elif fam == "hamming":
-        need(len(p) == 2 and p[0] >= 1 and p[1] >= 2, "need d >= 1, q >= 2")
-    elif fam == "doob":
-        need(len(p) == 2 and p[0] >= 1 and p[1] >= 0, "need d1 >= 1, d2 >= 0")
-    elif fam in ("halvedcube", "foldedcube"):
-        need(len(p) == 1 and p[0] >= 3, "need n >= 3")
-    elif fam == "foldedhalvedcube":
-        need(len(p) == 1 and p[0] >= 3, "need n >= 3 (graph is on 2^(2n-2) vertices)")
-    elif fam == "odd":
-        need(len(p) == 1 and p[0] >= 3, "need valency k >= 3")
-    elif fam == "doubledodd":
-        need(len(p) == 1 and p[0] >= 2, "need m >= 2")
-    elif fam == "grassmann":
-        need(len(p) == 3, "need (q, n, e)")
-        q, n, e = p
-        need(q in SUPPORTED_Q, f"q = {q} unsupported")
-        need(1 <= e and n >= 2 * e, "need n >= 2e >= 2")
-    elif fam == "bilinearforms":
-        need(len(p) == 3, "need (q, D, e)")
-        q, D, e = p
-        need(q in SUPPORTED_Q and 1 <= D <= e, "need q supported, 1 <= D <= e")
-    elif fam == "alternatingforms":
-        need(len(p) == 2, "need (q, n)")
-        q, n = p
-        need(q in SUPPORTED_Q and n >= 3, "need q supported, n >= 3")
-    elif fam == "hermitianforms":
-        need(len(p) == 2, "need (r, D)")
-        r, D = p
-        need(r * r in SUPPORTED_Q and D >= 1, "need r^2 supported, D >= 1")
-    elif fam == "quadraticforms":
-        need(len(p) == 2, "need (q, n)")
-        q, n = p
-        need(q in SUPPORTED_Q and n >= 2, "need q supported, n >= 2")
-    elif fam == "dualpolarc":
-        need(len(p) == 2, "need (q, D)")
-        q, D = p
-        need(q in SUPPORTED_Q and D >= 1, "need q supported, D >= 1")
-    elif fam == "halfdualpolar":
-        need(len(p) == 2, "need (q, n)")
-        q, n = p
-        need(q >= 2 and n >= 4, "need q >= 2, n >= 4")
-    elif fam == "doubledgrassmann":
-        need(len(p) == 2, "need (q, t)")
-        q, t = p
-        need(q in SUPPORTED_Q and t >= 1, "need q supported, t >= 1")
+
+_DEFINITIONS: dict[str, Callable[..., _Family]] = {}
+
+
+def _family(define):
+    """Register a definition _<family> under the name <family>."""
+    _DEFINITIONS[define.__name__[1:]] = define
+    return define
+
+
+def _need(cond: bool, msg: str):
+    if not cond:
+        raise ParamDomain(msg)
 
 
 def _gauss1(m: int, q: int) -> int:
     return (q ** m - 1) // (q - 1) if m >= 0 else 0
-
-
-# -- closed-form k, v, theta_1 -------------------------------------------------
-
-def theory_values(spec: FamilySpec) -> TheoryValues:
-    fam, p = spec.family, spec.params
-    if fam == "johnson":
-        n, e = p
-        return TheoryValues(e * (n - e), comb(n, e), SqrtVal((e - 1) * (n - e - 1) - 1))
-    if fam == "hamming":
-        d, q = p
-        return TheoryValues(d * (q - 1), q ** d, SqrtVal(q * (d - 1) - d))
-    if fam == "doob":
-        d1, d2 = p
-        d = 2 * d1 + d2
-        return TheoryValues(3 * d, 4 ** d, SqrtVal(6 * d1 + 3 * d2 - 4))
-    if fam == "halvedcube":
-        (n,) = p
-        return TheoryValues(comb(n, 2), 2 ** (n - 1),
-                            SqrtVal(Fraction((n - 2) ** 2 - n, 2)))
-    if fam == "foldedcube":
-        (n,) = p
-        return TheoryValues(n, 2 ** (n - 1), SqrtVal(n - 4))
-    if fam == "foldedhalvedcube":
-        (n,) = p
-        return TheoryValues(n * (2 * n - 1), 2 ** (2 * n - 2),
-                            SqrtVal(2 * (n - 2) ** 2 - n))
-    if fam == "odd":
-        (k,) = p
-        return TheoryValues(k, comb(2 * k - 1, k - 1), SqrtVal(k - 2))
-    if fam == "doubledodd":
-        (m,) = p
-        return TheoryValues(m, 2 * comb(2 * m - 1, m - 1), SqrtVal(m - 1))
-    if fam == "grassmann":
-        q, n, e = p
-        from .algebra import gb
-        k = q * _gauss1(e, q) * _gauss1(n - e, q)
-        t1 = q * q * _gauss1(e - 1, q) * _gauss1(n - e - 1, q) - 1
-        return TheoryValues(k, gb(n, e, q), SqrtVal(t1))
-    if fam == "bilinearforms":
-        q, D, e = p
-        k = _gauss1(D, q) * (q ** e - 1)
-        t1 = Fraction((q ** (D - 1) - 1) * (q ** e - q), q - 1) - 1
-        return TheoryValues(k, q ** (D * e), SqrtVal(t1))
-    if fam == "alternatingforms":
-        q, n = p
-        Dh, m = n // 2, 2 * ((n + 1) // 2) - 1
-        k = _gauss1(Dh, q * q) * (q ** m - 1)
-        t1 = _gauss1(Dh - 1, q * q) * (q ** m - q * q) - 1
-        return TheoryValues(k, q ** (n * (n - 1) // 2), SqrtVal(t1))
-    if fam == "hermitianforms":
-        r, D = p
-        k = (r ** (2 * D) - 1) // (r + 1)
-        t1 = (r ** (2 * D - 2) - 1) // (r + 1)
-        return TheoryValues(k, r ** (D * D), SqrtVal(t1))
-    if fam == "quadraticforms":
-        q, n = p
-        Dh, m = (n + 1) // 2, 2 * (n // 2) + 1
-        k = _gauss1(Dh, q * q) * (q ** m - 1)
-        t1 = _gauss1(Dh - 1, q * q) * (q ** m - q * q) - 1
-        return TheoryValues(k, q ** (n * (n + 1) // 2), SqrtVal(t1))
-    if fam == "dualpolarc":
-        q, D = p
-        v = 1
-        for i in range(1, D + 1):
-            v *= q ** i + 1
-        return TheoryValues(q * _gauss1(D, q), v, SqrtVal(q * _gauss1(D - 1, q) - 1))
-    if fam == "halfdualpolar":
-        q, n = p
-        Dh, m = n // 2, 2 * ((n + 1) // 2) - 1
-        beta = Fraction(_gauss1(m + 1, q) - 1)
-        alpha = Fraction(q * q + q)
-        b = q * q
-        k = Fraction(_gauss1(Dh, b)) * beta
-        t1 = Fraction(_gauss1(Dh, b) - 1, b) * (beta - alpha) - 1
-        v = 1
-        for i in range(1, n):
-            v *= q ** i + 1
-        if k.denominator != 1 or t1.denominator != 1:
-            raise SelfCheckFailed(f"{spec}: k = {k} or theta_1 = {t1} is not integral")
-        return TheoryValues(int(k), v, SqrtVal(t1))
-    if fam == "doubledgrassmann":
-        q, t = p
-        from .algebra import gb
-        theta1 = SqrtVal(0, _gauss1(t, q), q)
-        return TheoryValues(_gauss1(t + 1, q), 2 * gb(2 * t + 1, t, q), theta1)
-    raise ParamDomain(f"no theory values for {fam}")
 
 
 # -- vertex keys ----------------------------------------------------------------
@@ -231,64 +124,6 @@ def _upper_pairs(n):
 
 def _monomials(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-@lru_cache(maxsize=1)
-def _vertex_keys(spec: FamilySpec) -> list:
-    """The sorted vertex keys of construct(spec); cached for the construct ->
-    descendant sequence of one target."""
-    fam, p = spec.family, spec.params
-    if fam == "johnson":
-        n, e = p
-        return list(combinations(range(n), e))
-    if fam == "hamming":
-        d, q = p
-        return _hamming_keys(d, q)
-    if fam == "doob":
-        d1, d2 = p     # Shrikhande vertex numbers, then K4 vertex numbers
-        return list(product(*([range(16)] * d1 + [range(4)] * d2)))
-    if fam == "halvedcube":
-        (n,) = p
-        return _even_strings(n)
-    if fam == "foldedcube":
-        (n,) = p
-        return list(product((0, 1), repeat=n - 1))
-    if fam == "foldedhalvedcube":
-        (n,) = p
-        return _even_strings(2 * n - 1)
-    if fam == "odd":
-        (k,) = p
-        return list(combinations(range(2 * k - 1), k - 1))
-    if fam == "doubledodd":
-        (m,) = p
-        sets = list(combinations(range(2 * m - 1), m - 1))
-        return [(side, s) for side in (0, 1) for s in sets]
-    if fam == "grassmann":
-        q, n, e = p
-        return enumerate_subspaces(n, e, field(q))
-    if fam == "bilinearforms":
-        q, D, e = p
-        return list(product(product(range(q), repeat=e), repeat=D))
-    if fam == "alternatingforms":
-        q, n = p
-        return list(product(range(q), repeat=len(_upper_pairs(n))))
-    if fam == "hermitianforms":
-        r, D = p
-        F = field(r * r)
-        fixed = [a for a in range(F.q) if F.conj(a) == a]
-        return sorted(product(*([fixed] * D + [range(F.q)] * len(_upper_pairs(D)))))
-    if fam == "quadraticforms":
-        q, n = p
-        return list(product(range(q), repeat=len(_monomials(n))))
-    if fam == "dualpolarc":
-        q, D = p
-        return isotropic_subspaces(field(q), 2 * D, D)
-    if fam == "doubledgrassmann":
-        q, t = p
-        F = field(q)
-        return [(0, U) for U in enumerate_subspaces(2 * t + 1, t, F)] + \
-            [(1, W) for W in enumerate_subspaces(2 * t + 1, t + 1, F)]
-    raise ParamDomain(f"{fam} has no vertex keys")
 
 
 def _side(keys, side: int) -> list:
@@ -360,6 +195,12 @@ def _gram_rows(X: np.ndarray, Y: np.ndarray, test):
     Xf = X.astype(np.float32)
     Yf = Xf if Y is X else Y.astype(np.float32)
     return lambda lo, hi: test(Xf[lo:hi] @ Yf.T)
+
+
+def _common_rows(X: np.ndarray, common: int):
+    """rows(lo, hi) of the pairs of 0/1 rows of X with exactly `common`
+    common entries."""
+    return _gram_rows(X, X, lambda inner: inner == common)
 
 
 def _set_rows(ground: int, keys) -> np.ndarray:
@@ -463,92 +304,281 @@ def _quad_rank(F, coeffs, n):
     return rankB + extra
 
 
+# -- family definitions --------------------------------------------------------
+
+
+@_family
+def _johnson(n, e):
+    _need(n >= 2 * e >= 2, "need n >= 2e >= 2")
+    return _Family(
+        TheoryValues(e * (n - e), comb(n, e), SqrtVal((e - 1) * (n - e - 1) - 1)),
+        lambda: list(combinations(range(n), e)),
+        lambda keys: _common_rows(_set_rows(n, keys), e - 1),
+        lambda key: 0 in key)
+
+
+@_family
+def _hamming(d, q):
+    _need(d >= 1 and q >= 2, "need d >= 1, q >= 2")
+    return _Family(TheoryValues(d * (q - 1), q ** d, SqrtVal(q * (d - 1) - d)),
+                   lambda: _hamming_keys(d, q),
+                   lambda keys: _hamming_rows(keys, q, (1,)),
+                   lambda key: key[0] == 0)
+
+
+@_family
+def _doob(d1, d2):
+    _need(d1 >= 1 and d2 >= 0, "need d1 >= 1, d2 >= 0")
+    d = 2 * d1 + d2
+    if d2 > 0:
+        keep = lambda key: key[d1] == 0
+    else:   # 6-wheel in the first Shrikhande factor: a vertex and its hexagon
+        wheel = {0} | set(np.flatnonzero(_shrikhande()[0]).tolist())
+        keep = lambda key: key[0] in wheel
+    return _Family(
+        TheoryValues(3 * d, 4 ** d, SqrtVal(6 * d1 + 3 * d2 - 4)),
+        # Shrikhande vertex numbers, then K4 vertex numbers
+        lambda: list(product(*([range(16)] * d1 + [range(4)] * d2))),
+        lambda keys: _doob_rows(keys, [_shrikhande()] * d1 +
+                                [~np.eye(4, dtype=bool)] * d2),
+        keep)
+
+
+@_family
+def _halvedcube(n):
+    _need(n >= 3, "need n >= 3")
+    return _Family(TheoryValues(comb(n, 2), 2 ** (n - 1),
+                                SqrtVal(Fraction((n - 2) ** 2 - n, 2))),
+                   lambda: _even_strings(n),
+                   lambda keys: _hamming_rows(keys, 2, (2,)),
+                   lambda key: key[0] == 0)
+
+
+@_family
+def _foldedcube(n):
+    _need(n >= 3, "need n >= 3")
+    return _Family(TheoryValues(n, 2 ** (n - 1), SqrtVal(n - 4)),
+                   lambda: list(product((0, 1), repeat=n - 1)),
+                   lambda keys: _hamming_rows(keys, 2, (1, n - 1)),
+                   lambda key: key[0] == 0)
+
+
+@_family
+def _foldedhalvedcube(n):
+    _need(n >= 3, "need n >= 3 (graph is on 2^(2n-2) vertices)")
+    return _Family(TheoryValues(n * (2 * n - 1), 2 ** (2 * n - 2),
+                                SqrtVal(2 * (n - 2) ** 2 - n)),
+                   lambda: _even_strings(2 * n - 1),
+                   lambda keys: _hamming_rows(keys, 2, (2, 2 * n - 2)),
+                   lambda key: key[0] == key[1] == 0)
+
+
+@_family
+def _odd(k):
+    _need(k >= 3, "need valency k >= 3")
+
+    def keep(key):
+        s = set(key)
+        return ({0, 1} <= s and not s & {2, 3}) or ({2, 3} <= s and not s & {0, 1})
+
+    return _Family(TheoryValues(k, comb(2 * k - 1, k - 1), SqrtVal(k - 2)),
+                   lambda: list(combinations(range(2 * k - 1), k - 1)),
+                   lambda keys: _common_rows(_set_rows(2 * k - 1, keys), 0), keep)
+
+
+@_family
+def _doubledodd(m):
+    _need(m >= 2, "need m >= 2")
+    return _Family(
+        TheoryValues(m, 2 * comb(2 * m - 1, m - 1), SqrtVal(m - 1)),
+        lambda: [(side, s) for side in (0, 1)
+                 for s in combinations(range(2 * m - 1), m - 1)],
+        lambda keys: _common_rows(_set_rows(2 * m - 1, _side(keys, 0)), 0),
+        # side 0 keeps the sets with 1 and without 0, side 1 the reverse
+        lambda key: 1 - key[0] in key[1] and key[0] not in key[1],
+        bipartite=True)
+
+
+@_family
+def _grassmann(q, n, e):
+    _need(q in SUPPORTED_Q, f"q = {q} unsupported")
+    _need(1 <= e and n >= 2 * e, "need n >= 2e >= 2")
+    F = field(q)
+    k = q * _gauss1(e, q) * _gauss1(n - e, q)
+    t1 = q * q * _gauss1(e - 1, q) * _gauss1(n - e - 1, q) - 1
+    return _Family(TheoryValues(k, gb(n, e, q), SqrtVal(t1)),
+                   lambda: enumerate_subspaces(n, e, F),
+                   lambda keys: _common_rows(span_rows(F, keys), q ** (e - 1)),
+                   lambda U: all(row[0] == 0 for row in U))
+
+
+@_family
+def _bilinearforms(q, D, e):
+    _need(q in SUPPORTED_Q and 1 <= D <= e, "need q supported, 1 <= D <= e")
+    F = field(q)
+    k = _gauss1(D, q) * (q ** e - 1)
+    t1 = Fraction((q ** (D - 1) - 1) * (q ** e - q), q - 1) - 1
+    return _Family(
+        TheoryValues(k, q ** (D * e), SqrtVal(t1)),
+        lambda: list(product(product(range(q), repeat=e), repeat=D)),
+        lambda keys: _difference_rows(F, keys, lambda M: matrix_rank(F, M) == 1),
+        lambda M: not any(M[0]))
+
+
+@_family
+def _alternatingforms(q, n):
+    _need(q in SUPPORTED_Q and n >= 3, "need q supported, n >= 3")
+    F = field(q)
+    Dh, m = n // 2, 2 * ((n + 1) // 2) - 1
+    k = _gauss1(Dh, q * q) * (q ** m - 1)
+    t1 = _gauss1(Dh - 1, q * q) * (q ** m - q * q) - 1
+    pairs = _upper_pairs(n)
+
+    def rank2(key):
+        M = _alt_full(F, n, dict(zip(pairs, key)))
+        return matrix_rank(F, [tuple(r) for r in M]) == 2
+
+    return _Family(TheoryValues(k, q ** (n * (n - 1) // 2), SqrtVal(t1)),
+                   lambda: list(product(range(q), repeat=len(pairs))),
+                   lambda keys: _difference_rows(F, keys, rank2),
+                   # zero first row: _upper_pairs lists the n - 1 pairs (0, j) first
+                   lambda key: not any(key[:n - 1]))
+
+
+@_family
+def _hermitianforms(r, D):
+    _need(r * r in SUPPORTED_Q and D >= 1, "need r^2 supported, D >= 1")
+    F = field(r * r)
+    k = (r ** (2 * D) - 1) // (r + 1)
+    t1 = (r ** (2 * D - 2) - 1) // (r + 1)
+    pairs = _upper_pairs(D)
+    fixed = [a for a in range(F.q) if F.conj(a) == a]
+
+    def rank1(key):
+        M = [[0] * D for _ in range(D)]
+        for i in range(D):
+            M[i][i] = key[i]
+        for t, (i, j) in enumerate(pairs):
+            M[i][j] = key[D + t]
+            M[j][i] = F.conj(key[D + t])
+        return matrix_rank(F, [tuple(row) for row in M]) == 1
+
+    return _Family(
+        TheoryValues(k, r ** (D * D), SqrtVal(t1)),
+        lambda: sorted(product(*([fixed] * D + [range(F.q)] * len(pairs)))),
+        lambda keys: _difference_rows(F, keys, rank1),
+        # zero first row: the diagonal entry 0, then the pairs (0, j) at D..2D-2
+        lambda key: key[0] == 0 and not any(key[D:2 * D - 1]))
+
+
+@_family
+def _quadraticforms(q, n):
+    _need(q in SUPPORTED_Q and n >= 2, "need q supported, n >= 2")
+    F = field(q)
+    Dh, m = (n + 1) // 2, 2 * (n // 2) + 1
+    k = _gauss1(Dh, q * q) * (q ** m - 1)
+    t1 = _gauss1(Dh - 1, q * q) * (q ** m - q * q) - 1
+    monos = _monomials(n)
+    return _Family(
+        TheoryValues(k, q ** (n * (n + 1) // 2), SqrtVal(t1)),
+        lambda: list(product(range(q), repeat=len(monos))),
+        lambda keys: _difference_rows(
+            F, keys, lambda key: _quad_rank(F, dict(zip(monos, key)), n) in (1, 2)),
+        # no monomial x_0 x_j: _monomials lists the n pairs (0, j) first
+        lambda key: not any(key[:n]))
+
+
+@_family
+def _dualpolarc(q, D):
+    _need(q in SUPPORTED_Q and D >= 1, "need q supported, D >= 1")
+    F = field(q)
+    v = prod(q ** i + 1 for i in range(1, D + 1))
+    # e1 in U: in RREF a vector with pivot column 0 is the first row plus
+    # rows that are 0 at column 0, and the first row is 0 at every later
+    # pivot, so e1 is in U exactly when it is the first row
+    e1 = tuple([1] + [0] * (2 * D - 1))
+    return _Family(TheoryValues(q * _gauss1(D, q), v,
+                                SqrtVal(q * _gauss1(D - 1, q) - 1)),
+                   lambda: isotropic_subspaces(F, 2 * D, D),
+                   lambda keys: _common_rows(span_rows(F, keys), q ** (D - 1)),
+                   lambda U: U[0] == e1)
+
+
+@_family
+def _halfdualpolar(q, n):
+    _need(q >= 2 and n >= 4, "need q >= 2, n >= 4")
+    Dh, m = n // 2, 2 * ((n + 1) // 2) - 1
+    beta = Fraction(_gauss1(m + 1, q) - 1)
+    alpha = Fraction(q * q + q)
+    b = q * q
+    k = Fraction(_gauss1(Dh, b)) * beta
+    t1 = Fraction(_gauss1(Dh, b) - 1, b) * (beta - alpha) - 1
+    v = prod(q ** i + 1 for i in range(1, n))
+    if k.denominator != 1 or t1.denominator != 1:
+        raise SelfCheckFailed(f"halfdualpolar:{q},{n}: k = {k} or theta_1 = {t1} "
+                              "is not integral")
+    return _Family(TheoryValues(int(k), v, SqrtVal(t1)), None, None, None)
+
+
+@_family
+def _doubledgrassmann(q, t):
+    _need(q in SUPPORTED_Q and t >= 1, "need q supported, t >= 1")
+    F = field(q)
+    return _Family(
+        TheoryValues(_gauss1(t + 1, q), 2 * gb(2 * t + 1, t, q),
+                     SqrtVal(0, _gauss1(t, q), q)),
+        lambda: ([(0, U) for U in enumerate_subspaces(2 * t + 1, t, F)] +
+                 [(1, W) for W in enumerate_subspaces(2 * t + 1, t + 1, F)]),
+        lambda keys: _incidence_rows(F, _side(keys, 0), _side(keys, 1)),
+        None, bipartite=True)
+
+
+FAMILIES = tuple(_DEFINITIONS)
+
+
+# -- dispatch ------------------------------------------------------------------
+
+def _define(spec: FamilySpec) -> _Family:
+    """The family record of spec, from the definition of its family; raises
+    ParamDomain, naming the spec, when the parameters are out of its domain."""
+    define = _DEFINITIONS[spec.family]
+    code = define.__code__
+    names = code.co_varnames[:code.co_argcount]
+    where = f"{spec.family}{spec.params}"
+    if len(spec.params) != len(names):
+        raise ParamDomain(f"{where}: need ({', '.join(names)})")
+    try:
+        return define(*spec.params)
+    except ParamDomain as exc:
+        raise ParamDomain(f"{where}: {exc}") from None
+
+
+def theory_values(spec: FamilySpec) -> TheoryValues:
+    """The closed-form k, v and theta_1 of spec."""
+    return _define(spec).theory
+
+
+@lru_cache(maxsize=1)
+def _vertex_keys(spec: FamilySpec) -> list:
+    """The sorted vertex keys of construct(spec); cached for the construct ->
+    descendant sequence of one target."""
+    keys = _define(spec).keys
+    if keys is None:
+        raise ParamDomain(f"{spec.family} has no vertex keys")
+    return keys()
+
+
 def construct(spec: FamilySpec) -> Graph:
-    tv = theory_values(spec)
+    fam = _define(spec)
+    tv = fam.theory
     if tv.v > MAX_VERTICES:
         raise TooLarge(f"{spec} has {tv.v} vertices (cap {MAX_VERTICES})")
-    fam, p = spec.family, spec.params
-    if fam == "halfdualpolar":
-        raise ParamDomain(f"{fam} is parameters-only (no constructor); "
+    if fam.rows is None:
+        raise ParamDomain(f"{spec.family} is parameters-only (no constructor); "
                           "use theory_values / half_dual_polar_descendant_check")
     keys = _vertex_keys(spec)
-
-    if fam == "johnson":
-        n, e = p
-        X = _set_rows(n, keys)
-        rows = _gram_rows(X, X, lambda common: common == e - 1)
-    elif fam == "hamming":
-        d, q = p
-        rows = _hamming_rows(keys, q, (1,))
-    elif fam == "doob":
-        d1, d2 = p
-        rows = _doob_rows(keys, [_shrikhande()] * d1 + [~np.eye(4, dtype=bool)] * d2)
-    elif fam == "halvedcube":
-        rows = _hamming_rows(keys, 2, (2,))
-    elif fam == "foldedcube":
-        (n,) = p
-        rows = _hamming_rows(keys, 2, (1, n - 1))
-    elif fam == "foldedhalvedcube":
-        (n,) = p
-        rows = _hamming_rows(keys, 2, (2, 2 * n - 2))
-    elif fam == "odd":
-        (k,) = p
-        X = _set_rows(2 * k - 1, keys)
-        rows = _gram_rows(X, X, lambda common: common == 0)
-    elif fam == "doubledodd":
-        (m,) = p
-        X = _set_rows(2 * m - 1, _side(keys, 0))
-        rows = _gram_rows(X, X, lambda common: common == 0)
-    elif fam == "grassmann":
-        q, n, e = p
-        X = span_rows(field(q), keys)
-        rows = _gram_rows(X, X, lambda common: common == q ** (e - 1))
-    elif fam == "bilinearforms":
-        q, D, e = p
-        F = field(q)
-        rows = _difference_rows(F, keys, lambda M: matrix_rank(F, M) == 1)
-    elif fam == "alternatingforms":
-        q, n = p
-        F = field(q)
-        pairs = _upper_pairs(n)
-
-        def rank2(key):
-            M = _alt_full(F, n, dict(zip(pairs, key)))
-            return matrix_rank(F, [tuple(r) for r in M]) == 2
-
-        rows = _difference_rows(F, keys, rank2)
-    elif fam == "hermitianforms":
-        r, D = p
-        F = field(r * r)
-        pairs = _upper_pairs(D)
-
-        def rank1(key):
-            M = [[0] * D for _ in range(D)]
-            for i in range(D):
-                M[i][i] = key[i]
-            for t, (i, j) in enumerate(pairs):
-                M[i][j] = key[D + t]
-                M[j][i] = F.conj(key[D + t])
-            return matrix_rank(F, [tuple(row) for row in M]) == 1
-
-        rows = _difference_rows(F, keys, rank1)
-    elif fam == "quadraticforms":
-        q, n = p
-        F = field(q)
-        monos = _monomials(n)
-        rows = _difference_rows(
-            F, keys, lambda key: _quad_rank(F, dict(zip(monos, key)), n) in (1, 2))
-    elif fam == "dualpolarc":
-        q, D = p
-        X = span_rows(field(q), keys)
-        rows = _gram_rows(X, X, lambda common: common == q ** (D - 1))
-    elif fam == "doubledgrassmann":
-        q, t = p
-        rows = _incidence_rows(field(q), _side(keys, 0), _side(keys, 1))
-    else:  # pragma: no cover
-        raise ParamDomain(f"no constructor for {fam}")
-
-    if fam in ("doubledodd", "doubledgrassmann"):
+    rows = fam.rows(keys)
+    if fam.bipartite:
         g = _bipartite_from_rows(len(keys) // 2, len(keys) // 2, rows)
     else:
         g = _graph_from_rows(len(keys), rows)
@@ -559,66 +589,20 @@ def construct(spec: FamilySpec) -> Graph:
     return g
 
 
-# -- descendant subgraphs --------------------------------------------------------
-
 def descendant(spec: FamilySpec) -> frozenset:
     """The half-size induced subgraph with average valency >= theta_1, as a
     vertex set of construct(spec)'s labeling: the indices of the keys that
     pass the family's predicate."""
-    fam, p = spec.family, spec.params
-    if fam == "johnson":
-        keep = lambda key: 0 in key
-    elif fam in ("hamming", "halvedcube", "foldedcube"):
-        keep = lambda key: key[0] == 0
-    elif fam == "doob":
-        d1, d2 = p
-        if d2 > 0:
-            keep = lambda key: key[d1] == 0
-        else:   # 6-wheel in the first Shrikhande factor: a vertex and its hexagon
-            wheel = {0} | set(np.flatnonzero(_shrikhande()[0]).tolist())
-            keep = lambda key: key[0] in wheel
-    elif fam == "foldedhalvedcube":
-        keep = lambda key: key[0] == key[1] == 0
-    elif fam == "odd":
-        def keep(key):
-            s = set(key)
-            return ({0, 1} <= s and not s & {2, 3}) or ({2, 3} <= s and not s & {0, 1})
-    elif fam == "doubledodd":
-        # side 0 keeps the sets with 1 and without 0, side 1 the reverse
-        keep = lambda key: 1 - key[0] in key[1] and key[0] not in key[1]
-    elif fam == "grassmann":
-        keep = lambda U: all(row[0] == 0 for row in U)
-    elif fam == "bilinearforms":
-        keep = lambda M: not any(M[0])
-    elif fam == "alternatingforms":
-        # zero first row: _upper_pairs lists the n - 1 pairs (0, j) first
-        n = p[1]
-        keep = lambda key: not any(key[:n - 1])
-    elif fam == "hermitianforms":
-        # zero first row: the diagonal entry 0, then the pairs (0, j) at D..2D-2
-        D = p[1]
-        keep = lambda key: key[0] == 0 and not any(key[D:2 * D - 1])
-    elif fam == "quadraticforms":
-        # no monomial x_0 x_j: _monomials lists the n pairs (0, j) first
-        n = p[1]
-        keep = lambda key: not any(key[:n])
-    elif fam == "dualpolarc":
-        # e1 in U: in RREF a vector with pivot column 0 is the first row plus
-        # rows that are 0 at column 0, and the first row is 0 at every later
-        # pivot, so e1 is in U exactly when it is the first row
-        e1 = tuple([1] + [0] * (2 * p[1] - 1))
-        keep = lambda U: U[0] == e1
-    elif fam in NO_DESCENDANT:
-        raise NoDescendant(f"{fam}: handled analytically, no explicit descendant")
-    else:  # pragma: no cover
-        raise NoDescendant(f"no descendant for {fam}")
+    keep = _define(spec).keep
+    if keep is None:
+        raise NoDescendant(f"{spec.family}: handled analytically, no explicit "
+                           "descendant")
     return frozenset(i for i, key in enumerate(_vertex_keys(spec)) if keep(key))
 
 
 def half_dual_polar_descendant_check(q: int, n: int) -> tuple[bool, str]:
     """Symbolic check that the halved dual polar graph's descendant valency
     exceeds theta_1: q*[n-1 choose 2]_{q^2} > q^3*[n-2 choose 2]_{q^2}."""
-    from .algebra import gb
     lhs = q * gb(n - 1, 2, q * q)
     rhs = q ** 3 * gb(n - 2, 2, q * q)
     return lhs > rhs, f"q[{n-1} 2]_(q^2) = {lhs} vs q^3[{n-2} 2]_(q^2) = {rhs}"

@@ -17,15 +17,16 @@ the intersection-array check, the dense eigensystem) refuses graphs with more
 than MAX_VERTICES vertices before it allocates, raising TooLarge.  The
 distance matrix and the intersection-array check gather whole rows through an
 n x k neighbour table: they do O(n^2 k) work and no matrix product.  The int8
-distance matrix is the only n x n array they hold: the breadth-first search
-keeps its frontier bit-packed (n x n/8 bytes) and adds each level into the
-distances, and the intersection-array check gathers and counts its pairs
-one block of rows at a time, in buffers that every neighbour slot and every
-block reuse.  Per slot it makes one gather, one comparison (for c) and one
-running sum of the gathered distances (for b), into counts that start at
-minus the values due at each pair's distance (_pair_counts).  A block holds
-about BLOCK_CELLS cells (_block_rows), small enough to stay in cache;
-families.construct builds its adjacency in the same blocks.
+(past distance 126, int16) distance matrix is the only n x n array they
+hold: the breadth-first search keeps its frontier bit-packed (n x n/8
+bytes) and adds each level into the distances, and the intersection-array
+check gathers and counts its pairs one block of rows at a time, in buffers
+that every neighbour slot and every block reuse.  Per slot it makes one
+gather, one comparison (for c) and one running sum of the gathered
+distances (for b), into counts that start at minus the values due at each
+pair's distance (_pair_counts).  A block holds about BLOCK_CELLS cells
+(_block_rows), small enough to stay in cache; families.construct builds
+its adjacency in the same blocks.
 """
 
 from __future__ import annotations
@@ -240,7 +241,17 @@ def _neighbour_table(g: Graph) -> np.ndarray:
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs distances as an n x n matrix, int8 while the diameter is
-    below 128 and int16 beyond.
+    below 127 and int16 from there on.  A search that reaches distance 127
+    in int8 drops its matrix and starts again in int16, so the stage never
+    holds two n x n matrices."""
+    _check_dense(g, "distance_matrix")
+    dm = _distances(g, np.int8)
+    return _distances(g, np.int16) if dm is None else dm
+
+
+def _distances(g: Graph, dtype) -> np.ndarray | None:
+    """The distance matrix of distance_matrix in dtype, or None once a
+    distance reaches the dtype's maximum.
 
     A breadth-first search from every source at once, on bit-packed rows:
     row x of the frontier is the sphere S_d(x), and S_{d+1}(x) is the union
@@ -249,7 +260,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
     a padded slot (z = x) adds nothing outside B_d(x).  d(x, y) is the number
     of levels d with y outside B_d(x), up to the first level where every
     ball is the whole graph."""
-    _check_dense(g, "distance_matrix")
     n = g.n
     table = _neighbour_table(g)
     frontier = np.zeros((n, -(-n // 8)), dtype=np.uint8)
@@ -257,16 +267,16 @@ def distance_matrix(g: Graph) -> np.ndarray:
     reached = frontier.copy()
     whole = np.packbits(np.ones(n, dtype=bool))   # a row with every vertex
     near, nxt = np.empty_like(frontier), np.empty_like(frontier)
-    dm = np.zeros((n, n), dtype=np.int8)
+    dm = np.zeros((n, n), dtype=dtype)
     step = _block_rows(n)
     for d in count():
-        if d == np.iinfo(np.int8).max:
-            dm = dm.astype(np.int16)
+        if d == np.iinfo(dtype).max:
+            return None
         if (reached == whole).all():
             return dm
         unreached = ~reached
         for lo in range(0, n, step):
-            # the bits as int8, so that the add stays in one dtype
+            # the bits as int8, so that the add needs no unsafe cast
             dm[lo:lo + step] += np.unpackbits(unreached[lo:lo + step], axis=1,
                                               count=n).view(np.int8)
         nxt.fill(0)

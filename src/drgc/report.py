@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import __version__
 # catalog before search: without a bytecode cache each import compiles its
-# module, and compiling families.py (the largest, reached through catalog)
-# before search and witness are loaded keeps the peak RSS about 0.5 MiB lower
+# module, and compiling families.py (the longest, reached through catalog)
+# before search and witness are loaded keeps the peak RSS about 0.4 MiB lower
 from .catalog import catalog_entry, catalog_list, catalog_load, checked_array
 from . import search
 from .errors import DrgcError, MalformedGraph6, UnknownName

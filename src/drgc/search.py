@@ -124,7 +124,7 @@ from .witness import CutCertificate, make_certificate
 EXACT_BLOCK = 2 ** 14      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
 SWAP_CAP = 40_000          # most |S| |S^c| at which refinement tries swaps
-REFINE_BUDGET = 100_000    # most moves of one refinement walk, read per call
+REFINE_BUDGET = 100_000    # most moves of one refinement walk
 
 
 def _gray_tables(A, idx):
@@ -232,14 +232,14 @@ def _exact_total(g: Graph, stage: str) -> int:
     return total
 
 
-def local_refine(g: Graph, S, budget: int = REFINE_BUDGET, seed: int = 0,
+def local_refine(g: Graph, S, seed: int = 0,
                  plateau_patience: int = 200) -> CutCertificate:
     """Kernighan-Lin style descent on a regular graph: single-vertex moves and
     (u out, w in) swaps, ratio monotonically non-increasing.  Equal-ratio
     moves pass through a tabu list of the last 50 moved vertices to cross
-    plateaus; deterministic for a fixed seed.  Raises NotRegular on an
-    irregular or edgeless graph, and EmptySet or FullSet when S is empty or
-    all of V.
+    plateaus; at most REFINE_BUDGET moves, deterministic for a fixed seed.
+    Raises NotRegular on an irregular or edgeless graph, and EmptySet or
+    FullSet when S is empty or all of V.
 
     Every step tries the single moves, and when none improves and
     |S| |S^c| <= SWAP_CAP, the swaps, with exact integer comparisons of din
@@ -299,7 +299,7 @@ def local_refine(g: Graph, S, budget: int = REFINE_BUDGET, seed: int = 0,
     tabu: list[int] = []
     stale = 0
     moves = 0
-    while moves < budget and stale <= plateau_patience:
+    while moves < REFINE_BUDGET and stale <= plateau_patience:
         cd, dm, dp = side(k * size), side(k * (size - 1)), side(k * (size + 1))
         # v leaving S gives (boundary + 2 din[v] - k, dm), better than the
         # current key iff 2 cd din[v] < rm; v joining gives
@@ -490,7 +490,7 @@ def _iterated_refine(g: Graph, start, seed: int, rounds: int,
     stale = 0
     S = start
     for _ in range(rounds):
-        cert = local_refine(g, S, REFINE_BUDGET, seed, plateau_patience=patience)
+        cert = local_refine(g, S, seed, plateau_patience=patience)
         if best is None or cert.ratio < best.ratio:
             best = cert
             stale = 0

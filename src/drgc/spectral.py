@@ -88,15 +88,6 @@ def standard_sequence(ia: IntersectionArray, theta: float) -> list[float]:
     return u
 
 
-def distinct_values(values) -> list[float]:
-    """The values in descending order, merging neighbours within 1e-7."""
-    out: list[float] = []
-    for v in sorted(values, reverse=True):
-        if not out or abs(out[-1] - v) > 1e-7:
-            out.append(float(v))
-    return out
-
-
 @dataclass(frozen=True)
 class CheegerWindow:
     lower: float

@@ -4,8 +4,9 @@ bipartite double, the bit-loop graph6 decoder, the dense family builds
 used by the tests as oracles for the catalog's numpy builders, Doob's
 Shrikhande factor, the catalog's double: rule, graph.g6_decode, the
 row-blocked families.construct and families.bipartite_graph, and
-search._sweep_order; and the corpus of catalog and grid graphs that the
-oracles are compared on."""
+search._sweep_order; the corpus of catalog and grid graphs that the
+oracles are compared on; and distinct_values, which the spectrum tests
+read float eigenvalues through."""
 
 import math
 from itertools import product
@@ -253,3 +254,14 @@ def bincount_sweep_order(g: Graph, x) -> frozenset:
     vol = np.cumsum(np.diff(first)[order])[:-1]
     best = np.argmin(boundary / np.minimum(vol, total - vol))
     return frozenset(order[:best + 1].tolist())
+
+
+# -- float spectra --------------------------------------------------------------
+
+def distinct_values(values) -> list[float]:
+    """The values in descending order, merging neighbours within 1e-7."""
+    out: list[float] = []
+    for v in sorted(values, reverse=True):
+        if not out or abs(out[-1] - v) > 1e-7:
+            out.append(float(v))
+    return out

@@ -19,11 +19,11 @@ from drgc.families import FamilySpec, construct, default_grid, descendant, theor
 from drgc.graph import IntersectionArray, cut_stats, intersection_array
 from drgc.report import emit, verify_all
 from drgc.search import SearchConfig, best_upper_bound, exact_cheeger
-from drgc.spectral import (at_most_lambda1, dense_spectrum, distinct_values,
-                           drg_spectrum)
+from drgc.spectral import at_most_lambda1, dense_spectrum, drg_spectrum
 from drgc.witness import (gq33_incidence_witness, greedy_dense_subset,
                           srg_certify, triangle_chain_cut, triangle_octagon_cut,
                           twelve_cage_witness)
+from reference_graphs import distinct_values
 
 
 def cross_edges(g, A, B) -> int:

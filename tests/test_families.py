@@ -14,9 +14,10 @@ from drgc.families import (FAMILIES, NO_DESCENDANT, FamilySpec, _alt_full,
                            theory_values)
 from drgc.graph import (Graph, _block_rows, cut_stats, edge_arrays,
                         intersection_array)
-from drgc.spectral import dense_spectrum, distinct_values, drg_spectrum
+from drgc.spectral import dense_spectrum, drg_spectrum
 from reference_algebra import form_eval, subspace_elements
-from reference_graphs import bipartite_double, dense_construct, shrikhande
+from reference_graphs import (bipartite_double, dense_construct, distinct_values,
+                              shrikhande)
 
 
 # -- reference constructions: the earlier pair-predicate builds, kept as oracles

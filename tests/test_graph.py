@@ -603,6 +603,24 @@ def test_failing_check_holds_no_n_by_n_array(monkeypatch):
     assert real(g).dtype == np.int16 and peak < 2 * n ** 2
 
 
+def test_distance_matrix_holds_one_n_by_n_matrix_past_distance_126():
+    """C_2048(1,5) has diameter 206, so the int8 search stops at distance
+    127 and starts again in int16: the stage's traced peak, the int16 matrix
+    (2 n^2 bytes) and the bit-packed frontiers, stays below 3 n^2."""
+    n = 2048
+    g = Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, 5)])
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        dm = distance_matrix(g)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert dm.dtype == np.int16 and dm.max() == 206
+    assert np.array_equal(dm[0, :8], [0, 1, 2, 3, 2, 1, 2, 3])
+    assert peak < 3 * n ** 2
+
+
 def test_intersection_array_cached():
     g = generalized_petersen(5, 2)
     ia = intersection_array(g)

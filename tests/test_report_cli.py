@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
@@ -141,6 +142,23 @@ def test_default_targets_cover_catalog_and_grid():
     assert "cube" in targets and "gh33-incidence" in targets
     assert "johnson:6,3" in targets and "dualpolarc:3,3" in targets
     assert len(targets) == len(set(targets))
+
+
+def test_golden_report_of_the_exact_targets():
+    """verify_all over the 34 default targets with n <= exact_cap writes
+    these bytes.  Only these targets are pinned because their reports do
+    not depend on the BLAS build or thread count: the exact oracle's
+    float32 sums are exact integers, and their witnesses draw no Gaussians
+    and take no eigenvectors."""
+    cap = SearchConfig().exact_cap
+    targets = [e.name for e in catalog_list() if e.array.v <= cap] + \
+        [str(spec) for spec in default_grid() if theory_values(spec).v <= cap]
+    assert len(targets) == 34
+    report = verify_all(targets=targets)
+    assert hashlib.sha256(emit(report)).hexdigest() == \
+        "114812325fc9f9476f82845ae804fc2740d5d64efe2d734a2781a3f7ee4e22f5"
+    assert hashlib.sha256(emit(report, "csv")).hexdigest() == \
+        "b98f0536bac6896205b17c6eb18c319fe2a1e319c8a9b839b9a60b98bb68ec36"
 
 
 def test_cli_list(capsys):

@@ -107,28 +107,42 @@ def test_sweep_even_bipartite_half():
     assert float(cert.ratio) <= 0.5 + 1e-12
 
 
-def test_refine_never_increases_and_deterministic():
+def test_refine_never_increases_and_deterministic(monkeypatch):
     g, _ = catalog_load("dodecahedron")
     start = frozenset(range(10))
     r0 = Fraction(cut_stats(g, start).boundary, cut_stats(g, start).vol)
-    a = local_refine(g, start, budget=5000, seed=3)
-    b = local_refine(g, start, budget=5000, seed=3)
+    monkeypatch.setattr(search, "REFINE_BUDGET", 5000)
+    a = local_refine(g, start, seed=3)
+    b = local_refine(g, start, seed=3)
     assert a.ratio <= r0
     assert a.S == b.S and a.ratio == b.ratio
 
 
-def test_refine_reaches_optimum_on_dodecahedron():
+def test_refine_reaches_optimum_on_dodecahedron(monkeypatch):
     g, _ = catalog_load("dodecahedron")
     sw = sweep_cut(g)
-    cert = local_refine(g, sw.S, budget=20000, seed=0)
+    monkeypatch.setattr(search, "REFINE_BUDGET", 20000)
+    cert = local_refine(g, sw.S, seed=0)
     assert cert.ratio == Fraction(1, 5)
 
 
-def test_refine_fixed_point():
+def test_refine_fixed_point(monkeypatch):
     g, _ = catalog_load("dodecahedron")
     _, S = exact_cheeger(g)
-    cert = local_refine(g, S, budget=1000, seed=0)
+    monkeypatch.setattr(search, "REFINE_BUDGET", 1000)
+    cert = local_refine(g, S, seed=0)
     assert cert.ratio == Fraction(1, 5)
+
+
+def test_refine_reads_its_budget_at_call_time(monkeypatch):
+    # a patched REFINE_BUDGET reaches a direct call: the walk stops after
+    # one move, short of where the full walk ends
+    g, _ = catalog_load("dodecahedron")
+    start = frozenset(range(5))
+    monkeypatch.setattr(search, "REFINE_BUDGET", 1)
+    cert = local_refine(g, start)
+    assert cert == reference_local_refine(g, start, budget=1)
+    assert cert != reference_local_refine(g, start)
 
 
 def test_exact_beats_all_other_certificates():
@@ -302,48 +316,52 @@ def test_refine_matches_reference(name, monkeypatch):
     that scan swaps most often."""
     g = _graph(name)
     rng = random.Random(2024)
+    monkeypatch.setattr(search, "REFINE_BUDGET", 2000)
     for i, start in enumerate(_starts(g.n, rng)):
         for seed in (0, 5):
-            args = (g, start, 2000, seed)
-            assert local_refine(*args, plateau_patience=60) == \
-                reference_local_refine(*args, plateau_patience=60), (name, i, seed)
+            assert local_refine(g, start, seed, plateau_patience=60) == \
+                reference_local_refine(g, start, 2000, seed, plateau_patience=60), \
+                (name, i, seed)
     # pair scan over the cap: plateau walks of single moves only
-    args = (g, _starts(g.n, rng)[2], 500, 1)
+    start = _starts(g.n, rng)[2]
     monkeypatch.setattr(search, "SWAP_CAP", 0)
-    assert local_refine(*args) == reference_local_refine(*args, swap_cap=0)
+    monkeypatch.setattr(search, "REFINE_BUDGET", 500)
+    assert local_refine(g, start, 1) == \
+        reference_local_refine(g, start, 500, 1, swap_cap=0)
 
 
 def _circulant(n, jumps):
     return Graph.from_edges(n, [(v, (v + j) % n) for v in range(n) for j in jumps])
 
 
-def test_refine_matches_reference_on_random_circulants():
+def test_refine_matches_reference_on_random_circulants(monkeypatch):
     """Regular graphs that are not distance-regular, from many random starts.
     The walks reach every case of the bucket scan that the catalog walks may
     miss: a least swap key of L + 1, a strict swap from a row of din a + 1,
     and key-0 swaps filtered out by the tabu list."""
     rng = random.Random(16)
     seen = set()
+    monkeypatch.setattr(search, "REFINE_BUDGET", 150)
     for _ in range(30):
         n = rng.randrange(8, 28)
         g = _circulant(n, rng.sample(range(1, n // 2 + 1), rng.randrange(1, 4)))
         for _ in range(4):
             start = frozenset(rng.sample(range(n), rng.randrange(1, n)))
-            args = (g, start, 150, rng.randrange(100))
-            assert local_refine(*args, plateau_patience=30) == \
-                reference_local_refine(*args, plateau_patience=30, seen=seen), \
-                (g.adj, start, args[3])
+            seed = rng.randrange(100)
+            assert local_refine(g, start, seed, plateau_patience=30) == \
+                reference_local_refine(g, start, 150, seed, plateau_patience=30,
+                                       seen=seen), (g.adj, start, seed)
     assert seen == {"least L+1", "strict swap from a+1", "tabu zero pair"}
 
 
 def test_refine_refuses_inexact_sizes(monkeypatch):
     g, _ = catalog_load("petersen")     # total degree 30
     monkeypatch.setattr(search, "REFINE_TOTAL_CAP", 30)
-    assert local_refine(g, {0, 1}, budget=10) == \
-        reference_local_refine(g, {0, 1}, budget=10)
+    monkeypatch.setattr(search, "REFINE_BUDGET", 10)
+    assert local_refine(g, {0, 1}) == reference_local_refine(g, {0, 1}, budget=10)
     monkeypatch.setattr(search, "REFINE_TOTAL_CAP", 29)
     with pytest.raises(TooLarge, match="local_refine.*29"):
-        local_refine(g, {0, 1}, budget=10)
+        local_refine(g, {0, 1})
 
 
 def test_refine_refuses_irregular_graphs_and_trivial_sets():

@@ -13,8 +13,9 @@ from drgc.families import FamilySpec, construct, default_grid
 from drgc.graph import (Graph, IntersectionArray, adjacency_matrix, g6_decode,
                         g6_encode, intersection_array)
 from drgc.spectral import (Spectrum, _minors, at_most_lambda1, dense_spectrum,
-                           distinct_values, drg_spectrum, exact_theta1,
-                           spectrum_certified, srg_eigenvalues, cheeger_window)
+                           drg_spectrum, exact_theta1, spectrum_certified,
+                           srg_eigenvalues, cheeger_window)
+from reference_graphs import distinct_values
 
 
 def test_drg_spectrum_heawood():
