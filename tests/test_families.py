@@ -317,6 +317,11 @@ def test_spec_parsing_and_domain():
         FamilySpec.parse("grassmann:6,4,2")   # unsupported field order
     with pytest.raises(ParamDomain):
         FamilySpec.parse("johnson")
+    # a wrong parameter count names the parameters of the family's definition
+    with pytest.raises(ParamDomain, match=r"^hamming\(2,\): need \(d, q\)$"):
+        FamilySpec.parse("hamming:2")
+    with pytest.raises(ParamDomain, match=r"^grassmann\(2, 4\): need \(q, n, e\)$"):
+        FamilySpec.parse("grassmann:2,4")
     for text in ("johnson:6,x", "johnson:6,", "hamming:2.5,2"):
         with pytest.raises(ParamDomain, match="non-integer parameter"):
             FamilySpec.parse(text)
