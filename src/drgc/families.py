@@ -572,7 +572,7 @@ def construct(spec: FamilySpec) -> Graph:
     fam = _define(spec)
     tv = fam.theory
     if tv.v > MAX_VERTICES:
-        raise TooLarge(f"{spec} has {tv.v} vertices (cap {MAX_VERTICES})")
+        raise TooLarge(f"{spec} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
     if fam.rows is None:
         raise ParamDomain(f"{spec.family} is parameters-only (no constructor); "
                           "use theory_values / half_dual_polar_descendant_check")

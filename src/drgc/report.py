@@ -130,73 +130,75 @@ def _judged(ia: IntersectionArray, c: CutCertificate) -> CutCertificate:
     return replace(c, verdict="ok" if at_most_lambda1(ia, c.ratio) else "open")
 
 
-def array_bounds(ia: IntersectionArray, spec: FamilySpec | None):
-    """The analytic bounds that read only the intersection array (and a
-    doubled Grassmann graph's parameters), so that a parameters-only entry
-    gets the same ones as a graph with its array."""
-    bounds: list[AnalyticBound] = []
-    if ia.D == 2:
-        bounds.append(srg_certify(ia))
-    shape = _gq_gh_shape(ia)
-    if shape is not None:
-        bounds.append(gq_gh_incidence_verdict(*shape))
-    if ia.is_bipartite() and ia.D == 3 and ia.k >= 4:
-        bounds.append(bipartite_diameter3_verdict(ia))
-    if spec is not None and spec.family == "doubledgrassmann":
-        bounds.append(doubled_grassmann_verdict(*spec.params))
-    return bounds
+# The witness rules in report order, each an (applies, build) pair: a graph
+# rule reads (g, ia, t1, spec) and builds a certificate, an array rule reads
+# (ia, spec) and builds an analytic bound.  A build names its builder, which
+# is looked up in this module's globals when the rule runs.
+GRAPH_RULES = (
+    (lambda g, ia, t1, spec: spec is not None and spec.family not in NO_DESCENDANT,
+     lambda g, ia, t1, spec: avg_valency_certificate(
+         g, descendant(spec), theory_values(spec).theta1)),
+    (lambda g, ia, t1, spec: ia.D == 2,
+     lambda g, ia, t1, spec: ball_cut(g, 1, "ball")),
+    (lambda g, ia, t1, spec: ia.is_bipartite() and ia.v % 2 == 0,
+     lambda g, ia, t1, spec: bipartite_half_cut(g)),
+    (lambda g, ia, t1, spec: ia.D == 3 and ia.is_antipodal() and t1 is not None,
+     lambda g, ia, t1, spec: antipodal_fibre_cut(g, ia, t1)),
+    (lambda g, ia, t1, spec: ia.D == 3 and t1 is not None and t1 == ia.a(3),
+     lambda g, ia, t1, spec: shilla_cut(g, ia)),
+    (lambda g, ia, t1, spec: ia.k >= 3 and ia.D >= 3 and 2 * ia.girth() <= ia.v,
+     lambda g, ia, t1, spec: girth_cycle_cut(g, ia)),
+    (lambda g, ia, t1, spec: ia.k == 4 and ia.a(1) == 1,
+     lambda g, ia, t1, spec: triangle_chain_cut(g)),
+    (lambda g, ia, t1, spec: ia.k == 4 and ia.a(1) == 1 and ia.D == 4,
+     lambda g, ia, t1, spec: triangle_octagon_cut(g)),
+    (lambda g, ia, t1, spec: ia == TWELVE_CAGE_ARRAY,
+     lambda g, ia, t1, spec: twelve_cage_witness(g, ia)),
+    (lambda g, ia, t1, spec: ia == GQ33_ARRAY,
+     lambda g, ia, t1, spec: gq33_incidence_witness(g, ia)),
+)
+ARRAY_RULES = (
+    (lambda ia, spec: ia.D == 2,
+     lambda ia, spec: srg_certify(ia)),
+    (lambda ia, spec: _gq_gh_shape(ia) is not None,
+     lambda ia, spec: gq_gh_incidence_verdict(*_gq_gh_shape(ia))),
+    (lambda ia, spec: ia.is_bipartite() and ia.D == 3 and ia.k >= 4,
+     lambda ia, spec: bipartite_diameter3_verdict(ia)),
+    (lambda ia, spec: spec is not None and spec.family == "doubledgrassmann",
+     lambda ia, spec: doubled_grassmann_verdict(*spec.params)),
+)
 
 
-def gather_bounds(g: Graph, ia: IntersectionArray, t1_exact,
+def gather_bounds(g: Graph | None, ia: IntersectionArray, t1_exact,
                   spec: FamilySpec | None):
-    """All applicable witness certificates, judged, and the array_bounds;
-    t1_exact is exact_theta1(ia), computed once by the caller.  Each witness
-    runs only where it applies, so one that raises is an error of the target."""
-    certs: list[CutCertificate] = []
-    k, D = ia.k, ia.D
-
-    if spec is not None and spec.family not in NO_DESCENDANT:
-        certs.append(avg_valency_certificate(
-            g, descendant(spec), theory_values(spec).theta1))
-    if D == 2:
-        certs.append(ball_cut(g, 0, 1, "ball"))
-    if ia.is_bipartite() and ia.v % 2 == 0:
-        certs.append(bipartite_half_cut(g))
-    if D == 3 and ia.is_antipodal() and t1_exact is not None:
-        certs.append(antipodal_fibre_cut(g, ia, t1_exact))
-    if D == 3 and t1_exact is not None and t1_exact == ia.a(3):   # Shilla: theta1 = a_3
-        certs.append(shilla_cut(g, ia))
-    if k >= 3 and D >= 3 and 2 * ia.girth() <= ia.v:
-        certs.append(girth_cycle_cut(g, ia))
-    if k == 4 and ia.a(1) == 1:
-        certs.append(triangle_chain_cut(g))
-        if D == 4:
-            certs.append(triangle_octagon_cut(g))
-    if ia == TWELVE_CAGE_ARRAY:
-        certs.append(twelve_cage_witness(g, ia))
-    if ia == GQ33_ARRAY:
-        certs.append(gq33_incidence_witness(g, ia))
-    return [_judged(ia, c) for c in certs], array_bounds(ia, spec)
+    """(certificates, bounds) from every rule that applies, each certificate
+    judged; t1_exact is exact_theta1(ia), computed once by the caller.  With g
+    None (a parameters-only entry) only the array rules run.  A witness runs
+    only where it applies, so one that raises is an error of the target."""
+    certs = [] if g is None else [
+        _judged(ia, build(g, ia, t1_exact, spec))
+        for applies, build in GRAPH_RULES if applies(g, ia, t1_exact, spec)]
+    return certs, [build(ia, spec) for applies, build in ARRAY_RULES
+                   if applies(ia, spec)]
 
 
 def verify_one(target: str, config: SearchConfig = SearchConfig()) -> dict:
     """The record of one target.  A parameters-only catalog entry has no
-    graph: it gets the array_bounds and no certificate, search or exact h."""
+    graph: gather_bounds gives it the array rules' bounds, and it gets no
+    certificate, search or exact h."""
     graph_id, g, spec, ia = _resolve(target)
     spectrum = drg_spectrum(ia)
     t1_exact = exact_theta1(ia)
     lam1 = ((SqrtVal(ia.k) - t1_exact) / ia.k) if t1_exact is not None \
         else spectrum.lambda1
     crosscheck = best = exact_h = None
+    certs, bounds = gather_bounds(g, ia, t1_exact, spec)
 
-    if g is None:
-        certs, bounds = [], array_bounds(ia, spec)
-    else:
+    if g is not None:
         # intersection_array has checked the array on every vertex pair, so
         # the adjacency eigenvalues are the intersection matrix's; the float
         # spectrum is checked against them exactly, with no n x n matrix
         crosscheck = spectrum_certified(ia, spectrum.thetas)
-        certs, bounds = gather_bounds(g, ia, t1_exact, spec)
         # h >= lambda_1/2 (Cheeger), so a witness of ratio lambda_1/2 is a
         # global minimum.  When it is also the least witness under the
         # search's order and its method sorts before "refine" and "sweep", the

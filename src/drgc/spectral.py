@@ -165,15 +165,16 @@ def at_most_lambda1(ia: IntersectionArray, r) -> bool:
 def exact_theta1(ia: IntersectionArray) -> SqrtVal | None:
     """theta_1 as an exact rational or quadratic irrational, when possible.
 
-    A candidate near the float theta_1 is accepted when the characteristic
-    polynomial, the last minor, is exactly 0 there.  A rational root of that
-    monic integer polynomial is an integer; an irrational quadratic root
-    brings its conjugate, another eigenvalue theta', so it is a root of
+    A candidate is accepted when the characteristic polynomial, the last
+    minor, is exactly 0 there.  A rational root of that monic integer
+    polynomial is an integer; the one nearest the float is theta_1 when
+    exactly one eigenvalue, k, lies above it.  An irrational quadratic root
+    near the float brings its conjugate, an eigenvalue theta', so it is a root of
     x^2 - Bx + C with B = theta_1 + theta' and C = theta_1 theta' integers."""
     thetas = drg_spectrum(ia).thetas
     target = thetas[1]
     m = round(target)
-    if abs(m - target) < 1e-6 and _minors(ia, m)[-1] == 0:
+    if _minors(ia, m)[-1] == 0 and _above(ia, m, 1) == 1:
         return SqrtVal(m)
     for partner in thetas:
         if partner == target:

@@ -21,11 +21,6 @@ from .graph import (CutStats, Graph, IntersectionArray, bfs_distances,
 from .spectral import srg_eigenvalues
 
 
-class NotAntipodalError(DrgcError):
-    def __init__(self, ia):
-        super().__init__(f"array {ia} does not describe an antipodal fibre")
-
-
 @dataclass(frozen=True)
 class CutCertificate:
     S: tuple[int, ...]
@@ -88,8 +83,9 @@ def avg_valency_certificate(g: Graph, S, theta1) -> CutCertificate:
 
 # -- ball / sphere cuts ----------------------------------------------------------
 
-def ball_cut(g: Graph, x: int, radius: int, mode: str = "ball") -> CutCertificate:
-    dist = bfs_distances(g, x)
+def ball_cut(g: Graph, radius: int, mode: str = "ball") -> CutCertificate:
+    """The ball (or sphere) of the given radius around vertex 0."""
+    dist = bfs_distances(g, 0)
     diam = max(dist)
     if not 0 <= radius <= diam or (mode == "ball" and radius >= diam):
         raise RangeError(f"radius {radius} out of range for diameter {diam}")
@@ -107,7 +103,7 @@ def shilla_cut(g: Graph, ia: IntersectionArray) -> CutCertificate:
     is c_3/k = lambda_1 provided the sphere is at most half the graph."""
     if ia.D != 3:
         raise ParamDomain("shilla cut needs diameter 3")
-    cert = ball_cut(g, 0, 3, "sphere")
+    cert = ball_cut(g, 3, "sphere")
     expected = Fraction(ia.c[2], ia.k)
     notes = (f"c3/k = {expected}",)
     if 2 * ia.sphere_sizes()[3] > ia.v:
@@ -347,7 +343,7 @@ def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1) -> CutCertifica
         fibre = [x0] + [v for v in range(g.n) if dist[v] == 3]
         r = len(fibre) - 1
         if r != b1 // c2:
-            raise NotAntipodalError(ia)
+            raise SelfCheckFailed(f"array {ia} does not describe an antipodal fibre")
         B = frozenset(sorted(g.adj[x0])[:t])
         invariant = Fraction(0)
         for j, xj in enumerate(fibre[1:], start=1):
@@ -371,7 +367,7 @@ def antipodal_fibre_cut(g: Graph, ia: IntersectionArray, theta1) -> CutCertifica
         notes = ("small-valency branch: avg valency 3k/(k+1) > sqrt(k) = theta1",)
     else:  # pragma: no cover
         raise DrgcError(f"antipodal branches exhausted for {ia}")
-    return replace(ball_cut(g, 0, 1, "ball"), method="antipodal-ball", notes=notes)
+    return replace(ball_cut(g, 1, "ball"), method="antipodal-ball", notes=notes)
 
 
 # -- girth cycle cut ----------------------------------------------------------------

@@ -20,8 +20,8 @@ from drgc.cli import _config, _parser, main
 from drgc.errors import DataCorrupt, MalformedGraph6, SearchFailed
 from drgc.families import default_grid, theory_values
 from drgc.graph import bfs_distances, cut_stats
-from drgc.report import (_resolve, default_targets, emit, gather_bounds,
-                         verify_all, verify_one)
+from drgc.report import (ARRAY_RULES, GRAPH_RULES, _resolve, default_targets,
+                         emit, gather_bounds, verify_all, verify_one)
 from drgc.search import SearchConfig, cert_key, exact_cheeger
 from drgc.spectral import _minors, at_most_lambda1, exact_theta1
 
@@ -216,6 +216,15 @@ def test_cli_bad_target(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_family_past_max_vertices(capsys):
+    # hamming:5000,10 has 10^5000 vertices, more digits than str(int) allows,
+    # so the message names the cap instead of the count
+    assert main(["verify", "hamming:5000,10"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: hamming:5000,10 has more than MAX_VERTICES = 20000 "
+                   "vertices\n")
+
+
 def test_cli_mistyped_catalog_name_names_the_target_forms(capsys):
     """A target that is no catalog name and has no ':' is decoded as graph6;
     when that fails the error names all three accepted forms."""
@@ -328,6 +337,29 @@ def test_raising_witness_becomes_error_record(target, witness, monkeypatch):
     assert verify_all(FAST, targets=[target])["records"] == [
         {"id": target, "status": "ERROR",
          "error": f"SearchFailed: {witness} found no cut"}]
+
+
+def test_every_witness_rule_applies_somewhere():
+    """Each rule of the witness table applies to a default target or, for the
+    doubled-Grassmann rule, which no default target reaches, to the family
+    spec doubledgrassmann:2,1 (the Heawood graph), which it settles."""
+    extra = "doubledgrassmann:2,1"
+    graph_hits, array_hits = [0] * len(GRAPH_RULES), [0] * len(ARRAY_RULES)
+    for target in default_targets() + [extra]:
+        _, g, spec, ia = _resolve(target)
+        t1 = exact_theta1(ia)
+        for i, (applies, _) in enumerate(ARRAY_RULES):
+            array_hits[i] += applies(ia, spec)
+        if g is not None:
+            for i, (applies, _) in enumerate(GRAPH_RULES):
+                graph_hits[i] += applies(g, ia, t1, spec)
+    # each build's first global is the witness builder it names
+    idle = [build.__code__.co_names[0]
+            for rules, hits in ((GRAPH_RULES, graph_hits), (ARRAY_RULES, array_hits))
+            for (_, build), n in zip(rules, hits) if not n]
+    assert idle == []
+    bounds = verify_one(extra, FAST)["bounds"]
+    assert [b["verdict"] for b in bounds if b["method"] == "doubled-grassmann"] == ["ok"]
 
 
 def test_no_assert_statements_in_src():

@@ -207,6 +207,21 @@ def test_exact_theta1_refuses_near_misses(monkeypatch):
     c8 = IntersectionArray((2, 1, 1, 1), (1, 1, 1, 2))
     assert exact_theta1(c8) == SqrtVal(0, 1, 2)
 
+
+def test_exact_theta1_integer_at_large_valency():
+    """Classical parameters (d, b, alpha, beta) = (8, 16, 0, 256): b_i =
+    256 16^i [8-i], c_i = [i] and theta_1 = 256 [7] - 1 (Brouwer, Cohen and
+    Neumaier, §8.4), with k about 7.3e10.  The float theta_1 misses that
+    integer by 2e-6, and the exact eigenvalue count still accepts it."""
+    def br(n):
+        return (16 ** n - 1) // 15
+    ia = IntersectionArray(tuple(256 * 16 ** i * br(8 - i) for i in range(8)),
+                           tuple(br(i) for i in range(1, 9)))
+    theta1 = 256 * br(7) - 1
+    assert theta1 == 4581298431
+    assert abs(drg_spectrum(ia).theta1 - theta1) > 1e-6
+    assert exact_theta1(ia) == SqrtVal(theta1)
+
 def test_srg_eigenvalues():
     t1, t2 = srg_eigenvalues(3, 0, 1)
     assert t1 == 1 and t2 == -2

@@ -75,14 +75,14 @@ def test_avg_valency_foster_target_numbers():
 
 def test_ball_cut_petersen_reproduces_srg_bound():
     g, _ = catalog_load("petersen")
-    cert = ball_cut(g, 0, 1, "ball")
+    cert = ball_cut(g, 1, "ball")
     k, b1, c2 = 3, 2, 1
     assert cert.ratio == max(Fraction(b1, k + 1), Fraction(c2, k)) == Fraction(1, 2)
 
 
 def test_ball_cut_radius_zero():
     g, _ = catalog_load("petersen")
-    cert = ball_cut(g, 0, 0, "ball")
+    cert = ball_cut(g, 0, "ball")
     assert len(cert.S) == 1 and cert.ratio == 1
 
 
@@ -90,9 +90,9 @@ def test_ball_cut_radius_out_of_range():
     from drgc.errors import RangeError
     g, _ = catalog_load("petersen")
     with pytest.raises(RangeError):
-        ball_cut(g, 0, 2, "ball")      # radius must stay below the diameter
+        ball_cut(g, 2, "ball")      # radius must stay below the diameter
     with pytest.raises(RangeError):
-        ball_cut(g, 0, 3, "sphere")
+        ball_cut(g, 3, "sphere")
 
 
 def test_shilla_hamming33():
