@@ -103,10 +103,6 @@ def _need(cond: bool, msg: str):
         raise ParamDomain(msg)
 
 
-def _gauss1(m: int, q: int) -> int:
-    return (q ** m - 1) // (q - 1) if m >= 0 else 0
-
-
 # -- vertex keys ----------------------------------------------------------------
 
 
@@ -404,8 +400,8 @@ def _grassmann(q, n, e):
     _need(q in SUPPORTED_Q, f"q = {q} unsupported")
     _need(1 <= e and n >= 2 * e, "need n >= 2e >= 2")
     F = field(q)
-    k = q * _gauss1(e, q) * _gauss1(n - e, q)
-    t1 = q * q * _gauss1(e - 1, q) * _gauss1(n - e - 1, q) - 1
+    k = q * gb(e, 1, q) * gb(n - e, 1, q)
+    t1 = q * q * gb(e - 1, 1, q) * gb(n - e - 1, 1, q) - 1
     return _Family(TheoryValues(k, gb(n, e, q), SqrtVal(t1)),
                    lambda: enumerate_subspaces(n, e, F),
                    lambda keys: _common_rows(span_rows(F, keys), q ** (e - 1)),
@@ -416,7 +412,7 @@ def _grassmann(q, n, e):
 def _bilinearforms(q, D, e):
     _need(q in SUPPORTED_Q and 1 <= D <= e, "need q supported, 1 <= D <= e")
     F = field(q)
-    k = _gauss1(D, q) * (q ** e - 1)
+    k = gb(D, 1, q) * (q ** e - 1)
     t1 = Fraction((q ** (D - 1) - 1) * (q ** e - q), q - 1) - 1
     return _Family(
         TheoryValues(k, q ** (D * e), SqrtVal(t1)),
@@ -430,8 +426,8 @@ def _alternatingforms(q, n):
     _need(q in SUPPORTED_Q and n >= 3, "need q supported, n >= 3")
     F = field(q)
     Dh, m = n // 2, 2 * ((n + 1) // 2) - 1
-    k = _gauss1(Dh, q * q) * (q ** m - 1)
-    t1 = _gauss1(Dh - 1, q * q) * (q ** m - q * q) - 1
+    k = gb(Dh, 1, q * q) * (q ** m - 1)
+    t1 = gb(Dh - 1, 1, q * q) * (q ** m - q * q) - 1
     pairs = _upper_pairs(n)
 
     def rank2(key):
@@ -476,8 +472,8 @@ def _quadraticforms(q, n):
     _need(q in SUPPORTED_Q and n >= 2, "need q supported, n >= 2")
     F = field(q)
     Dh, m = (n + 1) // 2, 2 * (n // 2) + 1
-    k = _gauss1(Dh, q * q) * (q ** m - 1)
-    t1 = _gauss1(Dh - 1, q * q) * (q ** m - q * q) - 1
+    k = gb(Dh, 1, q * q) * (q ** m - 1)
+    t1 = gb(Dh - 1, 1, q * q) * (q ** m - q * q) - 1
     monos = _monomials(n)
     return _Family(
         TheoryValues(k, q ** (n * (n + 1) // 2), SqrtVal(t1)),
@@ -497,8 +493,8 @@ def _dualpolarc(q, D):
     # rows that are 0 at column 0, and the first row is 0 at every later
     # pivot, so e1 is in U exactly when it is the first row
     e1 = tuple([1] + [0] * (2 * D - 1))
-    return _Family(TheoryValues(q * _gauss1(D, q), v,
-                                SqrtVal(q * _gauss1(D - 1, q) - 1)),
+    return _Family(TheoryValues(q * gb(D, 1, q), v,
+                                SqrtVal(q * gb(D - 1, 1, q) - 1)),
                    lambda: isotropic_subspaces(F, 2 * D, D),
                    lambda keys: _common_rows(span_rows(F, keys), q ** (D - 1)),
                    lambda U: U[0] == e1)
@@ -508,11 +504,11 @@ def _dualpolarc(q, D):
 def _halfdualpolar(q, n):
     _need(q >= 2 and n >= 4, "need q >= 2, n >= 4")
     Dh, m = n // 2, 2 * ((n + 1) // 2) - 1
-    beta = Fraction(_gauss1(m + 1, q) - 1)
+    beta = Fraction(gb(m + 1, 1, q) - 1)
     alpha = Fraction(q * q + q)
     b = q * q
-    k = Fraction(_gauss1(Dh, b)) * beta
-    t1 = Fraction(_gauss1(Dh, b) - 1, b) * (beta - alpha) - 1
+    k = Fraction(gb(Dh, 1, b)) * beta
+    t1 = Fraction(gb(Dh, 1, b) - 1, b) * (beta - alpha) - 1
     v = prod(q ** i + 1 for i in range(1, n))
     if k.denominator != 1 or t1.denominator != 1:
         raise SelfCheckFailed(f"halfdualpolar:{q},{n}: k = {k} or theta_1 = {t1} "
@@ -525,8 +521,8 @@ def _doubledgrassmann(q, t):
     _need(q in SUPPORTED_Q and t >= 1, "need q supported, t >= 1")
     F = field(q)
     return _Family(
-        TheoryValues(_gauss1(t + 1, q), 2 * gb(2 * t + 1, t, q),
-                     SqrtVal(0, _gauss1(t, q), q)),
+        TheoryValues(gb(t + 1, 1, q), 2 * gb(2 * t + 1, t, q),
+                     SqrtVal(0, gb(t, 1, q), q)),
         lambda: ([(0, U) for U in enumerate_subspaces(2 * t + 1, t, F)] +
                  [(1, W) for W in enumerate_subspaces(2 * t + 1, t + 1, F)]),
         lambda keys: _incidence_rows(F, _side(keys, 0), _side(keys, 1)),

@@ -53,7 +53,7 @@ BLOCK_CELLS = 2 ** 18
 
 
 class Graph:
-    __slots__ = ("n", "adj", "num_edges", "_degree", "_ia", "_eig", "_edges")
+    __slots__ = ("n", "adj", "num_edges", "_degree", "_ia", "_edges")
 
     def __init__(self, n: int, adj: Iterable[Iterable[int]]):
         rows = [tuple(row) for row in adj]
@@ -115,7 +115,6 @@ class Graph:
         self.num_edges = dst.size // 2
         self._degree = int(degs[0]) if n and (degs == degs[0]).all() else None
         self._ia = None
-        self._eig = None
         self._edges = EdgeArrays(src, dst, first)
 
     def regular_degree(self) -> int | None:
@@ -222,11 +221,9 @@ def adjacency_matrix(g: Graph, dtype=np.float64) -> np.ndarray:
 
 
 def eigensystem(g: Graph):
-    """Cached (eigenvalues, eigenvectors) of the adjacency matrix."""
-    if g._eig is None:
-        _check_dense(g, "eigensystem")
-        g._eig = np.linalg.eigh(adjacency_matrix(g))
-    return g._eig
+    """(eigenvalues, eigenvectors) of the adjacency matrix, from eigh."""
+    _check_dense(g, "eigensystem")
+    return np.linalg.eigh(adjacency_matrix(g))
 
 
 def _neighbour_table(g: Graph) -> np.ndarray:

@@ -70,17 +70,19 @@ total > REFINE_TOTAL_CAP, and so does refinement, which refines the sweep's
 cuts; its own counts are Python ints and exact at any size.
 
 The sweeps follow theta_1-eigenvectors, from one of two sources split at
-spectral.EIGENVECTOR_CAP vertices, the bound that also starts the search's
-cheapest effort tier.  Up to it they come from the cached dense eigh of
-graph.eigensystem, which only the search reads: the second eigenvector, and
-per seed a Gaussian combination of the eigenbasis of theta_1.  Above it no
+EIGENVECTOR_CAP vertices, the bound that also starts the search's cheapest
+effort tier; _theta1_columns alone makes that choice, once per searched
+target.  Up to the cap one dense eigh (graph.eigensystem, which caches
+nothing) gives the second eigenvector and, per seed, a Gaussian
+combination of the eigenbasis of theta_1.  Above it no
 eigenvector is computed.  For theta_1's standard sequence u (u_0 = 1,
 u_1 = theta_1/k, c_i u_{i-1} + a_i u_i + b_i u_{i+1} = theta_1 u_i) the
 matrix E = sum_i u_i A_i, A_i the distance-i adjacency matrix, is a multiple
 of the projection onto the theta_1-eigenspace (Brouwer, Cohen and Neumaier,
 Distance-Regular Graphs, 4.1).  Its column 0, y -> u_{d(0, y)}, is the
 sweep's vector, and E r for a Gaussian r per seed has the distribution of
-the dense path's combination.  The products A_i R come from
+the dense path's combination; one product E [e_0 | R] gives them all.
+The products A_i R come from
 A A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1}: D sums over the
 neighbour slots, with no n x n array and no LAPACK call.
 
@@ -125,6 +127,8 @@ EXACT_BLOCK = 2 ** 14      # (lo, hi) pairs scored at once by exact_cheeger
 REFINE_TOTAL_CAP = 2 ** 26
 SWAP_CAP = 40_000          # most |S| |S^c| at which refinement tries swaps
 REFINE_BUDGET = 100_000    # most moves of one refinement walk
+# the largest n whose dense eigenvectors the search computes (_theta1_columns)
+EIGENVECTOR_CAP = 256
 
 
 def _gray_tables(A, idx):
@@ -193,14 +197,10 @@ def exact_cheeger(g: Graph, exact_cap: int = 24):
 
 
 def sweep_cut(g: Graph) -> CutCertificate:
-    """Best prefix cut in the ordering of a theta_1-eigenvector: the second
-    adjacency eigenvector up to spectral.EIGENVECTOR_CAP vertices, and above
-    it vertex 0's spherical vector y -> u_{d(0, y)}, column 0 of E."""
-    if g.n <= spectral.EIGENVECTOR_CAP:
-        x = eigensystem(g)[1][:, -2]
-    else:
-        x = _theta1_vectors(g, np.eye(g.n, 1))[:, 0]
-    return make_certificate(g, _sweep_order(g, x), "sweep")
+    """Best prefix cut in the ordering of a theta_1-eigenvector: column 0 of
+    _theta1_columns, the second adjacency eigenvector up to EIGENVECTOR_CAP
+    vertices and above it vertex 0's spherical vector y -> u_{d(0, y)}."""
+    return make_certificate(g, _sweep_order(g, _theta1_columns(g, ())[:, 0]), "sweep")
 
 
 def _theta1_vectors(g: Graph, R: np.ndarray) -> np.ndarray:
@@ -461,24 +461,24 @@ class _NormalStream:
 _normal_stream = lru_cache(maxsize=128)(_NormalStream)
 
 
-def _eigenspace_starts(g: Graph, seeds) -> list[frozenset]:
-    """Sweep starts from seeded random vectors inside the second eigenvalue's
-    eigenspace (high multiplicity in distance-regular graphs): combinations
-    of the dense eigenbasis up to spectral.EIGENVECTOR_CAP vertices, and
-    above it E R, whose column per seed is a Gaussian projected onto the
-    eigenspace.  Seed s's Gaussians are the first ones of
-    RandomState(s)'s legacy stream, which _normal_stream keeps per seed."""
-    if g.n <= spectral.EIGENVECTOR_CAP:
+def _theta1_columns(g: Graph, seeds) -> np.ndarray:
+    """n x (1 + len(seeds)) theta_1-vectors: column 0 is the sweep's and
+    column 1 + j the start of seeds[j], a Gaussian projected onto the
+    theta_1-eigenspace (high multiplicity in distance-regular graphs).  Up
+    to EIGENVECTOR_CAP vertices they come from one dense eigh (the second
+    eigenvector, then combinations of the eigenbasis of theta_1), above it
+    from one product E [e_0 | R] (module docstring).  Seed s's Gaussians
+    are the first ones of RandomState(s)'s legacy stream, which
+    _normal_stream keeps per seed."""
+    if g.n <= EIGENVECTOR_CAP:
         vals, vecs = eigensystem(g)
         basis = vecs[:, np.abs(vals - vals[-2]) < 1e-8]
-        xs = [basis @ _normal_stream(seed).first(basis.shape[1])
-              for seed in seeds]
-    else:
-        R = np.empty((g.n, len(seeds)))
-        for j, seed in enumerate(seeds):
-            R[:, j] = _normal_stream(seed).first(g.n)
-        xs = _theta1_vectors(g, R).T
-    return [_sweep_order(g, x) for x in xs]
+        return np.column_stack([vecs[:, -2]] + [
+            basis @ _normal_stream(seed).first(basis.shape[1]) for seed in seeds])
+    R = np.eye(g.n, 1 + len(seeds))
+    for j, seed in enumerate(seeds, 1):
+        R[:, j] = _normal_stream(seed).first(g.n)
+    return _theta1_vectors(g, R)
 
 
 def _iterated_refine(g: Graph, start, seed: int, rounds: int,
@@ -519,9 +519,9 @@ def cert_key(c: CutCertificate):
 
 def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig()) -> CutCertificate:
     """Minimum-ratio certificate over exact enumeration (when it fits), the
-    spectral sweep and seeded refinements.  Above spectral.EIGENVECTOR_CAP
-    vertices the sweeps read the intersection array, so g must be
-    distance-regular there (NotDistanceRegular)."""
+    spectral sweep and seeded refinements.  Above EIGENVECTOR_CAP vertices
+    the sweeps read the intersection array, so g must be distance-regular
+    there (NotDistanceRegular)."""
     certs = []
     if g.n <= config.exact_cap:
         h, S = exact_cheeger(g, config.exact_cap)
@@ -531,17 +531,18 @@ def best_upper_bound(g: Graph, config: SearchConfig = SearchConfig()) -> CutCert
                                   f"recounts to {cert.ratio}")
         certs.append(cert)
     else:
-        sw = sweep_cut(g)
+        xs = _theta1_columns(g, config.seeds)
+        sw = make_certificate(g, _sweep_order(g, xs[:, 0]), "sweep")
         certs.append(sw)
         # effort scales down with size: big graphs are settled by witnesses,
         # the deep plateau walks matter only at Biggs-Smith/Foster scale
         if g.n <= 128:
             rounds, patience = 12, 400
-        elif g.n <= spectral.EIGENVECTOR_CAP:
+        elif g.n <= EIGENVECTOR_CAP:
             rounds, patience = 5, 150
         else:
             rounds, patience = 2, 40
-        starts = [sw.S] + _eigenspace_starts(g, config.seeds)
-        for seed, start in zip((-1,) + tuple(config.seeds), starts):
-            certs.append(_iterated_refine(g, start, max(seed, 0), rounds, patience))
+        starts = [sw.S] + [_sweep_order(g, x) for x in xs[:, 1:].T]
+        for seed, start in zip((0,) + tuple(config.seeds), starts):
+            certs.append(_iterated_refine(g, start, seed, rounds, patience))
     return min(certs, key=cert_key)

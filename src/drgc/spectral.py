@@ -22,10 +22,6 @@ from .exact import SqrtVal
 from .graph import Graph, IntersectionArray, adjacency_matrix
 
 DENSE_CAP = 2000
-# the largest n whose dense eigenvectors the search computes: up to it the
-# search reads its theta_1-vectors from graph.eigensystem, above it from
-# distances
-EIGENVECTOR_CAP = 256
 # spectrum_certified's windows: ends on the grid 2^-30, half-width 2^-27,
 # which with the rounding of a centre to the grid stays below 1e-8
 CERT_SCALE = 1 << 30
@@ -70,8 +66,7 @@ def drg_spectrum(ia: IntersectionArray) -> Spectrum:
 
 def dense_spectrum(g: Graph) -> np.ndarray:
     """All n adjacency eigenvalues (ascending) from eigvalsh, which computes
-    no eigenvectors and never reads the search's cached eigensystem; refuses
-    n > DENSE_CAP."""
+    no eigenvectors; refuses n > DENSE_CAP."""
     if g.n > DENSE_CAP:
         raise TooLarge(f"n = {g.n} exceeds dense cap {DENSE_CAP}")
     return np.linalg.eigvalsh(adjacency_matrix(g))
@@ -170,7 +165,11 @@ def exact_theta1(ia: IntersectionArray) -> SqrtVal | None:
     polynomial is an integer; the one nearest the float is theta_1 when
     exactly one eigenvalue, k, lies above it.  An irrational quadratic root
     near the float brings its conjugate, an eigenvalue theta', so it is a root of
-    x^2 - Bx + C with B = theta_1 + theta' and C = theta_1 theta' integers."""
+    x^2 - Bx + C with B = theta_1 + theta' and C = theta_1 theta' integers.
+    Each partner's nearest integers B and C are tried while |C| < 2^52 (past
+    it floats one apart no longer pin an integer), and only when their
+    greater root is within 1e-6 |theta_1| of the float is the exact root
+    built (which factors B^2 - 4C) and tested."""
     thetas = drg_spectrum(ia).thetas
     target = thetas[1]
     m = round(target)
@@ -180,11 +179,15 @@ def exact_theta1(ia: IntersectionArray) -> SqrtVal | None:
         if partner == target:
             continue
         B, C = target + partner, target * partner
-        Bi, Ci = round(B), round(C)
-        if abs(B - Bi) > 1e-6 or abs(C - Ci) > 1e-6 or Bi * Bi <= 4 * Ci:
+        if abs(C) >= 2 ** 52:
             continue
-        root = SqrtVal(Fraction(Bi, 2), Fraction(1, 2), Bi * Bi - 4 * Ci)
-        if abs(float(root) - target) < 1e-6 and _minors(ia, root)[-1] == 0:
+        B, C = round(B), round(C)
+        disc = B * B - 4 * C
+        if disc <= 0 or (abs((B + math.sqrt(disc)) / 2 - target)
+                         > 1e-6 * max(1.0, abs(target))):
+            continue
+        root = SqrtVal(Fraction(B, 2), Fraction(1, 2), disc)
+        if _minors(ia, root)[-1] == 0:
             return root
     return None
 

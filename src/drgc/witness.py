@@ -430,7 +430,7 @@ def triangle_octagon_cut(g: Graph) -> CutCertificate:
     if not targets:
         raise WrongGraph("no vertex at distance 4")
     for z in sorted(targets):
-        paths = _paths_between(g, x, z, 4)
+        paths = [p for p in _simple_paths(g.adj, [x], 5) if p[-1] == z]
         for i, p1 in enumerate(paths):
             for p2 in paths[i + 1:]:
                 if set(p1[1:-1]) & set(p2[1:-1]):
@@ -445,24 +445,17 @@ def triangle_octagon_cut(g: Graph) -> CutCertificate:
     raise SearchFailed("no disjoint 4-path pair produced an octagon of triangles")
 
 
-def _paths_between(g: Graph, x: int, z: int, length: int):
-    """All simple paths of the given length from x to z (ordered search)."""
-    out = []
-
-    def extend(path):
-        u = path[-1]
-        if len(path) == length + 1:
-            if u == z:
-                out.append(tuple(path))
-            return
-        for w in g.adj[u]:
-            if w not in path:
-                path.append(w)
-                extend(path)
-                path.pop()
-
-    extend([x])
-    return out
+def _simple_paths(adj, path: list, nverts: int):
+    """The simple paths of nverts vertices that extend path, in depth-first
+    order, taking each vertex's neighbours in the order adj[v] lists them."""
+    if len(path) == nverts:
+        yield tuple(path)
+        return
+    for w in adj[path[-1]]:
+        if w not in path:
+            path.append(w)
+            yield from _simple_paths(adj, path, nverts)
+            path.pop()
 
 
 # -- the two explicit small-valency witnesses -----------------------------------------
@@ -487,7 +480,8 @@ def twelve_cage_witness(g: Graph, ia: IntersectionArray) -> CutCertificate:
             adj6_targets = [z for z in g.adj[w] if z != v and z in g6set]
             adj6[v].update(adj6_targets)
     # 5-vertex path in the distance-2 graph (girth >= 6 there, so greedy works)
-    path = _find_path_in(adj6, 5)
+    nbrs6 = {v: sorted(adj6[v]) for v in g6}
+    path = next((p for v in g6 for p in _simple_paths(nbrs6, [v], 5)), None)
     if path is None:
         raise SearchFailed("no 5-vertex path in the distance-2 graph")
     S6 = set(path)
@@ -506,24 +500,6 @@ def twelve_cage_witness(g: Graph, ia: IntersectionArray) -> CutCertificate:
     if len(S5) != 17 or len(S) != 47 + a or cert.stats.boundary != a + 17:
         raise DrgcError(f"witness counts off: {notes}")
     return cert
-
-
-def _find_path_in(adj: dict, nverts: int):
-    def extend(path):
-        if len(path) == nverts:
-            return path
-        for w in sorted(adj[path[-1]]):
-            if w not in path:
-                res = extend(path + [w])
-                if res:
-                    return res
-        return None
-
-    for start in sorted(adj):
-        res = extend([start])
-        if res:
-            return res
-    return None
 
 
 def gq33_incidence_witness(g: Graph, ia: IntersectionArray) -> CutCertificate:

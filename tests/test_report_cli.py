@@ -502,7 +502,7 @@ def test_floor_skip_on_foldedcube_12_runs_no_search(monkeypatch):
     assert r["lambda1"]["u"] == "1/3" and r["lambda1"]["w"] == "0"
 
 
-# -- eigenvectors only up to spectral.EIGENVECTOR_CAP --------------------------
+# -- eigenvectors only up to search.EIGENVECTOR_CAP ----------------------------
 
 def _refuse_eigenvectors(monkeypatch):
     """Make every eigenvector computation raise, and record the graphs that
@@ -529,18 +529,17 @@ def test_no_eigenvectors_above_the_cap(monkeypatch):
     for target, record in expect.items():
         r = verify_one(target)
         assert r == record
-        assert r["n"] > spectral.EIGENVECTOR_CAP
+        assert r["n"] > search.EIGENVECTOR_CAP
         assert r["status"] == "OK" and r["spectrum_crosscheck"] is True
         assert r["best"]["method"] == "refine"
     assert [g.n for g in graphs] == [343, 462]
-    assert all(g._eig is None for g in graphs)
 
 
 def test_crosscheck_solves_no_graph_sized_matrix(monkeypatch):
     """Above EIGENVECTOR_CAP the only eigensolve of verify_one is
     drg_spectrum's, on the (D + 1) x (D + 1) intersection matrix: the
     cross-check counts eigenvalues exactly, without dense_spectrum."""
-    monkeypatch.setattr(spectral, "EIGENVECTOR_CAP", 34)
+    monkeypatch.setattr(search, "EIGENVECTOR_CAP", 34)
     graphs = _refuse_eigenvectors(monkeypatch)
     sizes = []
     eigvalsh = np.linalg.eigvalsh
@@ -564,11 +563,10 @@ def test_eigenvector_cap_is_read_at_call_time(monkeypatch):
     """A target above a patched cap takes the distance path: no eigenvector,
     and the sweep follows vertex 0's spherical vector, whose order is the
     balls around vertex 0, ties by vertex."""
-    monkeypatch.setattr(spectral, "EIGENVECTOR_CAP", 34)
+    monkeypatch.setattr(search, "EIGENVECTOR_CAP", 34)
     graphs = _refuse_eigenvectors(monkeypatch)
     r = verify_one("odd:4")                     # n = 35
     g = graphs[0]
-    assert g._eig is None
     assert r["status"] == "OK" and r["spectrum_crosscheck"] is True
     dist = bfs_distances(g, 0)
     order = sorted(range(g.n), key=lambda v: (dist[v], v))

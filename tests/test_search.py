@@ -557,7 +557,7 @@ def test_exact_skips_volume_zero_sets():
         exact_cheeger(Graph(3, [[], [], []]))
 
 
-# -- theta_1-vectors from distances (above spectral.EIGENVECTOR_CAP) ---------
+# -- theta_1-vectors from distances (above search.EIGENVECTOR_CAP) -----------
 
 def _drg_targets():
     return [e.name for e in catalog_list() if e.source != "parameters-only"] + \
@@ -582,33 +582,54 @@ def test_theta1_vectors_are_eigenvectors(name):
 
 
 def test_eigenspace_starts_match_fresh_generators(monkeypatch):
-    """One generator reseeded per seed gives the starts that a fresh
-    RandomState(seed) per seed gave, on both sources of theta_1-vectors.
-    johnson:8,3's theta_1 has multiplicity 7 and johnson:7,3 has 35
-    vertices: an odd number of draws leaves a cached Gaussian behind, which
-    reseeding must drop."""
+    """_theta1_columns on both sources of theta_1-vectors: column 0 is eigh's
+    second eigenvector up to the cap and vertex 0's spherical vector
+    u_{d(0, y)} above it, and the seed columns are the vectors that a fresh
+    RandomState(seed) per seed gave.  johnson:8,3's theta_1 has
+    multiplicity 7 and johnson:7,3 has 35 vertices: an odd number of draws
+    leaves a cached Gaussian behind, which reseeding must drop."""
     seeds = (0, 1, 9, 12345, 2 ** 31 - 1)
 
-    def fresh_starts(g):
-        if g.n <= spectral.EIGENVECTOR_CAP:
+    def fresh_columns(g):
+        if g.n <= search.EIGENVECTOR_CAP:
             vals, vecs = eigensystem(g)
             basis = vecs[:, np.abs(vals - vals[-2]) < 1e-8]
-            xs = [basis @ np.random.RandomState(s).randn(basis.shape[1])
-                  for s in seeds]
-        else:
-            R = np.column_stack([np.random.RandomState(s).randn(g.n)
-                                 for s in seeds])
-            xs = search._theta1_vectors(g, R).T
-        return [search._sweep_order(g, x) for x in xs]
+            return [vecs[:, -2]] + [
+                basis @ np.random.RandomState(s).randn(basis.shape[1]) for s in seeds]
+        ia = intersection_array(g)
+        u = spectral.standard_sequence(ia, spectral.drg_spectrum(ia).theta1)
+        R = np.column_stack([np.random.RandomState(s).randn(g.n) for s in seeds])
+        return [np.array(u)[bfs_distances(g, 0)]] + list(search._theta1_vectors(g, R).T)
+
+    def check(g):
+        got = search._theta1_columns(g, seeds)
+        want = fresh_columns(g)
+        assert got.shape == (g.n, 1 + len(seeds))
+        for x, y in zip(got.T, want):
+            assert np.array_equal(x, y)
+        assert np.array_equal(search._theta1_columns(g, ())[:, 0], want[0])
 
     g = construct(FamilySpec("johnson", (8, 3)))
     vals = eigensystem(g)[0]
     assert (np.abs(vals - vals[-2]) < 1e-8).sum() == 7
-    assert search._eigenspace_starts(g, seeds) == fresh_starts(g)
-    monkeypatch.setattr(spectral, "EIGENVECTOR_CAP", 34)
+    check(g)
+    monkeypatch.setattr(search, "EIGENVECTOR_CAP", 34)
     g = construct(FamilySpec("johnson", (7, 3)))
     assert g.n == 35
-    assert search._eigenspace_starts(g, seeds) == fresh_starts(g)
+    check(g)
+
+
+def test_search_solves_one_eigensystem_per_target(monkeypatch):
+    """Between exact_cap and EIGENVECTOR_CAP, coxeter (28 vertices) takes its
+    sweep vector and every seeded start from one eigh."""
+    calls = []
+    solve = search.eigensystem
+    monkeypatch.setattr(search, "eigensystem",
+                        lambda g: calls.append(g.n) or solve(g))
+    g, _ = catalog_load("coxeter")
+    assert SearchConfig().exact_cap < g.n <= search.EIGENVECTOR_CAP
+    best_upper_bound(g)
+    assert calls == [28]
 
 
 @pytest.mark.parametrize("seed", (0, 1, 9, 12345, 2 ** 31 - 1, 2 ** 32 - 1))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from drgc import spectral
+from drgc import search, spectral
 from drgc.catalog import catalog_list, catalog_load
 from drgc.errors import RangeError, TooLarge
 from drgc.exact import SqrtVal
@@ -222,6 +222,32 @@ def test_exact_theta1_integer_at_large_valency():
     assert abs(drg_spectrum(ia).theta1 - theta1) > 1e-6
     assert exact_theta1(ia) == SqrtVal(theta1)
 
+@pytest.mark.parametrize("e", (9, 13, 15, 16))
+def test_exact_theta1_quadratic_at_large_magnitude(e, monkeypatch):
+    """The conference array {(v-1)/2, (v-1)/4; 1, (v-1)/4} has theta_1 =
+    -1/2 + sqrt(v)/2.  At v = 10^13 + 1 the float B = theta_1 + theta' is
+    off by 2.4e-4, so the candidate is judged by its root, not by B and C.
+    At v = 10^16 + 1 the float C is off by about 1/2, and the answer may be
+    None; at every v the only discriminant ever factored is v itself (a
+    wrong one can take minutes of trial division)."""
+    v = 10 ** e + 1
+    ia = IntersectionArray(((v - 1) // 2, (v - 1) // 4), (1, (v - 1) // 4))
+    discs = []
+
+    def built(*args):
+        discs.extend(args[2:])
+        return SqrtVal(*args)
+
+    monkeypatch.setattr(spectral, "SqrtVal", built)
+    want = SqrtVal(Fraction(-1, 2), Fraction(1, 2), v)
+    got = exact_theta1(ia)
+    assert set(discs) <= {v}
+    if e < 16:
+        assert got == want
+    else:
+        assert got is None or got == want
+
+
 def test_srg_eigenvalues():
     t1, t2 = srg_eigenvalues(3, 0, 1)
     assert t1 == 1 and t2 == -2
@@ -336,11 +362,10 @@ def test_spectrum_certified_refuses_wrong_spectra(name):
 
 @pytest.mark.parametrize("name", ["hamming:3,7", "odd:6"])
 def test_dense_spectrum_above_eigenvector_cap_matches_eigh(name, monkeypatch):
-    """Above EIGENVECTOR_CAP, as below it, dense_spectrum's eigenvalues come
-    from eigvalsh, agree with eigh's, and leave the graph's eigensystem cache
-    empty."""
+    """Above the search's EIGENVECTOR_CAP, as below it, dense_spectrum's
+    eigenvalues come from eigvalsh, without eigh, and agree with eigh's."""
     g = construct(FamilySpec.parse(name))
-    assert g.n > spectral.EIGENVECTOR_CAP
+    assert g.n > search.EIGENVECTOR_CAP
     want = distinct_values(np.linalg.eigh(adjacency_matrix(g))[0])
 
     def refuse(*args, **kwargs):
@@ -348,18 +373,5 @@ def test_dense_spectrum_above_eigenvector_cap_matches_eigh(name, monkeypatch):
 
     monkeypatch.setattr("numpy.linalg.eigh", refuse)
     got = distinct_values(dense_spectrum(g))
-    assert g._eig is None
     assert len(got) == len(want) == intersection_array(g).D + 1
     assert np.allclose(got, want, rtol=0, atol=1e-9)
-
-
-def test_dense_spectrum_never_reads_the_eigensystem_cache():
-    """Below EIGENVECTOR_CAP too, the test oracle dense_spectrum solves the
-    adjacency matrix itself: a poisoned eigensystem cache does not reach it,
-    and it fills no cache."""
-    g = construct(FamilySpec.parse("odd:3"))
-    assert g.n <= spectral.EIGENVECTOR_CAP and g._eig is None
-    assert np.allclose(dense_spectrum(g), [-2] * 4 + [1] * 5 + [3])
-    assert g._eig is None
-    g._eig = (np.zeros(g.n), np.eye(g.n))
-    assert np.allclose(dense_spectrum(g), [-2] * 4 + [1] * 5 + [3])

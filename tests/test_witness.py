@@ -380,8 +380,8 @@ def test_twelve_cage_tree_check_is_a_raise(monkeypatch):
     # a "path" that stays at one vertex grows a tree of 4 vertices, not 8; the
     # check is an explicit raise, so it survives python -O
     g, e = catalog_load("tutte-12-cage")
-    monkeypatch.setattr(witness, "_find_path_in",
-                        lambda adj, nverts: [min(adj)] * nverts)
+    monkeypatch.setattr(witness, "_simple_paths",
+                        lambda adj, path, nverts: iter([(path[0],) * nverts]))
     with pytest.raises(SelfCheckFailed, match="has 4 vertices, not 8"):
         twelve_cage_witness(g, e.array)
 
