@@ -3,7 +3,10 @@
 Fields GF(q) for q in {2,3,4,5,7,8,9,11,13,16}; elements are integers
 0..q-1 encoding coefficient vectors base p, so 0 and 1 are the field's zero
 and one.  Extension fields use fixed Conway reduction polynomials, keeping
-element encodings stable across runs.
+element encodings stable across runs.  Each field is one set of numpy
+tables (addition, multiplication, negation, inverses), built by digit
+arithmetic on all q elements at once; the scalar operations, span_rows,
+isotropic_subspaces and the families' difference tests all read them.
 
 Subspaces are listed by one numpy generator, _rref_array, whose (N, e, n)
 array of RREF bases is in sorted tuple order.  enumerate_subspaces turns all
@@ -14,7 +17,7 @@ tuples only of the subspaces it keeps.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -33,88 +36,70 @@ _REDUCTION = {
 
 
 def _factor_prime_power(q):
-    for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            m = 0
-            while q > 1:
-                if q % p:
-                    raise BadField(f"{q} is not a prime power")
-                q //= p
-                m += 1
-            return p, m
-    raise BadField(f"unsupported field order")
+    """(p, m) with q = p^m; q is in SUPPORTED_Q, so its least divisor is p."""
+    p = min(d for d in range(2, q + 1) if q % d == 0)
+    m = 1
+    while p ** m < q:
+        m += 1
+    return p, m
 
 
 class FiniteField:
-    """GF(q) with precomputed operation tables (q <= 16)."""
+    """GF(q) as one set of integer numpy tables over the elements 0..q-1:
+    add_table[a, b], mul_table[a, b], neg_table[a] and inv_table[a]
+    (inv_table[0] is never read).  The scalar operations index them and
+    return Python ints; the vectorised routines index them with whole arrays.
+
+    The tables are built by digit arithmetic on all q elements at once: digit
+    i of an element (base p) is its coefficient of x^i, and a sum adds the
+    digits mod p.  The product of a and b is the sum over i of b_i (a x^i),
+    where a x^(i+1) is a x^i shifted up one digit, minus its top digit times
+    the Conway polynomial's lower coefficients."""
 
     def __init__(self, q: int):
         if q not in SUPPORTED_Q:
             raise BadField(f"GF({q}) not supported")
-        self.q = q
-        self.p, self.m = _factor_prime_power(q)
-        self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
-        self._add = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._poly_neg(a) for a in range(q)]
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+        p, m = _factor_prime_power(q)
+        self.q, self.p, self.m = q, p, m
+        weights = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // weights % p        # digits[a, i]
+        product = digits[:, None, :] * digits[None, :, :1]   # b_0 (a x^0)
+        shifted = digits                                     # a x^i, one row per a
+        for i in range(1, m):
+            top = shifted[:, -1:]
+            shifted = (np.pad(shifted[:, :-1], ((0, 0), (1, 0)))
+                       - top * _REDUCTION[q][:-1]) % p
+            product += digits[None, :, i:i + 1] * shifted[:, None, :]
 
-    def _digits(self, a):
-        return [(a // self.p ** i) % self.p for i in range(self.m)]
+        def table(d):
+            return (d % p) @ weights
 
-    def _undigits(self, coeffs):
-        return sum(c * self.p ** i for i, c in enumerate(coeffs))
-
-    def _poly_add(self, a, b):
-        return self._undigits([(x + y) % self.p
-                               for x, y in zip(self._digits(a), self._digits(b))])
-
-    def _poly_neg(self, a):
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
-
-    def _poly_mul(self, a, b):
-        p, m = self.p, self.m
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        if m > 1:
-            red = _REDUCTION[self.q]
-            for i in range(len(prod) - 1, m - 1, -1):
-                c = prod[i]
-                if c:
-                    prod[i] = 0
-                    for j, r in enumerate(red[:-1]):
-                        prod[i - m + j] = (prod[i - m + j] - c * r) % p
-        return self._undigits(prod[:m])
+        self.add_table = table(digits[:, None, :] + digits[None, :, :])
+        self.mul_table = table(product)
+        self.neg_table = table(-digits)
+        self.inv_table = (self.mul_table == 1).argmax(axis=1)
 
     def add(self, a, b):
-        return self._add[a][b]
+        return self.add_table.item(a, b)
 
     def sub(self, a, b):
-        return self._add[a][self._neg[b]]
+        return self.add_table.item(a, self.neg_table.item(b))
 
     def neg(self, a):
-        return self._neg[a]
+        return self.neg_table.item(a)
 
     def mul(self, a, b):
-        return self._mul[a][b]
+        return self.mul_table.item(a, b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
+        return self.inv_table.item(a)
 
     def pow(self, a, e):
         r = 1
         for _ in range(e):
-            r = self._mul[r][a]
+            r = self.mul_table.item(r, a)
         return r
 
     @property
@@ -230,27 +215,14 @@ def enumerate_subspaces(n: int, e: int, F: FiniteField):
 
 # -- all given subspaces at once, through the field tables ---------------------
 
-@lru_cache(maxsize=None)
-def field_tables(F: FiniteField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The multiplication, addition and negation tables as numpy arrays."""
-    return tuple(np.array(t) for t in (F._mul, F._add, F._neg))
-
-
-def _basis_array(subspaces, e: int, n: int) -> np.ndarray:
-    """basis[i, r] is row r of subspaces[i], as an (N, e, n) array."""
-    entries = chain.from_iterable(chain.from_iterable(subspaces))
-    rows = np.fromiter(entries, dtype=np.intp, count=len(subspaces) * e * n)
-    return rows.reshape(-1, e, n)
-
-
 def span_rows(F: FiniteField, subspaces) -> np.ndarray:
     """0/1 rows over F^n, one per RREF subspace of one dimension e >= 1: row i
     marks the base-q number of each vector sum_r c_r U[r] of U = subspaces[i],
     one per coefficient tuple c, with c_r U[r] looked up in the multiplication
     table and the sum in the addition table."""
-    e, n = len(subspaces[0]), len(subspaces[0][0])
-    mul, add, _ = field_tables(F)
-    basis = _basis_array(subspaces, e, n)[:, None]            # (N, 1, e, n)
+    basis = np.asarray(subspaces, dtype=np.intp)[:, None]     # (N, 1, e, n)
+    e, n = basis.shape[2:]
+    mul, add = F.mul_table, F.add_table
     coeffs = np.array(list(product(range(F.q), repeat=e)), dtype=np.intp)
     vectors = np.zeros((len(subspaces), len(coeffs), n), dtype=np.intp)
     for r in range(e):
@@ -272,7 +244,7 @@ def isotropic_subspaces(F: FiniteField, n: int, e: int):
         return _as_tuples(bases)
     if n % 2:
         raise BadField("symplectic form needs even dimension")
-    mul, add, neg = field_tables(F)
+    mul, add, neg = F.mul_table, F.add_table, F.neg_table
     rows = bases.transpose(1, 2, 0)       # rows[r, i] = U[r][i], one column per U
     isotropic = np.ones(len(bases), dtype=bool)
     for x, y in combinations(rows, 2):

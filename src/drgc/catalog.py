@@ -18,7 +18,7 @@ import pathlib
 
 import numpy as np
 
-from .algebra import enumerate_subspaces, field, field_tables, isotropic_subspaces
+from .algebra import enumerate_subspaces, field, isotropic_subspaces
 from .errors import DataCorrupt, UnknownName
 from .families import FamilySpec, bipartite_graph, construct, incidence_block
 from .graph import (Graph, adjacency_matrix, g6_decode, intersection_array,
@@ -55,10 +55,10 @@ def _ag2_minus_class(q: int) -> Graph:
     """Incidence graph of the affine plane AG(2,q) less its vertical parallel
     class: point (x, y) is on line (m, b) when y = mx + b.  Points (rows) and
     lines (columns) are numbered x q + y and m q + b."""
-    mul, add, _ = field_tables(field(q))
+    F = field(q)
     x, y = np.divmod(np.arange(q * q), q)
     m, b = x, y
-    return bipartite_graph(add[mul[m, x[:, None]], b] == y[:, None])
+    return bipartite_graph(F.add_table[F.mul_table[m, x[:, None]], b] == y[:, None])
 
 
 _BUILDERS = {

@@ -15,13 +15,16 @@ Rational = (int, Fraction)
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """n = a^2 * s with s square-free; returns (a, s). n >= 0."""
+    """n = a^2 * s with s square-free; returns (a, s). n >= 0.  Trial
+    division stops once d^3 > m: every prime factor of what is left is at
+    least d, so it is 1, a prime, a prime squared or a product of two
+    distinct primes, and only the square is not square-free."""
     if n == 0:
         return 0, 1
     a, s = 1, 1
     d = 2
     m = n
-    while d * d <= m:
+    while d * d * d <= m:
         cnt = 0
         while m % d == 0:
             m //= d
@@ -30,8 +33,10 @@ def _squarefree_split(n: int) -> tuple[int, int]:
         if cnt % 2:
             s *= d
         d += 1
-    s *= m
-    return a, s
+    r = math.isqrt(m)
+    if r * r == m:
+        return a * r, s
+    return a, s * m
 
 
 class SqrtVal:

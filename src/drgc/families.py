@@ -253,11 +253,10 @@ def _difference_rows(F, keys, in_C):
     q = F.q
     K = np.array(keys, dtype=np.intp).reshape(len(keys), -1)
     length = K.shape[1]
-    sub = np.array([[F.sub(x, y) for y in range(q)] for x in range(q)],
-                   dtype=np.uint8)
     member = np.zeros(q ** length, dtype=bool)
     member[K @ (q ** np.arange(length - 1, -1, -1))] = [in_C(key) for key in keys]
     dtype = np.min_scalar_type(q ** length - 1)
+    sub = F.add_table[:, F.neg_table].astype(dtype)
 
     def rows(lo, hi):
         code = np.zeros((hi - lo, len(K)), dtype=dtype)

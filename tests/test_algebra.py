@@ -41,6 +41,42 @@ def test_frobenius_conjugation_involutive(q):
             assert F.conj(F.mul(a, b)) == F.mul(F.conj(a), F.conj(b))
 
 
+# x^m in the encoding of each Conway polynomial: element x is p, and x^m is
+# minus the polynomial's lower coefficients, read as base-p digits
+CONWAY_POWERS = {4: (2, 2, 3), 8: (2, 4, 3), 9: (3, 3, 4), 16: (2, 8, 3)}
+
+
+@pytest.mark.parametrize("q", sorted(CONWAY_POWERS))
+def test_extension_field_encodings_pinned(q):
+    """Element numbers are vertex labels, so the encoding itself is pinned,
+    not only the field axioms: x^m by its Conway polynomial, and addition
+    digit by digit mod p."""
+    F = field(q)
+    a, b, product = CONWAY_POWERS[q]
+    assert F.mul(a, b) == product and F.pow(F.p, F.m) == product
+    weights = [F.p ** i for i in range(F.m)]
+    for a in range(q):
+        for b in range(q):
+            assert F.add(a, b) == sum((a // w + b // w) % F.p * w for w in weights)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_scalar_operations_return_ints(q):
+    """No numpy scalar leaves the field's tables through its scalar
+    operations, so rref rows, nullspace vectors and keys hold Python ints."""
+    F = field(q)
+    elems = range(q)
+    values = [F.neg(a) for a in elems] + [F.inv(a) for a in elems if a] + \
+        [F.pow(a, e) for a in elems for e in range(4)] + \
+        [op(a, b) for op in (F.add, F.sub, F.mul) for a in elems for b in elems]
+    if F.m % 2 == 0:
+        values += [F.conj(a) for a in elems]
+    R, pivots = rref(F, [(1, 2 % q, 1), (0, 1, q - 1)])
+    values += [x for row in R for x in row] + list(pivots)
+    values += [x for vec in nullspace(F, R, 3) for x in vec]
+    assert {type(x) for x in values} == {int}
+
+
 def test_unsupported_field():
     with pytest.raises(BadField):
         field(6)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from drgc.exact import SqrtVal
+from drgc.exact import SqrtVal, _squarefree_split
 
 
 def test_squarefree_reduction():
@@ -11,6 +11,16 @@ def test_squarefree_reduction():
     assert SqrtVal(0, 1, 9).triple() == (3, 0, 1)
     assert SqrtVal(0, 3, 50).triple() == (0, 15, 2)
     assert SqrtVal(0, 1, 1).is_rational
+
+
+def test_squarefree_split_past_the_cube_root():
+    """Trial division stops at the cube root of what is left; the rest is a
+    prime squared or square-free, which the integer square root tells."""
+    p, r = 1000003, 1000033
+    assert _squarefree_split(p * p * 7) == (p, 7)
+    assert _squarefree_split(p * r) == (1, p * r)
+    assert _squarefree_split(p * p) == (p, 1)
+    assert _squarefree_split(4 * p) == (2, p)
 
 
 def test_sqrt_constructor():

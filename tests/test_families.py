@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import drgc.graph
-from drgc.algebra import enumerate_subspaces, field, isotropic_subspaces, matrix_rank
+from drgc.algebra import (SUPPORTED_Q, enumerate_subspaces, field,
+                          isotropic_subspaces, matrix_rank)
 from drgc.errors import GraphError, NoDescendant, ParamDomain, TooLarge
 from drgc.families import (FAMILIES, NO_DESCENDANT, FamilySpec, _alt_full,
                            _even_strings, _graph_from_rows, _hamming_keys,
@@ -346,6 +347,16 @@ def test_known_arrays():
         == "{4,3,3;1,1,2}"
     assert str(intersection_array(construct(FamilySpec.parse("doubledgrassmann:2,1")))) \
         == "{3,2,2;1,1,3}"     # incidence graph of the Fano plane
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_projective_plane_over_every_field(q):
+    """The points and lines of PG(2,q), built through the field's tables,
+    form a generalized triangle: a wrong multiplication table is not a field
+    and gives no projective plane."""
+    g = construct(FamilySpec.parse(f"doubledgrassmann:{q},1"))
+    assert g.n == 2 * (q * q + q + 1)
+    assert str(intersection_array(g)) == f"{{{q + 1},{q},{q};1,1,{q + 1}}}"
 
 
 def test_gq33_companion_size():

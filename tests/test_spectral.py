@@ -248,6 +248,15 @@ def test_exact_theta1_quadratic_at_large_magnitude(e, monkeypatch):
         assert got is None or got == want
 
 
+def test_exact_theta1_quadratic_with_a_large_prime_discriminant():
+    """At the prime v = 100000000000097 the conference array's theta_1 is
+    -1/2 + sqrt(v)/2, and reducing sqrt(v) to square-free form trial-divides
+    only up to the cube root of v (about 46000 steps, not 10^7)."""
+    v = 100000000000097
+    ia = IntersectionArray(((v - 1) // 2, (v - 1) // 4), (1, (v - 1) // 4))
+    assert exact_theta1(ia) == SqrtVal(Fraction(-1, 2), Fraction(1, 2), v)
+
+
 def test_srg_eigenvalues():
     t1, t2 = srg_eigenvalues(3, 0, 1)
     assert t1 == 1 and t2 == -2
