@@ -77,12 +77,16 @@ class TheoryValues:
 
 @dataclass(frozen=True)
 class _Family:
-    """One family at concrete parameters.  keys() lists the sorted vertex
-    keys, and rows(keys) returns the rows(lo, hi) of the adjacency matrix
-    over them, or of the biadjacency block of side 0 against side 1 when
-    bipartite; both are None for a parameters-only family.  keep is the
-    descendant predicate on a key, None for a family settled analytically."""
-    theory: TheoryValues
+    """One family at concrete parameters: the closed forms k, v() and
+    theta_1, v deferred as it can be vast where k is cheap.  keys() lists
+    the sorted vertex keys, and rows(keys) returns the rows(lo, hi) of the
+    adjacency matrix over them, or of the biadjacency block of side 0
+    against side 1 when bipartite; both are None for a parameters-only
+    family.  keep is the descendant predicate on a key, None for a family
+    settled analytically."""
+    k: int
+    v: Callable[[], int]
+    theta1: SqrtVal
     keys: Callable[[], list] | None
     rows: Callable[[list], Callable] | None
     keep: Callable[[tuple], bool] | None
@@ -306,7 +310,7 @@ def _quad_rank(F, coeffs, n):
 def _johnson(n, e):
     _need(n >= 2 * e >= 2, "need n >= 2e >= 2")
     return _Family(
-        TheoryValues(e * (n - e), comb(n, e), SqrtVal((e - 1) * (n - e - 1) - 1)),
+        e * (n - e), lambda: comb(n, e), SqrtVal((e - 1) * (n - e - 1) - 1),
         lambda: list(combinations(range(n), e)),
         lambda keys: _common_rows(_set_rows(n, keys), e - 1),
         lambda key: 0 in key)
@@ -315,7 +319,7 @@ def _johnson(n, e):
 @_family
 def _hamming(d, q):
     _need(d >= 1 and q >= 2, "need d >= 1, q >= 2")
-    return _Family(TheoryValues(d * (q - 1), q ** d, SqrtVal(q * (d - 1) - d)),
+    return _Family(d * (q - 1), lambda: q ** d, SqrtVal(q * (d - 1) - d),
                    lambda: _hamming_keys(d, q),
                    lambda keys: _hamming_rows(keys, q, (1,)),
                    lambda key: key[0] == 0)
@@ -331,7 +335,7 @@ def _doob(d1, d2):
         wheel = {0} | set(np.flatnonzero(_shrikhande()[0]).tolist())
         keep = lambda key: key[0] in wheel
     return _Family(
-        TheoryValues(3 * d, 4 ** d, SqrtVal(6 * d1 + 3 * d2 - 4)),
+        3 * d, lambda: 4 ** d, SqrtVal(6 * d1 + 3 * d2 - 4),
         # Shrikhande vertex numbers, then K4 vertex numbers
         lambda: list(product(*([range(16)] * d1 + [range(4)] * d2))),
         lambda keys: _doob_rows(keys, [_shrikhande()] * d1 +
@@ -342,8 +346,8 @@ def _doob(d1, d2):
 @_family
 def _halvedcube(n):
     _need(n >= 3, "need n >= 3")
-    return _Family(TheoryValues(comb(n, 2), 2 ** (n - 1),
-                                SqrtVal(Fraction((n - 2) ** 2 - n, 2))),
+    return _Family(comb(n, 2), lambda: 2 ** (n - 1),
+                   SqrtVal(Fraction((n - 2) ** 2 - n, 2)),
                    lambda: _even_strings(n),
                    lambda keys: _hamming_rows(keys, 2, (2,)),
                    lambda key: key[0] == 0)
@@ -352,7 +356,7 @@ def _halvedcube(n):
 @_family
 def _foldedcube(n):
     _need(n >= 3, "need n >= 3")
-    return _Family(TheoryValues(n, 2 ** (n - 1), SqrtVal(n - 4)),
+    return _Family(n, lambda: 2 ** (n - 1), SqrtVal(n - 4),
                    lambda: list(product((0, 1), repeat=n - 1)),
                    lambda keys: _hamming_rows(keys, 2, (1, n - 1)),
                    lambda key: key[0] == 0)
@@ -361,8 +365,8 @@ def _foldedcube(n):
 @_family
 def _foldedhalvedcube(n):
     _need(n >= 3, "need n >= 3 (graph is on 2^(2n-2) vertices)")
-    return _Family(TheoryValues(n * (2 * n - 1), 2 ** (2 * n - 2),
-                                SqrtVal(2 * (n - 2) ** 2 - n)),
+    return _Family(n * (2 * n - 1), lambda: 2 ** (2 * n - 2),
+                   SqrtVal(2 * (n - 2) ** 2 - n),
                    lambda: _even_strings(2 * n - 1),
                    lambda keys: _hamming_rows(keys, 2, (2, 2 * n - 2)),
                    lambda key: key[0] == key[1] == 0)
@@ -376,7 +380,7 @@ def _odd(k):
         s = set(key)
         return ({0, 1} <= s and not s & {2, 3}) or ({2, 3} <= s and not s & {0, 1})
 
-    return _Family(TheoryValues(k, comb(2 * k - 1, k - 1), SqrtVal(k - 2)),
+    return _Family(k, lambda: comb(2 * k - 1, k - 1), SqrtVal(k - 2),
                    lambda: list(combinations(range(2 * k - 1), k - 1)),
                    lambda keys: _common_rows(_set_rows(2 * k - 1, keys), 0), keep)
 
@@ -385,7 +389,7 @@ def _odd(k):
 def _doubledodd(m):
     _need(m >= 2, "need m >= 2")
     return _Family(
-        TheoryValues(m, 2 * comb(2 * m - 1, m - 1), SqrtVal(m - 1)),
+        m, lambda: 2 * comb(2 * m - 1, m - 1), SqrtVal(m - 1),
         lambda: [(side, s) for side in (0, 1)
                  for s in combinations(range(2 * m - 1), m - 1)],
         lambda keys: _common_rows(_set_rows(2 * m - 1, _side(keys, 0)), 0),
@@ -401,7 +405,7 @@ def _grassmann(q, n, e):
     F = field(q)
     k = q * gb(e, 1, q) * gb(n - e, 1, q)
     t1 = q * q * gb(e - 1, 1, q) * gb(n - e - 1, 1, q) - 1
-    return _Family(TheoryValues(k, gb(n, e, q), SqrtVal(t1)),
+    return _Family(k, lambda: gb(n, e, q), SqrtVal(t1),
                    lambda: enumerate_subspaces(n, e, F),
                    lambda keys: _common_rows(span_rows(F, keys), q ** (e - 1)),
                    lambda U: all(row[0] == 0 for row in U))
@@ -414,7 +418,7 @@ def _bilinearforms(q, D, e):
     k = gb(D, 1, q) * (q ** e - 1)
     t1 = Fraction((q ** (D - 1) - 1) * (q ** e - q), q - 1) - 1
     return _Family(
-        TheoryValues(k, q ** (D * e), SqrtVal(t1)),
+        k, lambda: q ** (D * e), SqrtVal(t1),
         lambda: list(product(product(range(q), repeat=e), repeat=D)),
         lambda keys: _difference_rows(F, keys, lambda M: matrix_rank(F, M) == 1),
         lambda M: not any(M[0]))
@@ -433,7 +437,7 @@ def _alternatingforms(q, n):
         M = _alt_full(F, n, dict(zip(pairs, key)))
         return matrix_rank(F, [tuple(r) for r in M]) == 2
 
-    return _Family(TheoryValues(k, q ** (n * (n - 1) // 2), SqrtVal(t1)),
+    return _Family(k, lambda: q ** (n * (n - 1) // 2), SqrtVal(t1),
                    lambda: list(product(range(q), repeat=len(pairs))),
                    lambda keys: _difference_rows(F, keys, rank2),
                    # zero first row: _upper_pairs lists the n - 1 pairs (0, j) first
@@ -459,7 +463,7 @@ def _hermitianforms(r, D):
         return matrix_rank(F, [tuple(row) for row in M]) == 1
 
     return _Family(
-        TheoryValues(k, r ** (D * D), SqrtVal(t1)),
+        k, lambda: r ** (D * D), SqrtVal(t1),
         lambda: sorted(product(*([fixed] * D + [range(F.q)] * len(pairs)))),
         lambda keys: _difference_rows(F, keys, rank1),
         # zero first row: the diagonal entry 0, then the pairs (0, j) at D..2D-2
@@ -475,7 +479,7 @@ def _quadraticforms(q, n):
     t1 = gb(Dh - 1, 1, q * q) * (q ** m - q * q) - 1
     monos = _monomials(n)
     return _Family(
-        TheoryValues(k, q ** (n * (n + 1) // 2), SqrtVal(t1)),
+        k, lambda: q ** (n * (n + 1) // 2), SqrtVal(t1),
         lambda: list(product(range(q), repeat=len(monos))),
         lambda keys: _difference_rows(
             F, keys, lambda key: _quad_rank(F, dict(zip(monos, key)), n) in (1, 2)),
@@ -487,13 +491,12 @@ def _quadraticforms(q, n):
 def _dualpolarc(q, D):
     _need(q in SUPPORTED_Q and D >= 1, "need q supported, D >= 1")
     F = field(q)
-    v = prod(q ** i + 1 for i in range(1, D + 1))
     # e1 in U: in RREF a vector with pivot column 0 is the first row plus
     # rows that are 0 at column 0, and the first row is 0 at every later
     # pivot, so e1 is in U exactly when it is the first row
     e1 = tuple([1] + [0] * (2 * D - 1))
-    return _Family(TheoryValues(q * gb(D, 1, q), v,
-                                SqrtVal(q * gb(D - 1, 1, q) - 1)),
+    return _Family(q * gb(D, 1, q), lambda: prod(q ** i + 1 for i in range(1, D + 1)),
+                   SqrtVal(q * gb(D - 1, 1, q) - 1),
                    lambda: isotropic_subspaces(F, 2 * D, D),
                    lambda keys: _common_rows(span_rows(F, keys), q ** (D - 1)),
                    lambda U: U[0] == e1)
@@ -508,11 +511,11 @@ def _halfdualpolar(q, n):
     b = q * q
     k = Fraction(gb(Dh, 1, b)) * beta
     t1 = Fraction(gb(Dh, 1, b) - 1, b) * (beta - alpha) - 1
-    v = prod(q ** i + 1 for i in range(1, n))
     if k.denominator != 1 or t1.denominator != 1:
         raise SelfCheckFailed(f"halfdualpolar:{q},{n}: k = {k} or theta_1 = {t1} "
                               "is not integral")
-    return _Family(TheoryValues(int(k), v, SqrtVal(t1)), None, None, None)
+    return _Family(int(k), lambda: prod(q ** i + 1 for i in range(1, n)),
+                   SqrtVal(t1), None, None, None)
 
 
 @_family
@@ -520,8 +523,8 @@ def _doubledgrassmann(q, t):
     _need(q in SUPPORTED_Q and t >= 1, "need q supported, t >= 1")
     F = field(q)
     return _Family(
-        TheoryValues(gb(t + 1, 1, q), 2 * gb(2 * t + 1, t, q),
-                     SqrtVal(0, gb(t, 1, q), q)),
+        gb(t + 1, 1, q), lambda: 2 * gb(2 * t + 1, t, q),
+        SqrtVal(0, gb(t, 1, q), q),
         lambda: ([(0, U) for U in enumerate_subspaces(2 * t + 1, t, F)] +
                  [(1, W) for W in enumerate_subspaces(2 * t + 1, t + 1, F)]),
         lambda keys: _incidence_rows(F, _side(keys, 0), _side(keys, 1)),
@@ -550,7 +553,8 @@ def _define(spec: FamilySpec) -> _Family:
 
 def theory_values(spec: FamilySpec) -> TheoryValues:
     """The closed-form k, v and theta_1 of spec."""
-    return _define(spec).theory
+    fam = _define(spec)
+    return TheoryValues(fam.k, fam.v(), fam.theta1)
 
 
 @lru_cache(maxsize=1)
@@ -565,8 +569,8 @@ def _vertex_keys(spec: FamilySpec) -> list:
 
 def construct(spec: FamilySpec) -> Graph:
     fam = _define(spec)
-    tv = fam.theory
-    if tv.v > MAX_VERTICES:
+    # v > k, and k is cheap where v() can take minutes
+    if fam.k >= MAX_VERTICES or fam.v() > MAX_VERTICES:
         raise TooLarge(f"{spec} has more than MAX_VERTICES = {MAX_VERTICES} vertices")
     if fam.rows is None:
         raise ParamDomain(f"{spec.family} is parameters-only (no constructor); "
@@ -578,9 +582,9 @@ def construct(spec: FamilySpec) -> Graph:
     else:
         g = _graph_from_rows(len(keys), rows)
     k = g.regular_degree()
-    if k != tv.k or g.n != tv.v:
+    if k != fam.k or g.n != fam.v():
         raise ParamDomain(
-            f"{spec}: constructed (v,k)=({g.n},{k}) != theory ({tv.v},{tv.k})")
+            f"{spec}: constructed (v,k)=({g.n},{k}) != theory ({fam.v()},{fam.k})")
     return g
 
 

@@ -12,21 +12,16 @@ keys of its row blocks directly.  Only an invalid input goes on to the
 Python scan that names its first bad entry.  Vertex subsets are plain
 frozensets; all cut statistics are exact integer counts.
 
-Every stage that allocates an n x n array (adjacency and distance matrices,
-the intersection-array check, the dense eigensystem) refuses graphs with more
-than MAX_VERTICES vertices before it allocates, raising TooLarge.  The
-distance matrix and the intersection-array check gather whole rows through an
-n x k neighbour table: they do O(n^2 k) work and no matrix product.  The int8
-(past distance 126, int16) distance matrix is the only n x n array they
-hold: the breadth-first search keeps its frontier bit-packed (n x n/8
-bytes) and adds each level into the distances, and the intersection-array
-check gathers and counts its pairs one block of rows at a time, in buffers
-that every neighbour slot and every block reuse.  Per slot it makes one
-gather, one comparison (for c) and one running sum of the gathered
-distances (for b), into counts that start at minus the values due at each
-pair's distance (_pair_counts).  A block holds about BLOCK_CELLS cells
-(_block_rows), small enough to stay in cache; families.construct builds
-its adjacency in the same blocks.
+The n x n stages (the adjacency matrix, the dense eigensystem) and the
+intersection-array check refuse graphs with more than MAX_VERTICES vertices
+before they allocate, raising TooLarge.  The check holds no n x n array: it
+takes the ordered pairs (x, y) one block of sources x at a time, from a
+breadth-first search on frontiers bit-packed by source (_distance_blocks),
+and counts each block's pairs one chunk of rows at a time (_pair_counts):
+O(n^2 k) row gathers through the n x k neighbour table in all, and no
+matrix product.  A chunk of rows holds about BLOCK_CELLS cells
+(_block_rows) and a block of sources about 8 BLOCK_CELLS, small enough to
+stay in cache; families.construct builds its adjacency in the same chunks.
 """
 
 from __future__ import annotations
@@ -43,12 +38,12 @@ from .errors import (Acyclic, EmptySet, FullSet, GraphError, MalformedGraph6,
                      SelfCheckFailed, TooLarge, Unreachable)
 from .params import IntersectionArray
 
-# the largest graph any n x n stage (and families.construct) accepts; int16
-# distances (used past diameter 127) also rely on n < 2**15
+# the largest graph any n x n stage, the intersection-array check and
+# families.construct accept; int16 distances also rely on n < 2**15
 MAX_VERTICES = 20000
-# cells per row block of the blocked n x n stages (_block_rows): family
-# construction, the distance matrix's level counts and the
-# intersection-array check
+# cells per chunk of rows of the blocked stages (_block_rows): family
+# construction, and the distance levels and pair counts of the
+# intersection-array check, whose blocks of sources hold 8 BLOCK_CELLS
 BLOCK_CELLS = 2 ** 18
 
 
@@ -226,71 +221,10 @@ def eigensystem(g: Graph):
     return np.linalg.eigh(adjacency_matrix(g))
 
 
-def _neighbour_table(g: Graph) -> np.ndarray:
-    """n x (max degree) table whose row v lists v's neighbours; a row of lower
-    degree is padded with v itself."""
-    src, dst, first = edge_arrays(g)
-    width = int(np.diff(first).max(initial=0))
-    table = np.repeat(np.arange(g.n)[:, None], width, axis=1)
-    table[src, np.arange(dst.size) - first[src]] = dst
-    return table
-
-
-def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs distances as an n x n matrix, int8 while the diameter is
-    below 127 and int16 from there on.  A search that reaches distance 127
-    in int8 drops its matrix and starts again in int16, so the stage never
-    holds two n x n matrices."""
-    _check_dense(g, "distance_matrix")
-    dm = _distances(g, np.int8)
-    return _distances(g, np.int16) if dm is None else dm
-
-
-def _distances(g: Graph, dtype) -> np.ndarray | None:
-    """The distance matrix of distance_matrix in dtype, or None once a
-    distance reaches the dtype's maximum.
-
-    A breadth-first search from every source at once, on bit-packed rows:
-    row x of the frontier is the sphere S_d(x), and S_{d+1}(x) is the union
-    of S_d(z) over the neighbours z of x, minus the ball B_d(x).  One level is
-    therefore a gather of frontier rows per neighbour slot, OR-ed together;
-    a padded slot (z = x) adds nothing outside B_d(x).  d(x, y) is the number
-    of levels d with y outside B_d(x), up to the first level where every
-    ball is the whole graph."""
-    n = g.n
-    table = _neighbour_table(g)
-    frontier = np.zeros((n, -(-n // 8)), dtype=np.uint8)
-    frontier[np.arange(n), np.arange(n) // 8] = 0x80 >> (np.arange(n) % 8)
-    reached = frontier.copy()
-    whole = np.packbits(np.ones(n, dtype=bool))   # a row with every vertex
-    near, nxt = np.empty_like(frontier), np.empty_like(frontier)
-    dm = np.zeros((n, n), dtype=dtype)
-    step = _block_rows(n)
-    for d in count():
-        if d == np.iinfo(dtype).max:
-            return None
-        if (reached == whole).all():
-            return dm
-        unreached = ~reached
-        for lo in range(0, n, step):
-            # the bits as int8, so that the add needs no unsafe cast
-            dm[lo:lo + step] += np.unpackbits(unreached[lo:lo + step], axis=1,
-                                              count=n).view(np.int8)
-        nxt.fill(0)
-        for col in table.T:
-            frontier.take(col, axis=0, out=near, mode="clip")
-            nxt |= near
-        nxt &= unreached
-        if not nxt.any():
-            raise Unreachable("graph is disconnected")
-        reached |= nxt
-        frontier, nxt = nxt, frontier
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of the n x n stages that work one block of rows at a
-    time: a block holds about BLOCK_CELLS cells, so it stays in cache."""
-    return max(1, BLOCK_CELLS // n)
+def _block_rows(width: int) -> int:
+    """Rows of width cells per chunk of the stages that work one chunk of
+    rows at a time: about BLOCK_CELLS cells, so that it stays in cache."""
+    return max(1, BLOCK_CELLS // width)
 
 
 def intersection_array(g: Graph) -> IntersectionArray:
@@ -298,12 +232,15 @@ def intersection_array(g: Graph) -> IntersectionArray:
     over all ordered vertex pairs; this load-time check is what lets embedded
     catalog data be trusted.
 
-    c_i and b_i are counted at the first pair in row-major order at distance
-    i, a pair (0, y).  _pair_counts counts every pair against them, one
-    block of _block_rows(n) rows y at a time, and a block passes when all
-    its counts are zero.  With diameter D <= 2 every pair has c = 1 at
-    distance 1 and b = 0 at distance D, so the running sum alone decides
-    and c is not counted.  A failing block sends the check to
+    The pairs (x, y) are taken one block of sources x at a time, from the
+    distances of _distance_blocks.  c_i and b_i are counted at the first pair
+    in row-major order at distance i, a pair (0, y) of the first block.
+    _pair_counts counts every pair of a block against them, one chunk of
+    _block_rows(B) rows y at a time, and a block passes when all its counts
+    are zero and none of its distances exceeds e, the eccentricity of
+    vertex 0; e is then the diameter D.  With D <= 2 every pair has c = 1 at
+    distance 1 and b = 0 at distance D, so the running sum alone decides and
+    c is not counted.  The first block that fails sends the check to
     _raise_first_failure, which names the first pair that breaks a
     constant."""
     if g._ia is not None:
@@ -314,30 +251,83 @@ def intersection_array(g: Graph) -> IntersectionArray:
         raise NotRegular("graph is not regular")
     if g.n == 1 or k == 0:
         raise NotRegular("trivial graph")
-    n = g.n
-    dm = distance_matrix(g)
-    diam = int(dm.max())
-    nbrs = edge_arrays(g).dst.reshape(n, k)   # regular, so row v is v's neighbours
-    # c_ref[i], b_ref[i] are the counts at the first pair (0, y) with
-    # d(0, y) = i; the diagonal (i = 0) gives c = 0 and b = k.  Distances
-    # beyond e = ecc(0) read the diagonal, which is harmless: the graph then
-    # fails at b_e at the latest, since (0, y) has b = 0 there while a pair
-    # (u, w) with w next to last on a geodesic of length e + 1 from u has
-    # b >= 1
-    first = np.zeros(diam + 1, dtype=np.intp)
-    at_distance, y = np.unique(dm[0], return_index=True)
-    first[at_distance] = y
-    around, here = dm[0][nbrs[first]], dm[0][first, None]
-    c_ref = (around < here).sum(axis=1).tolist()
-    b_ref = (around > here).sum(axis=1).tolist()
-    if any(s.any() or (c is not None and c.any()) for _, c, s in
-           _pair_counts(dm, nbrs, _block_rows(n), c_ref, b_ref, diam > 2)):
-        _raise_first_failure(dm, nbrs, c_ref, b_ref)
-    ia = IntersectionArray((k, *b_ref[1:diam]), tuple(c_ref[1:]))
+    nbrs = edge_arrays(g).dst.reshape(g.n, k)   # regular, so row v is v's neighbours
+    blocks = _distance_blocks(nbrs)
+    for x0, dm in blocks:
+        if x0 == 0:
+            # c_ref[i], b_ref[i] are the counts at the first pair (0, y) with
+            # d(0, y) = i; the diagonal (i = 0) gives c = 0 and b = k.  Every
+            # distance up to e occurs in column 0, and a block with a
+            # distance beyond e fails at b_e at the latest: (0, y) has b = 0
+            # there, while a pair (u, w) with w next to last on a geodesic of
+            # length e + 1 from u has b >= 1
+            d0 = dm[:, 0]
+            e = int(d0.max())
+            first = np.unique(d0, return_index=True)[1]
+            around, here = d0[nbrs[first]], d0[first, None]
+            c_ref = (around < here).sum(axis=1).tolist()
+            b_ref = (around > here).sum(axis=1).tolist()
+        if dm.max() > e or any(
+                s.any() or (c is not None and c.any()) for _, c, s in
+                _pair_counts(dm, nbrs, _block_rows(dm.shape[1]), c_ref, b_ref,
+                             e > 2)):
+            _raise_first_failure(chain([(x0, dm)], blocks), nbrs, c_ref, b_ref)
+    ia = IntersectionArray((k, *b_ref[1:e]), tuple(c_ref[1:]))
     if ia.v != g.n:
         raise NotDistanceRegular(f"sphere sizes sum to {ia.v} != n = {g.n}")
     g._ia = ia
     return ia
+
+
+def _distance_blocks(nbrs: np.ndarray):
+    """Yield (x0, dm) for each block of B sources x0 .. x0 + B - 1 of the
+    k-regular graph with the n x k neighbour table nbrs, where dm[z, j] =
+    d(z, x0 + j).  B sources make about 8 BLOCK_CELLS cells, so a graph
+    with n <= 1448 is one block.  dm is a buffer that the next block
+    overwrites: int8 until a block reaches distance 127, which widens it to
+    int16 for that block and the rest.
+
+    A breadth-first search from the block's sources at once, on bit-packed
+    rows: row z of the frontier holds the sources x with z in S_d(x), and z
+    is in S_{d+1}(x) when a neighbour of z is in S_d(x) and z is outside the
+    ball B_d(x).  One level is therefore a gather of frontier rows per
+    neighbour slot, OR-ed together.  d(z, x) is the number of levels d with
+    z outside B_d(x), up to the first level where every ball is the whole
+    graph."""
+    n = len(nbrs)
+    width = min(max(1, 8 * BLOCK_CELLS // n), n)
+    cells = np.empty(n * width, dtype=np.int8)
+    for x0 in range(0, n, width):
+        cols = np.arange(min(width, n - x0))
+        frontier = np.zeros((n, -(-cols.size // 8)), dtype=np.uint8)
+        frontier[x0 + cols, cols // 8] = 0x80 >> (cols % 8)
+        reached = frontier.copy()
+        whole = np.packbits(np.ones(cols.size, dtype=bool))   # every source
+        near, nxt = np.empty_like(frontier), np.empty_like(frontier)
+        dm = cells[:n * cols.size].reshape(n, cols.size)
+        dm.fill(0)
+        step = _block_rows(cols.size)
+        for d in count():
+            if (reached == whole).all():
+                break
+            if d == np.iinfo(dm.dtype).max:
+                cells = cells.astype(np.int16)
+                dm = cells[:n * cols.size].reshape(n, cols.size)
+            unreached = ~reached
+            for lo in range(0, n, step):
+                # the bits as int8, so that the add needs no unsafe cast
+                dm[lo:lo + step] += np.unpackbits(unreached[lo:lo + step], axis=1,
+                                                  count=cols.size).view(np.int8)
+            nxt.fill(0)
+            for col in nbrs.T:
+                frontier.take(col, axis=0, out=near, mode="clip")
+                nxt |= near
+            nxt &= unreached
+            if not nxt.any():
+                raise Unreachable("graph is disconnected")
+            reached |= nxt
+            frontier, nxt = nxt, frontier
+        yield x0, dm
 
 
 def _count_dtype(dm: np.ndarray, k: int) -> np.dtype:
@@ -348,13 +338,14 @@ def _count_dtype(dm: np.ndarray, k: int) -> np.dtype:
 
 def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, step: int, c_ref, b_ref,
                  count_c: bool = True):
-    """Yield (lo, c, s) for each block of step rows y of dm, from row lo on,
-    where for the pair (x, y) at distance d, modulo 2^bits of the count
-    dtype, c[y - lo, x] = c(x, y) - c_ref[d] and s[y - lo, x] = b(x, y) -
-    b_ref[d] - c[y - lo, x]: both are zero exactly when the pair has its
-    distance's values, as each difference is at most k in size and the
-    dtype holds k.  Without count_c, c is None.  c and s are buffers that
-    the next block overwrites.
+    """Yield (lo, c, s) for each chunk of step rows y of a block's distances
+    dm[y, j] = d(y, x), x = x0 + j, from row lo on, where for the pair
+    (x, y) at distance d, modulo 2^bits of the count dtype,
+    c[y - lo, j] = c(x, y) - c_ref[d] and
+    s[y - lo, j] = b(x, y) - b_ref[d] - c[y - lo, j]: both are zero exactly
+    when the pair has its distance's values, as each difference is at most
+    k in size and the dtype holds k.  Without count_c, c is None.  c and s
+    are buffers that the next chunk overwrites.
 
     Each slot's neighbours z are gathered into one reused buffer; c counts
     d(x, z) < d, and s sums d(x, z), which is d - 1 at c neighbours, d + 1
@@ -367,7 +358,7 @@ def _pair_counts(dm: np.ndarray, nbrs: np.ndarray, step: int, c_ref, b_ref,
     unsigned = dm.view(f"u{dm.itemsize}")
     starts = [-c for c in c_ref], [c - b - k * d for d, (c, b) in
                                    enumerate(zip(c_ref, b_ref))]
-    shape = (min(step, n), n)
+    shape = (min(step, n), dm.shape[1])
     near, mask = np.empty(shape, dm.dtype), np.empty(shape, bool)
     counts, sums, tmp = (np.empty(shape, dtype) for _ in range(3))
     for lo in range(0, n, step):
@@ -406,28 +397,31 @@ def _start(acc, d, values, mask, tmp) -> None:
             acc += tmp
 
 
-def _raise_first_failure(dm: np.ndarray, nbrs: np.ndarray, c_ref, b_ref) -> None:
+def _raise_first_failure(blocks, nbrs: np.ndarray, c_ref, b_ref) -> None:
     """NotDistanceRegular at the first failing (i, label, pair): ascending i,
-    c before b, then the first (x, y) in row-major order.  The counts
-    themselves (_pair_counts against zeros) are compared in the check's row
-    blocks, distance by distance up to the least failing one found so far;
-    nothing larger than a block is made.  A flagged check with no failing
-    pair is a fault of the check: SelfCheckFailed."""
+    c before b, then the first (x, y) in row-major order, over the blocks of
+    _distance_blocks from the first that failed the check on (those before
+    it hold no failing pair).  The counts themselves (_pair_counts against
+    zeros) are compared chunk by chunk, distance by distance up to the least
+    failing one found so far.  A flagged check with no failing pair is a
+    fault of the check: SelfCheckFailed."""
     zeros = [0] * len(c_ref)
     found = []
-    for lo, c, s in _pair_counts(dm, nbrs, _block_rows(len(dm)), zeros, zeros):
-        d = dm[lo:lo + len(c)]
-        s += c   # b(x, y)
-        top = min(found)[0] if found else len(c_ref) - 1
-        for i, rank in product(range(1, top + 1), (0, 1)):
-            bad = (d == i) & ((c, s)[rank] != (c_ref, b_ref)[rank][i])
-            if bad.any():
-                x = int(bad.any(axis=0).argmax())
-                found.append((i, rank, x, lo + int(bad[:, x].argmax())))
-                break
+    for x0, dm in blocks:
+        for lo, c, s in _pair_counts(dm, nbrs, _block_rows(dm.shape[1]), zeros,
+                                     zeros):
+            d = dm[lo:lo + len(c)]
+            s += c   # b(x, y)
+            top = min(found)[0] if found else len(c_ref) - 1
+            for i, rank in product(range(1, top + 1), (0, 1)):
+                bad = (d == i) & ((c, s)[rank] != (c_ref, b_ref)[rank][i])
+                if bad.any():
+                    j = int(bad.any(axis=0).argmax())
+                    found.append((i, rank, x0 + j, lo + int(bad[:, j].argmax())))
+                    break
     if not found:
-        raise SelfCheckFailed("intersection_array: a row block failed the "
-                              "check, but no pair breaks a constant")
+        raise SelfCheckFailed("intersection_array: a block failed the check, "
+                              "but no pair breaks a constant")
     i, rank, x, y = min(found)
     raise NotDistanceRegular(f"{'cb'[rank]}_{i} differs at pair ({x},{y})",
                              witness=(x, y, i))

@@ -13,8 +13,8 @@ from drgc.errors import (Acyclic, EmptySet, FullSet, GraphError,
                          MalformedGraph6, NotBipartite, NotDistanceRegular,
                          NotRegular, SelfCheckFailed, TooLarge, Unreachable)
 from drgc.families import FamilySpec, bipartite_graph, construct
-from drgc.graph import (Graph, IntersectionArray, _block_rows, adjacency_matrix,
-                        bfs_distances, cut_stats, distance_matrix, edge_arrays,
+from drgc.graph import (Graph, IntersectionArray, _block_rows, _distance_blocks,
+                        adjacency_matrix, bfs_distances, cut_stats, edge_arrays,
                         eigensystem, g6_decode, g6_encode, girth,
                         intersection_array, line_graph, two_coloring)
 from drgc.report import _resolve, default_targets, verify_one
@@ -128,6 +128,24 @@ def reference_distance_matrix(g):
     if (dm < 0).any():
         raise Unreachable("graph is disconnected")
     return dm
+
+
+def neighbour_table(g):
+    """The n x k table whose row v lists v's neighbours, of a k-regular g."""
+    return edge_arrays(g).dst.reshape(g.n, g.regular_degree())
+
+
+def block_distances(g):
+    """The distances of _distance_blocks, its blocks side by side: d(z, x)
+    at row z, column x; each block is copied before the next overwrites
+    it."""
+    return np.concatenate([dm.copy() for _, dm in
+                           _distance_blocks(neighbour_table(g))], axis=1)
+
+
+def circulant(n, steps):
+    """The circulant graph C_n(steps)."""
+    return Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in steps])
 
 
 def reference_intersection_array(g):
@@ -339,7 +357,7 @@ def test_intersection_array_finds_a_single_varying_count():
                          (prism(clebsch), [("b", 2)], 3),
                          (prism(generalized_petersen(5, 2)),
                           [("c", 2), ("b", 2)], 3)):
-        assert distance_matrix(g).max() == D
+        assert reference_distance_matrix(g).max() == D
         assert varying_counts(g) == faults
         got = array_or_failure(intersection_array, g)
         assert got == array_or_failure(reference_intersection_array, g)
@@ -361,8 +379,8 @@ def test_intersection_array_with_wide_counts_at_diameter_3():
                                        if j not in (i, (i + 1) % r)])
     for g in (passing, failing):
         assert g.regular_degree() == 256
-        dm = distance_matrix(g)
-        assert dm.max() == 3
+        [(_, dm)] = _distance_blocks(neighbour_table(g))
+        assert dm.dtype == np.int8 and dm.max() == 3
         assert drgc.graph._count_dtype(dm, 256) == np.uint16
         assert array_or_failure(intersection_array, g) == \
             array_or_failure(reference_intersection_array, g)
@@ -427,6 +445,30 @@ def test_intersection_array_when_vertex_0_has_short_eccentricity():
     assert got[0] is NotDistanceRegular
 
 
+def test_check_refuses_distances_past_the_eccentricity_of_vertex_0(monkeypatch):
+    """A block with a distance beyond e = ecc(0) fails the check although
+    its counts pass: on GP(6,2) (e = 3, diameter 4), in blocks of 4
+    sources, with the check's counts forced to zero, the recount still
+    names the reference's first failing pair."""
+    real = drgc.graph._pair_counts
+
+    def passing(dm, nbrs, step, c_ref, b_ref, count_c=True):
+        for lo, c, s in real(dm, nbrs, step, c_ref, b_ref, count_c):
+            if any(c_ref):   # the check; the recount counts against zeros
+                s[:] = 0
+                if c is not None:
+                    c[:] = 0
+            yield lo, c, s
+
+    monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", 6)
+    monkeypatch.setattr(drgc.graph, "_pair_counts", passing)
+    g = generalized_petersen(6, 2)
+    assert source_blocks(g) == [4, 4, 4]
+    got = array_or_failure(intersection_array, g)
+    assert got == array_or_failure(reference_intersection_array, g)
+    assert got[0] is NotDistanceRegular
+
+
 def test_intersection_array_matches_reference_on_large_diameters():
     # cycle(300) has diameter 150, past the int8 distances; the prism over
     # C_300 is 3-regular and not distance-regular
@@ -437,7 +479,7 @@ def test_intersection_array_matches_reference_on_large_diameters():
 
 
 @pytest.mark.parametrize("step", [None, 7])
-def test_pair_counts_match_reference_past_distance_127(step):
+def test_pair_counts_match_reference_past_distance_127(step, monkeypatch):
     """The check's per-pair accumulators on int16 distances, against a
     recount that compares each neighbour's distance with d - 1 and d + 1:
     every pair of cycle(300) and of the prism over C_300, of which those at
@@ -445,37 +487,50 @@ def test_pair_counts_match_reference_past_distance_127(step):
     per distance are random values in 0..k, so that the accumulators'
     starts step by every size, wrapping modulo 2^16; c must read
     c(x, y) - c_ref[d] and s (b(x, y) - b_ref[d]) - (c(x, y) - c_ref[d]),
-    with and without c counted.  step None is one block of all rows; 7 is
-    blocks of 7 rows through reused buffers."""
+    with and without c counted.  step None is one chunk of all rows of one
+    block of all sources; 7 is chunks of 7 rows through reused buffers, in
+    blocks of 218 and 109 sources (BLOCK_CELLS = 2^13), the last of which
+    ends inside a byte."""
     rng = random.Random(3)
+    if step:
+        monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", 2 ** 13)
     for g in (cycle(300), cycle_prism(300)):
         n, k = g.n, g.regular_degree()
-        dm = distance_matrix(g)
-        assert dm.dtype == np.int16 and dm.max() >= 128
-        nbrs = edge_arrays(g).dst.reshape(n, k)
-        c_ref, b_ref = ([rng.randint(0, k) for _ in range(dm.max() + 1)]
+        ref = reference_distance_matrix(g)
+        assert ref.max() >= 128
+        nbrs = neighbour_table(g)
+        c_ref, b_ref = ([rng.randint(0, k) for _ in range(ref.max() + 1)]
                         for _ in range(2))
         # around[x, y, s] is d(x, z) for the s-th neighbour z of y
-        around = dm.astype(np.int64)[:, nbrs]
-        d = dm.astype(np.int64)[:, :, None]
-        dev_c = (around == d - 1).sum(axis=2) - np.array(c_ref)[dm]
-        dev_b = (around == d + 1).sum(axis=2) - np.array(b_ref)[dm]
+        around = ref.astype(np.int64)[:, nbrs]
+        d = ref.astype(np.int64)[:, :, None]
+        dev_c = (around == d - 1).sum(axis=2) - np.array(c_ref)[ref]
+        dev_b = (around == d + 1).sum(axis=2) - np.array(b_ref)[ref]
         want_c, want_s = dev_c % 2 ** 16, (dev_b - dev_c) % 2 ** 16
-        far = dm >= 128
+        far = ref >= 128
         assert far.any() and dev_c[far].any() and dev_b[far].any()
         for count_c in (True, False):
-            blocks = [(c if c is None else c.copy(), s.copy()) for _, c, s in
-                      drgc.graph._pair_counts(dm, nbrs, step or n, c_ref,
-                                              b_ref, count_c)]
-            s = np.concatenate([s for _, s in blocks]).T
+            cs, ss, widths = [], [], []
+            for x0, dm in _distance_blocks(nbrs):
+                assert dm.dtype == np.int16
+                assert x0 == sum(widths) and (step is None) == (dm.shape[1] == n)
+                widths.append(dm.shape[1])
+                blocks = [(c if c is None else c.copy(), s.copy()) for _, c, s in
+                          drgc.graph._pair_counts(dm, nbrs, step or n, c_ref,
+                                                  b_ref, count_c)]
+                ss.append(np.concatenate([s for _, s in blocks]))
+                if count_c:
+                    cs.append(np.concatenate([c for c, _ in blocks]))
+                else:
+                    assert all(c is None for c, _ in blocks)
+            assert step is None or widths[-1] % 8 and len(widths) >= 2
+            s = np.concatenate(ss, axis=1).T
             assert np.array_equal(s[far], want_s[far])
             assert np.array_equal(s, want_s)
             if count_c:
-                c = np.concatenate([c for c, _ in blocks]).T
+                c = np.concatenate(cs, axis=1).T
                 assert np.array_equal(c[far], want_c[far])
                 assert np.array_equal(c, want_c)
-            else:
-                assert all(c is None for c, _ in blocks)
 
 
 def test_check_fault_without_a_failing_pair_raises(monkeypatch):
@@ -510,55 +565,85 @@ def test_intersection_array_disconnected_regular_graph():
     assert got[0] is Unreachable
 
 
-def test_distance_matrix_matches_reference():
+def source_blocks(g):
+    """The widths of the blocks of sources that the check walks on g."""
+    return [dm.shape[1] for _, dm in _distance_blocks(neighbour_table(g))]
+
+
+def test_distance_blocks_match_reference(monkeypatch):
+    """The check's breadth-first search, block by block, gives the distances
+    of the reference, or its Unreachable: on regular graphs of diameter 1 to
+    150 and a disconnected one, in one block of all sources and, with
+    BLOCK_CELLS patched to n^2 / 24, in blocks of about n / 3 sources."""
     rng = random.Random(7)
-    graphs = [cycle(300), generalized_petersen(6, 2), complete(1),
-              Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
-              Graph.from_edges(6, [(0, i) for i in range(1, 6)])]
-    for n in (2, 9, 30, 64):
-        graphs.append(Graph.from_edges(n, [e for e in combinations(range(n), 2)
-                                           if rng.random() < 3 / n]))
-    for g in graphs:
-        got = array_or_failure(distance_matrix, g)
-        want = array_or_failure(reference_distance_matrix, g)
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert np.array_equal(got, want)
-    assert distance_matrix(cycle(300)).max() == 150
+    two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
+                                         (3, 4), (4, 5), (3, 5)])
+    graphs = [cycle(300), generalized_petersen(6, 2), complete(2), complete(5),
+              two_triangles]
+    graphs += [circulant(n, rng.sample(range(1, n // 2), 2)) for n in (9, 30, 64, 101)]
+    for cells in (None, lambda n: n * n // 24):
+        for g in graphs:
+            if cells:
+                monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", cells(g.n))
+            got = array_or_failure(block_distances, g)
+            want = array_or_failure(reference_distance_matrix, g)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
+                assert (len(source_blocks(g)) > 1) == bool(cells)
+    assert block_distances(cycle(300)).max() == 150
 
 
 def test_blocked_stages_match_reference_in_small_row_blocks(monkeypatch):
-    """The distance matrix and the intersection-array check with BLOCK_CELLS
-    patched so that every graph spans several row blocks: the comparisons
-    above, on their graphs, give the same results."""
-    monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", 12)
+    """The intersection-array check with BLOCK_CELLS patched to n^2 / 24,
+    graph by graph, so that every regular, connected graph spans several
+    blocks of about n / 3 sources and several chunks of rows: the
+    comparisons above, on their graphs, give the same results, and the
+    pinned failures stay the same pair, message and witness.  odd:4 (n = 35)
+    ends its last block inside a byte; on C_2048(1,5), of diameter 206,
+    every block reads its distances past 126 in int16."""
     triangular_prism = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4),
                                             (4, 5), (3, 5), (0, 3), (1, 4),
                                             (2, 5)])
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2),
                                          (3, 4), (4, 5), (3, 5)])
+    pinned = [(generalized_petersen(8, 3), "c_3 differs at pair (0,10)", (0, 10, 3)),
+              (generalized_petersen(9, 2), "b_2 differs at pair (9,13)", (9, 13, 2)),
+              (generalized_petersen(13, 5), "b_3 differs at pair (0,5)", (0, 5, 3)),
+              (triangular_prism, "b_1 differs at pair (0,3)", (0, 3, 1)),
+              (circulant(2048, (1, 5)), "c_2 differs at pair (0,4)", (0, 4, 2))]
+    for g, message, witness in pinned:
+        monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", g.n * g.n // 24)
+        assert len(source_blocks(g)) >= 3
+        assert array_or_failure(intersection_array, g) == \
+            (NotDistanceRegular, message, witness)
+    assert all(dm.dtype == np.int16 and dm.max() > 126 for _, dm in
+               _distance_blocks(neighbour_table(circulant(2048, (1, 5)))))
     graphs = [generalized_petersen(n, k) for n in range(3, 21)
               for k in range(1, n // 2 + 1)]
-    graphs += [triangular_prism, two_triangles, cycle(7), cycle(300),
-               complete(5), line_graph(cycle(9)), switched_hamming_3_10(),
+    graphs += [two_triangles, cycle(7), cycle(300), complete(5),
+               line_graph(cycle(9)), switched_hamming_3_10(),
                complete_bipartite(256), complete_prism(257)]
     graphs += [g for _, g in catalog_and_grid(max_n=256)]
     for g in graphs:
         # a copy, without the array a catalog graph cached when it loaded
         g = Graph.from_edge_arrays(g.n, *edge_arrays(g)[:2])
-        assert -(-g.n // _block_rows(g.n)) >= 2
-        assert array_or_failure(intersection_array, g) == \
-            array_or_failure(reference_intersection_array, g)
-        got = array_or_failure(distance_matrix, g)
-        want = array_or_failure(reference_distance_matrix, g)
-        assert got == want if isinstance(want, tuple) else np.array_equal(got, want)
+        monkeypatch.setattr(drgc.graph, "BLOCK_CELLS", g.n * g.n // 24)
+        want = array_or_failure(reference_intersection_array, g)
+        assert array_or_failure(intersection_array, g) == want
+        if isinstance(want, IntersectionArray) or want[0] is NotDistanceRegular:
+            widths = source_blocks(g)
+            assert len(widths) >= 2 and -(-g.n // _block_rows(widths[0])) >= 2
+            if g.n == 35:
+                assert widths[-1] % 8
 
 
 def test_construct_and_check_hold_no_other_n_by_n_array():
     """On foldedcube:12 (n = 2048) construct's traced peak stays below n^2
     bytes, and intersection_array's peak above what was held before it
-    below 2 n^2: the int8 distance matrix and blocks of rows."""
+    below 2 n^2: two blocks of 1024 sources (n^2 / 2 bytes of int8
+    distances) and chunks of their rows."""
     drgc.families._vertex_keys.cache_clear()
     tracemalloc.start()
     try:
@@ -574,51 +659,42 @@ def test_construct_and_check_hold_no_other_n_by_n_array():
     assert construct_peak < g.n ** 2 and check_peak < 2 * g.n ** 2
 
 
-def test_failing_check_holds_no_n_by_n_array(monkeypatch):
-    """On the circulant C_2048(1,5), which is not distance-regular, the
-    check and the recount that names its first failing pair walk row
-    blocks: above the int16 distance matrix they read, their traced peak
-    stays below 2 n^2."""
-    n = 2048
-    g = Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, 5)])
-    real = drgc.graph.distance_matrix
-    held = []
-
-    def traced_distance_matrix(g):
-        dm = real(g)
-        tracemalloc.reset_peak()
-        held.append(tracemalloc.get_traced_memory()[0])
-        return dm
-
-    monkeypatch.setattr(drgc.graph, "distance_matrix", traced_distance_matrix)
-    tracemalloc.start()
-    try:
-        with pytest.raises(NotDistanceRegular) as err:
-            intersection_array(g)
-        peak = tracemalloc.get_traced_memory()[1] - held[0]
-    finally:
-        tracemalloc.stop()
-    assert str(err.value) == "c_2 differs at pair (0,4)"
-    assert err.value.witness == (0, 4, 2)
-    assert real(g).dtype == np.int16 and peak < 2 * n ** 2
-
-
-def test_distance_matrix_holds_one_n_by_n_matrix_past_distance_126():
-    """C_2048(1,5) has diameter 206, so the int8 search stops at distance
-    127 and starts again in int16: the stage's traced peak, the int16 matrix
-    (2 n^2 bytes) and the bit-packed frontiers, stays below 3 n^2."""
-    n = 2048
-    g = Graph.from_edges(n, [(i, (i + s) % n) for i in range(n) for s in (1, 5)])
+def traced_check(g):
+    """The outcome of intersection_array(g) and its traced peak above what
+    was held before it."""
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        dm = distance_matrix(g)
+        got = array_or_failure(intersection_array, g)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert dm.dtype == np.int16 and dm.max() == 206
-    assert np.array_equal(dm[0, :8], [0, 1, 2, 3, 2, 1, 2, 3])
-    assert peak < 3 * n ** 2
+    return got, peak
+
+
+def test_failing_check_holds_no_n_by_n_array():
+    """On the circulant C_2048(1,5), which is not distance-regular and has
+    diameter 206, the check and the recount that names its first failing
+    pair walk two blocks of 1024 sources, with int16 distances (n^2 bytes a
+    block): their traced peak stays below 2.5 n^2, which an n x n int8
+    matrix held beside them would break."""
+    n = 2048
+    g = circulant(n, (1, 5))
+    assert source_blocks(g) == [1024, 1024]
+    got, peak = traced_check(g)
+    assert got == (NotDistanceRegular, "c_2 differs at pair (0,4)", (0, 4, 2))
+    assert peak < 2.5 * n ** 2
+
+
+def test_check_on_hamming_4_9_holds_no_n_by_n_array():
+    """hamming:4,9 (n = 6561) is checked in blocks of 319 sources: the
+    traced peak stays below 16 MiB, where an n x n int8 matrix alone takes
+    41 MiB."""
+    g = construct(FamilySpec("hamming", (4, 9)))
+    assert source_blocks(g)[0] == 319
+    got, peak = traced_check(g)
+    assert got == IntersectionArray((32, 24, 16, 8), (1, 2, 3, 4))
+    assert peak < 16 * 2 ** 20
 
 
 def test_intersection_array_cached():
@@ -630,8 +706,7 @@ def test_intersection_array_cached():
 def test_dense_stages_refuse_graphs_over_the_vertex_limit(monkeypatch):
     assert drgc.families.MAX_VERTICES == drgc.graph.MAX_VERTICES
     monkeypatch.setattr(drgc.graph, "MAX_VERTICES", 11)
-    for stage in (adjacency_matrix, distance_matrix, intersection_array,
-                  eigensystem):
+    for stage in (adjacency_matrix, intersection_array, eigensystem):
         with pytest.raises(TooLarge, match=f"{stage.__name__}: n = 12"):
             stage(cycle(12))
     assert intersection_array(cycle(11)).D == 5
@@ -668,7 +743,7 @@ def test_antipodal_predicate_matches_distance_d_fibres():
     """The array predicate agrees with the graph: 'equal or at distance D'
     is an equivalence relation, for every catalog and grid graph, n <= 256."""
     for name, g in catalog_and_grid(256):
-        dm = distance_matrix(g)
+        dm = reference_distance_matrix(g)
         fibre = (dm == dm.max()) | np.eye(g.n, dtype=bool)
         antipodal = all((fibre[fibre[x]] == fibre[x]).all() for x in range(g.n))
         assert intersection_array(g).is_antipodal() == antipodal, name

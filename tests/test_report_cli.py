@@ -225,6 +225,23 @@ def test_cli_family_past_max_vertices(capsys):
                    "vertices\n")
 
 
+@pytest.mark.parametrize("spec", ["johnson:2000000,1000000", "dualpolarc:2,20000",
+                                  "grassmann:2,40000,20000"])
+def test_cli_refuses_a_vast_family_before_expanding_its_vertex_count(spec):
+    """These specs have vertex counts that take minutes to expand (comb,
+    the Gaussian binomial, a product of 20000 factors) and valencies past
+    MAX_VERTICES: the spec is refused from its valency, in a few seconds,
+    with exit 1, the limit named on stderr and no traceback."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "drgc.cli", "verify", spec],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: {spec} has more than MAX_VERTICES = 20000 "
+                           "vertices\n")
+
+
 def test_cli_mistyped_catalog_name_names_the_target_forms(capsys):
     """A target that is no catalog name and has no ':' is decoded as graph6;
     when that fails the error names all three accepted forms."""
